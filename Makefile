@@ -1,7 +1,9 @@
 # Tier-1 gate: everything `make check` runs must stay green. The race
 # target limits -race to the real-runtime tests (goroutine-per-task over
-# TCP); the simulated runtime is single-threaded by construction, so
-# instrumenting the full suite buys nothing and triples its runtime.
+# TCP), the sharded executor, and the engine itself, whose coroutines are
+# resumed from a different worker goroutine each epoch; the layers above
+# run one at a time on that engine, so instrumenting the full suite buys
+# nothing and triples its runtime.
 
 GO ?= go
 
@@ -25,7 +27,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/tcpnet/ ./internal/exec/ ./internal/parallel/
+	$(GO) test -race ./internal/tcpnet/ ./internal/exec/ ./internal/parallel/ ./internal/sim/
 	$(GO) test -race -run 'TCP|Real' ./internal/collective/ ./internal/mpi/ ./internal/ga/ ./internal/lapi/
 	$(GO) test -race -run 'Sharded' ./internal/switchnet/ ./internal/cluster/
 	$(GO) test -race ./internal/gateway/...

@@ -43,6 +43,8 @@ func main() {
 
 	fmt.Printf("engine:  %.0f events/s (%.0f ns/event, %d events)\n",
 		r.EngineEventsPerSec, r.EngineNsPerEvent, r.EngineEvents)
+	fmt.Printf("procs:   %.0f ns/switch between two processes, %.0f ns/self-wake (Sleep popping its own wake-up)\n",
+		r.ProcSwitchNs, r.SelfWakeNs)
 	fmt.Printf("table2:  %.1f ms wall-clock serial, %.1f ms on %d workers\n",
 		r.Table2WallMs, r.Table2WallMsParallel, r.ParallelWorkers)
 	fmt.Printf("sweep:   %.1f ms serial, %.1f ms parallel -> %.2fx speedup (%d workers, %d CPUs)\n",
@@ -56,8 +58,8 @@ func main() {
 	if !*quick {
 		fmt.Printf("mesh1k:  %d tasks, %.1f ms serial, %.1f ms on %d shards -> %.2fx speedup\n",
 			r.Mesh1kTasks, r.Mesh1kWallMsSerial, r.Mesh1kWallMsParallel, r.Mesh1kShards, r.Mesh1kSpeedup)
-		fmt.Printf("lint:    %.1f ms wall-clock (full lapivet suite over ./...)\n",
-			r.LintWallMs)
+		fmt.Printf("lint:    %.1f ms wall-clock (full lapivet suite over ./...), %.1fx the %.1f ms load alone\n",
+			r.LintWallMs, r.LintWallMs/r.LintLoadMs, r.LintLoadMs)
 	}
 
 	if *out != "" {

@@ -23,8 +23,9 @@
 //   - The serialization domains of this codebase are modeled as one
 //     pseudo-lock ⟨serialized⟩: code spawned via exec.Runtime.Go or posted
 //     via Post/PostArg/PostPacket/PostDone/After runs under the runtime's
-//     big lock (internal/exec contract); sim.Engine processes alternate
-//     with their engine through the resume/yield handshake; parallel.Hooks
+//     big lock (internal/exec contract); sim.Engine processes are
+//     coroutines that the engine's hub resumes one at a time (a process
+//     runs only between the hub's next and its own yield); parallel.Hooks
 //     barrier callbacks (Barrier, OnQuiesce, TakeOutbox) run with every
 //     engine parked — the epoch-barrier seam that orders shard outbox
 //     writes against ResolveSpine reads; and callbacks handed to
@@ -85,7 +86,7 @@ const (
 	SpawnGo SpawnKind = iota
 	// SpawnRT is an exec.Runtime.Go activity (serialized).
 	SpawnRT
-	// SpawnSim is a sim.Engine.Go process (engine handshake, serialized).
+	// SpawnSim is a sim.Engine.Go process (a coroutine of the engine, serialized).
 	SpawnSim
 	// SpawnAfter is a Runtime.After or time.AfterFunc timer callback.
 	SpawnAfter
@@ -1069,8 +1070,8 @@ func (m *Model) isSpawnAPI(fn *types.Func) bool {
 
 // contractualLocks returns the locks a unit holds by API contract,
 // independent of call sites: code in the exec and sim packages implements
-// the serialization domains themselves (realrt's big lock, the engine
-// resume/yield handshake), and any function taking an exec.Context or
+// the serialization domains themselves (realrt's big lock, the engine's
+// one-at-a-time coroutine switch), and any function taking an exec.Context or
 // *sim.Proc may only run on its runtime's domain.
 func (m *Model) contractualLocks(u *Unit) LockSet {
 	ls := LockSet{}

@@ -19,7 +19,7 @@ import (
 )
 
 // SerializedLock is the pseudo-lock of the runtime serialization domains
-// (exec's big lock, the sim engine handshake, the epoch-barrier seam).
+// (exec's big lock, the sim engine's coroutine switch, the epoch-barrier seam).
 var SerializedLock types.Object = types.NewVar(token.NoPos, nil, "⟨serialized⟩", types.Typ[types.Invalid])
 
 // A LockSet is a set of mutexes (identified by their variable or field,

@@ -18,6 +18,14 @@ import (
 // runGA executes main on an n-task GA world over the chosen backend
 // ("LAPI" or "MPL"), on the default calibrated fabric.
 func runGA(backend string, n int, main func(ctx exec.Context, w *ga.World)) error {
+	// The worlds are closed once the job has run to completion, never by
+	// their own tasks: a task that is done may still be serving peers.
+	worlds := make([]*ga.World, 0, n)
+	defer func() {
+		for _, w := range worlds {
+			w.Close()
+		}
+	}()
 	switch backend {
 	case "LAPI":
 		c, err := cluster.NewSimDefault(n)
@@ -29,6 +37,7 @@ func runGA(backend string, n int, main func(ctx exec.Context, w *ga.World)) erro
 			if err != nil {
 				panic(err)
 			}
+			worlds = append(worlds, w)
 			main(ctx, w)
 		})
 	case "MPL":
@@ -43,6 +52,7 @@ func runGA(backend string, n int, main func(ctx exec.Context, w *ga.World)) erro
 			if err != nil {
 				panic(err)
 			}
+			worlds = append(worlds, w)
 			main(ctx, w)
 		})
 	default:

@@ -136,6 +136,9 @@ type backend interface {
 	localWrite(a *Array, i, j int, v float64)
 	newCounter(ctx exec.Context, c *SharedCounter) error
 	newMutexes(ctx exec.Context, m *MutexSet) error
+	// release gives back what the backend holds for the life of the job
+	// (World.Close).
+	release()
 }
 
 // World is a task's handle to the GA runtime (one per task, SPMD).
@@ -440,6 +443,14 @@ func (w *World) Sync(ctx exec.Context) error {
 	}
 	return w.b.barrier(ctx)
 }
+
+// Close releases the resources the world holds for the life of its job (on
+// the MPL backend, the request server's receive buffer, which goes back to
+// a free list for the next job). Call it once the job has run to completion
+// — after cluster.Job.Run has returned — and not before: until then a
+// peer's request can still land in the buffer. The world must not be used
+// afterwards. A world that is never closed is simply collected.
+func (w *World) Close() { w.b.release() }
 
 // SharedCounter is an atomically updatable global integer (GA's
 // read-and-increment, the dynamic load-balancing primitive of §5.1). It is

@@ -534,6 +534,8 @@ func (b *lapiBackend) barrier(ctx exec.Context) error {
 	return nil
 }
 
+func (b *lapiBackend) release() {}
+
 func (b *lapiBackend) localRead(a *Array, i, j int) float64 {
 	in := b.info(a.handle)
 	blk := b.t.MustBytes(in.base, in.local.Elems()*8)

@@ -48,6 +48,8 @@ type mplBackend struct {
 
 	arrays map[int]*mplArrayInfo
 
+	// serveBuf is the request server's posted receive buffer, owned from
+	// NewMPLWorld until release (World.Close) hands it to serveBufs.
 	serveBuf []byte
 
 	// Server-hosted synchronization state, created lazily on first use
@@ -58,6 +60,42 @@ type mplBackend struct {
 	// touched[r] records requests sent to r since the last fence; fence
 	// flushes them with a ping, relying on MPL's in-order delivery.
 	touched []bool
+}
+
+// serveBufs is a bounded free list of request-server receive buffers.
+// Every task of every MPL job posts one of MaxRequestBytes (1 MiB by
+// default), and a sweep builds a job per point, so allocating — and
+// zeroing — a fresh one each time was a quarter of the sweep's allocation
+// time for bytes no one reads: the server only ever looks at the st.Len
+// bytes a message just wrote. A channel because sweep points build and
+// close their worlds on different workers; buffered so that at most
+// cap(serveBufs) buffers are retained, the rest being left to the
+// collector.
+var serveBufs = make(chan []byte, 8)
+
+// takeServeBuf returns a buffer of n bytes with unspecified contents.
+func takeServeBuf(n int) []byte {
+	select {
+	case buf := <-serveBufs:
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	default:
+	}
+	return make([]byte, n)
+}
+
+// release implements backend: the receive buffer goes back to the free
+// list (or to the collector if the list is full).
+func (b *mplBackend) release() {
+	if b.serveBuf == nil {
+		return
+	}
+	select {
+	case serveBufs <- b.serveBuf:
+	default:
+	}
+	b.serveBuf = nil
 }
 
 // NewMPLWorld collectively creates a GA runtime over MPL (the baseline the
@@ -75,7 +113,7 @@ func NewMPLWorld(ctx exec.Context, t *mpl.Task, cfg Config) (*World, error) {
 		counters: make(map[int]*int64),
 		mutexes:  make(map[[2]int]*mutexState),
 		touched:  make([]bool, t.N()),
-		serveBuf: make([]byte, cfg.MaxRequestBytes),
+		serveBuf: takeServeBuf(cfg.MaxRequestBytes),
 	}
 	w := &World{cfg: cfg, b: b}
 	b.w = w

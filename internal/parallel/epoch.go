@@ -74,13 +74,46 @@ type Hooks struct {
 	Stats *stats.Counters
 }
 
+// fanOutMinEvents is how many events a shard must have due inside an epoch
+// window before running it on another worker can pay. Fanning an epoch out
+// costs a fixed hand-off — worker goroutines spawned, a WaitGroup, the
+// coordinator put to sleep and woken, an idle thread brought back — and
+// buys at most the time of the second-busiest shard, the largest piece of
+// work that overlaps with anything. The threshold is that hand-off divided
+// by the cost of an event, both measured on the 2-vCPU reference host
+// (DESIGN.md §9 has the tables): two jobs handed to ForEach break even
+// with running them inline at 50–75 µs of work each, and an event of a
+// full protocol run costs 1.25 µs (a mesh1k sweep: 590 k events, 733 ms
+// inside RunEpochs) — 40 to 60 events, rounded up to a power of two.
+const fanOutMinEvents = 64
+
+// worthFanOut reports whether at least two engines each have
+// fanOutMinEvents events due by deadline. The count is a lower bound on the
+// epoch's work (events fired inside the window schedule more), taken from
+// what the engines themselves report and bounded by the threshold, so a
+// quiet epoch is sized in a few heap probes.
+func worthFanOut(engines []*sim.Engine, deadline sim.Time) bool {
+	busy := 0
+	for _, e := range engines {
+		if e.DueBy(deadline, fanOutMinEvents) == fanOutMinEvents {
+			busy++
+			if busy == 2 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // RunEpochs drives the sub-engines in lockstep lookahead epochs until the
 // whole simulation quiesces, then runs each engine's deadlock check and
 // returns the joined verdicts (nil when every shard finished cleanly).
 //
 // lookahead is the fabric's minimum cross-shard delay L (must be
-// positive). Engines run their epochs on x's workers; x may be nil
-// (serial epochs, same results).
+// positive). An epoch in which at least two engines have enough due work
+// to repay the hand-off (fanOutMinEvents) runs on x's workers; every other
+// epoch runs inline on the caller, as all of them do when x is nil or has
+// one worker. The results are the same either way.
 func RunEpochs(x *Executor, engines []*sim.Engine, lookahead sim.Time, h Hooks) error {
 	if lookahead <= 0 {
 		return fmt.Errorf("parallel: epoch lookahead must be positive, got %v", lookahead)
@@ -108,10 +141,16 @@ func RunEpochs(x *Executor, engines []*sim.Engine, lookahead sim.Time, h Hooks) 
 			break
 		}
 		deadline := min + lookahead - 1
-		ForEach(x, len(engines), func(i int) error {
-			engines[i].RunUntil(deadline)
-			return nil
-		})
+		if x.Workers() > 1 && worthFanOut(engines, deadline) {
+			ForEach(x, len(engines), func(i int) error {
+				engines[i].RunUntil(deadline)
+				return nil
+			})
+		} else {
+			for _, e := range engines {
+				e.RunUntil(deadline)
+			}
+		}
 		if h.Barrier != nil {
 			h.Barrier()
 		}

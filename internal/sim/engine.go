@@ -1,26 +1,50 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation engine
 // with cooperatively scheduled processes.
 //
 // The engine maintains a virtual clock and a priority queue of events.
-// Exactly one goroutine — either the engine itself or a single simulated
-// process — runs at any instant, so simulated code needs no locking and
-// every run with the same inputs produces the same event order.
+// Exactly one flow of control — the caller of Run/RunUntil or a single
+// simulated process — runs at any instant, so simulated code needs no
+// locking and every run with the same inputs produces the same event order.
 //
-// Processes are real goroutines that hand control back to the engine
-// whenever they block (Sleep, Wait); the handoff is a rendezvous on
-// per-process channels, which keeps user code in ordinary blocking style
-// while the clock only advances between events.
+// Processes are coroutines (iter.Pull): a switch into or out of one is a
+// direct hand-off that never enters the Go scheduler's run queue. There is
+// one event loop, dispatch, and whoever has nothing else to do runs it: the
+// hub inside Run/RunUntil, and every process that parks (Sleep, WaitCond).
+// A parking process keeps firing events in (at, seq) order on its own
+// stack; if the next wake-up is its own it simply returns — no switch at
+// all — and otherwise it names the process to run next and yields to the
+// hub, which resumes it. Which stack pops the queue never changes the order
+// in which events fire, so virtual time is independent of all of this.
+//
+// The contract that follows from it:
+//
+//   - A Schedule/ScheduleAt callback may run on the hub or on the coroutine
+//     of whichever process happens to be parked, so a callback must never
+//     park (no Sleep, WaitCond, Pop, Acquire, Await, Join); it may schedule
+//     events, broadcast conditions and spawn processes.
+//   - Run and RunUntil may be called from different goroutines over an
+//     engine's life (the sharded executor resumes an engine on whichever
+//     worker picks up its epoch) but never concurrently, and never from a
+//     callback or a process of the same engine.
+//   - When Run returns, no process is left suspended: one still parked at a
+//     deadlock is unwound (its deferred calls run) before the
+//     *DeadlockError is returned. A panic in a process or a callback
+//     unwinds the others the same way and then surfaces on the goroutine
+//     that called Run/RunUntil.
 //
 // The event queue is built for the hot path: events are inline values in a
 // 4-ary heap (no per-Schedule allocation, no interface boxing), and events
 // scheduled for the current instant — the overwhelming majority in a busy
 // protocol exchange: process wakeups, condition broadcasts, zero-delay
-// handoffs — bypass the heap entirely through a FIFO that the run loop
-// drains straight down ("free run") whenever no timer events are pending.
+// handoffs — bypass the heap entirely through a FIFO.
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"math"
 	"sort"
 	"time"
 )
@@ -41,18 +65,12 @@ func (t Time) String() string {
 // event is a scheduled callback, stored by value. Events with equal time
 // fire in scheduling order (seq breaks ties), which is what makes runs
 // deterministic. A process wakeup is stored as proc directly rather than as
-// a closure over step, so the scheduler's own bookkeeping never allocates.
+// a closure, so the scheduler's own bookkeeping never allocates.
 type event struct {
 	at   Time
 	seq  uint64
 	fn   func()
-	proc *Proc // when non-nil, fire by stepping this process; fn is nil
-}
-
-// less orders events by (at, seq): virtual time first, scheduling order as
-// the tiebreak.
-func less(a, b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+	proc *Proc // when non-nil, fire by resuming this process; fn is nil
 }
 
 // timerEntry is one future event in the timer heap: the ordering key plus
@@ -79,8 +97,7 @@ type timerSlot struct {
 	proc *Proc
 }
 
-// Engine is a discrete-event scheduler. The zero value is not usable; create
-// one with NewEngine.
+// Engine is a discrete-event scheduler; create one with NewEngine.
 type Engine struct {
 	now Time
 	seq uint64
@@ -99,17 +116,22 @@ type Engine struct {
 	due     []event
 	dueHead int
 
-	yield   chan struct{} // process -> engine handoff
-	procs   map[*Proc]struct{}
-	stopped bool
+	// deadline bounds the current Run/RunUntil window: dispatch fires
+	// nothing later, whichever stack it runs on.
+	deadline Time
+	// handoff is how a process that yields tells the hub whom to resume:
+	// the process whose wake-up its dispatch popped, or nil when nothing
+	// more is due.
+	handoff *Proc
+	// procs holds every unfinished process (Proc.idx is its position), so
+	// a deadlock can name and unwind them.
+	procs     []*Proc
+	unwinding bool
 }
 
 // NewEngine returns an engine with an empty event queue at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{
-		yield: make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
-	}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -251,29 +273,116 @@ func (e *Engine) popDue() event {
 	return ev
 }
 
-// pop removes and returns the globally next event by (at, seq). Due entries
-// sit at the current instant so they can never be later than the heap
-// minimum; when both are at the same instant the smaller seq — necessarily
-// the heap's, scheduled strictly earlier — fires first.
-func (e *Engine) pop() event {
-	if e.dueHead < len(e.due) {
-		d := &e.due[e.dueHead]
-		if len(e.timers) == 0 || d.at < e.timers[0].at ||
-			(d.at == e.timers[0].at && d.seq < e.timers[0].seq) {
-			return e.popDue()
-		}
-		return e.popTimer()
+// DueBy reports how many pending events have timestamps <= deadline,
+// counting no further than limit. A coordinator uses it to size an epoch
+// window before deciding how to run it, so the cost must follow the answer,
+// not the queue: the heap is walked from the root and a subtree is entered
+// only when its root is due (children are never earlier than their parent),
+// which visits at most four entries per event counted.
+func (e *Engine) DueBy(deadline Time, limit int) int {
+	n := 0
+	if e.dueHead < len(e.due) && e.due[e.dueHead].at <= deadline {
+		// Every due entry sits at the same instant.
+		n = len(e.due) - e.dueHead
 	}
-	return e.popTimer()
+	if n >= limit {
+		return limit
+	}
+	return n + e.timersDueBy(0, deadline, limit-n)
 }
 
-// fire dispatches one event.
-func (e *Engine) fire(ev event) {
-	if ev.proc != nil {
-		e.step(ev.proc)
-		return
+// timersDueBy counts, up to limit, the due entries of the heap subtree
+// rooted at index i.
+func (e *Engine) timersDueBy(i int, deadline Time, limit int) int {
+	if i >= len(e.timers) || e.timers[i].at > deadline {
+		return 0
 	}
-	ev.fn()
+	n := 1
+	for c := 4*i + 1; c <= 4*i+4 && n < limit; c++ {
+		n += e.timersDueBy(c, deadline, limit-n)
+	}
+	return n
+}
+
+// dispatch is the event loop, shared by the hub (Run, RunUntil) and by
+// every parking process. It fires callback events in (at, seq) order until
+// the next event is a process wake-up, which it returns for the caller to
+// act on — a parking process that gets itself back just carries on — or
+// until nothing is left inside the deadline, when it returns nil.
+func (e *Engine) dispatch() *Proc {
+	for {
+		var ev event
+		switch {
+		case e.dueHead < len(e.due):
+			// Due entries sit at the current instant, so they are never
+			// later than the heap minimum; at the same instant the smaller
+			// seq — necessarily the heap's, scheduled strictly earlier —
+			// fires first.
+			d := &e.due[e.dueHead]
+			if d.at > e.deadline {
+				return nil
+			}
+			if len(e.timers) == 0 || d.at < e.timers[0].at ||
+				(d.at == e.timers[0].at && d.seq < e.timers[0].seq) {
+				ev = e.popDue()
+			} else {
+				ev = e.popTimer()
+			}
+		case len(e.timers) > 0:
+			if e.timers[0].at > e.deadline {
+				return nil
+			}
+			ev = e.popTimer()
+		default:
+			return nil
+		}
+		if ev.at < e.now {
+			panic("sim: event scheduled in the past")
+		}
+		e.now = ev.at
+		if ev.proc == nil {
+			ev.fn()
+		} else if !ev.proc.done {
+			return ev.proc
+		}
+	}
+}
+
+// run is the hub: it drives dispatch up to deadline, resuming each process
+// dispatch names and then whichever process that one handed off to.
+func (e *Engine) run(deadline Time) {
+	e.deadline = deadline
+	clean := false
+	defer func() {
+		if !clean {
+			// A process or callback panicked (or called Goexit): do not
+			// leave the others suspended behind it.
+			e.unwind()
+		}
+	}()
+	for p := e.dispatch(); p != nil; p = e.dispatch() {
+		for p != nil {
+			e.handoff = nil
+			p.next()
+			p = e.handoff
+		}
+	}
+	clean = true
+}
+
+// unwind stops every unfinished process, most recent first: a parked one
+// resumes inside park with a panic that its wrapper recovers, so its
+// deferred calls run; one that never started just never will.
+func (e *Engine) unwind() {
+	e.unwinding = true
+	defer func() { e.unwinding = false }()
+	for n := len(e.procs); n > 0; n = len(e.procs) {
+		p := e.procs[n-1]
+		p.stop()
+		if !p.done {
+			p.finish()
+		}
+	}
 }
 
 // DeadlockError reports that the event queue drained while processes were
@@ -289,111 +398,125 @@ func (d *DeadlockError) Error() string {
 
 // Run executes events until the queue is empty. It returns nil when every
 // spawned process has finished, or a *DeadlockError if processes remain
-// parked with nothing left to wake them.
+// parked with nothing left to wake them; those are unwound before Run
+// returns, so a deadlocked simulation leaves nothing suspended behind it.
 func (e *Engine) Run() error {
-	for {
-		// Free-run fast path: nothing on the timer heap, so the due FIFO is
-		// the whole schedule — drain it in order with no comparisons and no
-		// clock movement.
-		for len(e.timers) == 0 && e.dueHead < len(e.due) {
-			e.fire(e.popDue())
-		}
-		if e.pending() == 0 {
-			break
-		}
-		ev := e.pop()
-		if ev.at < e.now {
-			panic("sim: event scheduled in the past")
-		}
-		e.now = ev.at
-		e.fire(ev)
+	e.run(math.MaxInt64)
+	if len(e.procs) == 0 {
+		return nil
 	}
-	var parked []string
-	for p := range e.procs {
-		if !p.done {
-			parked = append(parked, p.name)
-		}
+	parked := make([]string, len(e.procs))
+	for i, p := range e.procs {
+		parked[i] = p.name
 	}
-	if len(parked) > 0 {
-		sort.Strings(parked)
-		return &DeadlockError{Parked: parked}
-	}
-	return nil
+	sort.Strings(parked)
+	e.unwind()
+	return &DeadlockError{Parked: parked}
 }
 
 // RunUntil executes events with timestamps <= deadline and then stops,
-// leaving later events queued. It reports whether any events remain.
+// leaving later events queued and parked processes suspended for the next
+// call. It reports whether any events remain.
 func (e *Engine) RunUntil(deadline Time) bool {
-	for {
-		var at Time
-		if e.dueHead < len(e.due) {
-			at = e.due[e.dueHead].at
-		} else if len(e.timers) > 0 {
-			at = e.timers[0].at
-		} else {
-			break
-		}
-		if at > deadline {
-			break
-		}
-		ev := e.pop()
-		e.now = ev.at
-		e.fire(ev)
-	}
+	e.run(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.pending() > 0
 }
 
-// Proc is a simulated process: a goroutine whose execution interleaves with
+// Proc is a simulated process: a coroutine whose execution interleaves with
 // the engine one-at-a-time. All Proc methods must be called from within the
 // process's own function.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	done   bool
+	eng  *Engine
+	name string
+	// next resumes the coroutine until it yields or finishes, stop unwinds
+	// it (iter.Pull); yield is the coroutine's side of the pair.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	idx   int // position in eng.procs until done
+	done  bool
+	// parked is true while the process is inside park, where the events
+	// its dispatch fires are not its own code: a panic then is the
+	// callback's, not the process's.
 	parked bool
 	exit   *Cond // broadcast on completion, for Join
 }
+
+// unwound is the panic value park raises in a process that Engine.unwind
+// is stopping; main recovers it. (runtime.Goexit would not do: iter.Pull
+// re-raises a coroutine's Goexit in the hub.)
+type unwound struct{}
 
 // Go spawns fn as a new simulated process starting at the current virtual
 // time. fn begins executing when the engine reaches the start event.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		exit:   NewCond(e),
+		eng:  e,
+		name: name,
+		idx:  len(e.procs),
+		exit: NewCond(e),
 	}
-	e.procs[p] = struct{}{}
-	go func() {
-		<-p.resume // wait for the engine to start us
-		fn(p)
-		p.done = true
-		p.exit.Broadcast()
-		e.yield <- struct{}{}
-	}()
+	e.procs = append(e.procs, p)
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.main(fn)
+	})
 	e.scheduleProc(0, p)
 	return p
 }
 
-// step transfers control to p until it parks or finishes.
-func (e *Engine) step(p *Proc) {
-	if p.done {
-		return
-	}
-	p.parked = false
-	p.resume <- struct{}{}
-	<-e.yield
+// main runs fn to completion on the process's coroutine. A panic in fn is
+// re-raised — and so reaches whoever called Run/RunUntil — with the process
+// named in the message.
+func (p *Proc) main(fn func(p *Proc)) {
+	defer func() {
+		r := recover()
+		p.finish()
+		if r == nil {
+			p.exit.Broadcast()
+			return
+		}
+		if _, ok := r.(unwound); ok {
+			return
+		}
+		if p.parked {
+			panic(r)
+		}
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+	}()
+	fn(p)
 }
 
-// park returns control to the engine until another step resumes the process.
+// finish marks p done and drops it from the engine's unfinished set.
+func (p *Proc) finish() {
+	p.done = true
+	procs := p.eng.procs
+	last := procs[len(procs)-1]
+	procs[p.idx] = last
+	last.idx = p.idx
+	procs[len(procs)-1] = nil
+	p.eng.procs = procs[:len(procs)-1]
+}
+
+// park suspends the process until its next wake-up event fires. The
+// process runs the event loop itself while it waits: a wake-up of its own
+// costs no switch at all, and anything else goes through the hub.
 func (p *Proc) park() {
+	e := p.eng
+	if e.unwinding {
+		panic(unwound{}) // a deferred call of an unwinding process tried to block
+	}
 	p.parked = true
-	p.eng.yield <- struct{}{}
-	<-p.resume
+	if next := e.dispatch(); next != p {
+		e.handoff = next
+		if !p.yield(struct{}{}) {
+			panic(unwound{})
+		}
+	}
+	p.parked = false
 }
 
 // Name returns the process name given at spawn time.
@@ -439,13 +562,15 @@ func (p *Proc) WaitCond(c *Cond) {
 }
 
 // Broadcast wakes all processes currently waiting on c. Wakeups are
-// scheduled at the current virtual time in wait order.
+// scheduled at the current virtual time in wait order. Scheduling runs
+// nothing, so the waiter list cannot change underneath the loop and its
+// backing array is kept for the next round of waiters.
 func (c *Cond) Broadcast() {
-	waiters := c.waiters
-	c.waiters = nil
-	for _, p := range waiters {
+	for i, p := range c.waiters {
 		c.eng.scheduleProc(0, p)
+		c.waiters[i] = nil
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // NumWaiters reports how many processes are parked on c (useful in tests).

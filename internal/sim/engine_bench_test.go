@@ -24,7 +24,8 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 
 func BenchmarkProcessSwitch(b *testing.B) {
 	// Two processes ping-ponging through conditions: measures the
-	// goroutine handoff cost that dominates process-heavy simulations.
+	// process handoff (park, hub, resume) that dominates process-heavy
+	// simulations.
 	e := NewEngine()
 	c1, c2 := NewCond(e), NewCond(e)
 	turn := 1
@@ -53,6 +54,27 @@ func BenchmarkProcessSwitch(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "switches/s")
+}
+
+func BenchmarkSelfWake(b *testing.B) {
+	// One process in a Sleep loop with a callback event falling inside
+	// every sleep: the parked process fires the callback and then pops its
+	// own wake-up, so no iteration leaves its stack — the zero-switch path.
+	e := NewEngine()
+	n := b.N
+	fn := func() {}
+	e.Go("sleeper", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			e.Schedule(time.Microsecond, fn)
+			p.Sleep(2 * time.Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sleeps/s")
 }
 
 func BenchmarkManySleepers(b *testing.B) {
