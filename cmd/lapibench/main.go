@@ -1,30 +1,35 @@
-// Command lapibench regenerates the paper's §4 microbenchmarks on the
-// simulated SP switch: Table 2 (latency), the pipeline-latency figures,
-// Figure 2 (one-way bandwidth), plus sweeps beyond the paper — job-size
-// scaling, the one-sided collective comparison, and the Tier B parallel
-// mesh (one fabric sharded across sub-engines).
+// Command lapibench is the one bench driver: it runs any experiment of
+// internal/bench's registry on the simulated SP switch. The paper's §4
+// microbenchmarks (Table 2, pipeline latency, Figure 2), its §5.4 Global
+// Arrays set (latency table, Figures 3 and 4, the application comparison),
+// and the sweeps beyond the paper — job-size scaling, one-sided
+// collectives, the rendezvous crossover, the ablations, the Tier B
+// parallel meshes — plus the lint-cost gate `make bench` records.
 //
 // Sweeps fan out across CPU cores by default; -serial forces the
 // single-worker path. Output is byte-identical either way (the numbers
-// are virtual time; `make determinism` enforces the identity).
+// are virtual time; `make determinism` enforces the identity). -exp all
+// runs the virtual-time experiments; mesh, mesh1k and lintgate report
+// wall-clock time and run only when named.
 //
 // Usage:
 //
-//	lapibench [-exp table2|pipeline|fig2|scale|collective|rndv|mesh|mesh1k|all] [-csv] [-serial] [-shards N] [-rounds N] [-force-eager]
+//	lapibench [-exp NAME|all] [-csv] [-serial] [-shards N] [-rounds N] [-force-eager]
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
+	"os"
+	"strings"
 
 	"golapi/internal/bench"
 	"golapi/internal/parallel"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table2, pipeline, fig2, scale, collective, rndv, mesh, mesh1k, all")
-	csv := flag.Bool("csv", false, "emit data series as CSV (table2, fig2, scale, collective, rndv, mesh1k)")
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(bench.Names(), ", ")+", all")
+	csv := flag.Bool("csv", false, "emit data series as CSV (table2, fig2, fig3, fig4, scale, collective, rndv, mesh1k)")
 	serial := flag.Bool("serial", false, "run sweep points serially instead of across CPU cores (mesh1k: one shard)")
 	shards := flag.Int("shards", 4, "sub-engines for the Tier B parallel meshes (-exp mesh, -exp mesh1k)")
 	rounds := flag.Int("rounds", 2, "puts per rank per point-to-point pattern (-exp mesh1k)")
@@ -32,132 +37,17 @@ func main() {
 	flag.Parse()
 	log.SetFlags(0)
 
-	px := parallel.Default()
+	o := bench.Options{
+		Px:         parallel.Default(),
+		CSV:        *csv,
+		Shards:     *shards,
+		Rounds:     *rounds,
+		ForceEager: *forceEager,
+	}
 	if *serial {
-		px = nil
+		o.Px = nil
 	}
-
-	ran := false
-	run := func(name string) bool {
-		if *exp == "all" || *exp == name {
-			ran = true
-			return true
-		}
-		return false
-	}
-
-	if run("table2") {
-		t2, err := bench.MeasureTable2(px)
-		if err != nil {
-			log.Fatalf("table2: %v", err)
-		}
-		if *csv {
-			fmt.Print(bench.CSVTable2(t2))
-		} else {
-			fmt.Print(bench.FormatTable2(t2))
-			fmt.Println("paper:            polling 34/43, polling RT 60/86, interrupt RT 89/200")
-			fmt.Println()
-		}
-	}
-	if run("pipeline") {
-		p, err := bench.MeasurePipeline()
-		if err != nil {
-			log.Fatalf("pipeline: %v", err)
-		}
-		fmt.Printf("Pipeline latency (§4): Put %.1f µs, Get %.1f µs  (paper: 16, 19)\n\n",
-			float64(p.Put.Nanoseconds())/1e3, float64(p.Get.Nanoseconds())/1e3)
-	}
-	if run("scale") {
-		pts, err := bench.MeasureScale(px, []int{2, 4, 8, 16, 32, 64})
-		if err != nil {
-			log.Fatalf("scale: %v", err)
-		}
-		if *csv {
-			fmt.Print(bench.CSVScale(pts))
-		} else {
-			fmt.Print(bench.FormatScale(pts))
-			fmt.Println()
-		}
-	}
-	if run("collective") {
-		pts, err := bench.MeasureCollective(px, bench.DefaultCollectiveTasks, bench.DefaultCollectiveSizes)
-		if err != nil {
-			log.Fatalf("collective: %v", err)
-		}
-		if *csv {
-			fmt.Print(bench.CSVCollective(pts))
-		} else {
-			fmt.Print(bench.FormatCollective(pts))
-			fmt.Println()
-		}
-	}
-	if run("rndv") {
-		pts, err := bench.MeasureRndvSweep(px, bench.RndvSweepSizes())
-		if err != nil {
-			log.Fatalf("rndv: %v", err)
-		}
-		if *csv {
-			fmt.Print(bench.CSVRndv(pts))
-		} else {
-			fmt.Print(bench.FormatRndv(pts))
-			fmt.Println()
-		}
-	}
-	if run("fig2") {
-		rndvLimit := 0 // auto-tuned crossover, the default protocol
-		if *forceEager {
-			rndvLimit = -1
-		}
-		pts, err := bench.MeasureFigure2Rndv(px, bench.Figure2Sizes(), rndvLimit)
-		if err != nil {
-			log.Fatalf("fig2: %v", err)
-		}
-		if *csv {
-			fmt.Print(bench.CSVFigure2(pts))
-		} else {
-			fmt.Print(bench.FormatFigure2(pts))
-			fmt.Println("paper: LAPI asymptote ≈97 MB/s (half-peak ≈8 KB), MPI ≈98 MB/s (half-peak ≈23 KB)")
-		}
-	}
-	// mesh reports wall-clock times, which vary run to run, so it is only
-	// run when explicitly requested — never under -exp all, whose output
-	// must stay byte-diffable for the determinism gate. It iterates every
-	// named fabric config (crossbar, contended spine, fat tree, zero
-	// latency) and self-checks the serial/sharded virtual-time identity.
-	if *exp == "mesh" {
-		ran = true
-		for _, nc := range bench.MeshConfigs() {
-			m, err := bench.MeasureMesh(8, *shards, 50, 1024, nc.Cfg)
-			if err != nil {
-				log.Fatalf("mesh %s: %v", nc.Name, err)
-			}
-			fmt.Printf("[%s]\n%s", nc.Name, bench.FormatMesh(m))
-			if !m.Matches {
-				log.Fatalf("mesh %s: sharded run diverged from the serial engine", nc.Name)
-			}
-		}
-	}
-	// mesh1k is the 1024-task fat-tree sweep. Its CSV holds only virtual
-	// times, so `make determinism` byte-diffs -serial (one shard) against
-	// the sharded run; it is excluded from -exp all because the sweep
-	// dominates runtime.
-	if *exp == "mesh1k" {
-		ran = true
-		sh := *shards
-		if *serial {
-			sh = 1
-		}
-		m, err := bench.MeasureMesh1k(px, sh, *rounds)
-		if err != nil {
-			log.Fatalf("mesh1k: %v", err)
-		}
-		if *csv {
-			fmt.Print(bench.CSVMesh1k(m))
-		} else {
-			fmt.Print(bench.FormatMesh1k(m))
-		}
-	}
-	if !ran {
-		log.Fatalf("unknown experiment %q (want table2, pipeline, fig2, scale, collective, rndv, mesh, mesh1k or all)", *exp)
+	if err := bench.Run(os.Stdout, *exp, o); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -6,16 +6,15 @@
 //
 //	lapigate -mode serve  [-addr 127.0.0.1:7117] [-ranks 4] [-window 32]
 //	lapigate -mode loadgen -addr HOST:PORT [-sessions N] [-requests N]
-//	lapigate -mode bench  [-ranks 4] [-sessions 1000] [-o BENCH_gateway.json]
 //	lapigate -mode smoke
 //
 // serve runs a gateway until SIGINT/SIGTERM; loadgen drives an already
-// running gateway; bench runs both in one process and emits the JSON
-// report EXPERIMENTS.md tracks; smoke is the sub-second CI gate.
+// running gateway closed-loop (a soak: outcomes and throughput, not
+// latency — `go run ./benchmark -workload gate_open_mix` measures that);
+// smoke runs both in one process as the sub-second CI gate.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -29,8 +28,8 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "serve", "serve | loadgen | bench | smoke")
-	addr := flag.String("addr", "", "listen address (serve/bench) or target gateway (loadgen)")
+	mode := flag.String("mode", "serve", "serve | loadgen | smoke")
+	addr := flag.String("addr", "", "listen address (serve) or target gateway (loadgen)")
 	ranks := flag.Int("ranks", 2, "LAPI mesh size behind the gateway")
 	window := flag.Int("window", 0, "per-session credit window (0 = default)")
 	sessions := flag.Int("sessions", 1000, "concurrent client sessions")
@@ -40,7 +39,6 @@ func main() {
 	cols := flag.Int("cols", 512, "benchmark array cols")
 	seg := flag.Int("seg", 16, "elements per put/get segment")
 	seed := flag.Uint64("seed", 1, "access-pattern seed")
-	out := flag.String("o", "", "write the bench report as JSON to this file")
 	flag.Parse()
 	log.SetFlags(0)
 
@@ -72,22 +70,17 @@ func main() {
 		if err != nil {
 			log.Fatalf("lapigate: loadgen: %v", err)
 		}
-		printResult(res)
-	case "bench":
-		r, err := bench.MeasureGateway(gcfg, lcfg, false)
-		if err != nil {
-			log.Fatalf("lapigate: bench: %v", err)
-		}
-		printReport(r)
-		if *out != "" {
-			writeReport(*out, r)
-		}
+		fmt.Printf("sessions: %d, requests: %d, errors: %d\n", res.Sessions, res.Requests, res.Errors)
+		fmt.Printf("elapsed:  %v\n", res.Elapsed)
+		fmt.Printf("rate:     %.0f req/s\n", res.ReqPs)
 	case "smoke":
-		// CI gate: a small mesh, modest fleet, strict outcome checks.
+		// CI gate: a small mesh, modest fleet, strict outcome checks. Every
+		// session pipelines at exactly the granted window, the edge where a
+		// credit returned late kills a compliant client.
 		gcfg.Ranks = 2
-		lcfg.Sessions, lcfg.Requests, lcfg.Pipeline = 64, 4000, 8
+		lcfg.Sessions, lcfg.Requests, lcfg.Pipeline = 64, 32000, gcfg.Window
 		lcfg.Rows, lcfg.Cols, lcfg.Seg = 32, 64, 8
-		r, err := bench.MeasureGateway(gcfg, lcfg, true)
+		r, err := bench.MeasureGateway(gcfg, lcfg)
 		if err != nil {
 			log.Fatalf("lapigate: smoke: %v", err)
 		}
@@ -95,8 +88,8 @@ func main() {
 			log.Fatalf("lapigate: smoke failed: %d/%d requests, %d errors, mesh served %d",
 				r.Requests, lcfg.Requests, r.Errors, r.MeshServed)
 		}
-		fmt.Printf("lapigate smoke: %d sessions, %d requests, 0 errors, %.0f req/s (p50 %.0fus p99 %.0fus)\n",
-			r.Sessions, r.Requests, r.ReqPerSec, r.P50Us, r.P99Us)
+		fmt.Printf("lapigate smoke: %d sessions pipelining %d deep, %d requests, 0 errors, %.0f req/s\n",
+			r.Sessions, lcfg.Pipeline, r.Requests, r.ReqPs)
 	default:
 		log.Fatalf("lapigate: unknown -mode %q", *mode)
 	}
@@ -119,29 +112,4 @@ func serve(gcfg gateway.Config) {
 		log.Fatalf("lapigate: close: %v", err)
 	}
 	fmt.Printf("lapigate: mesh served %d requests\n", srv.MeshServed())
-}
-
-func printResult(res client.Result) {
-	fmt.Printf("sessions: %d, requests: %d, errors: %d\n", res.Sessions, res.Requests, res.Errors)
-	fmt.Printf("elapsed:  %v\n", res.Elapsed)
-	fmt.Printf("rate:     %.0f req/s, p50 %v, p99 %v\n", res.ReqPs, res.P50, res.P99)
-}
-
-func printReport(r bench.GatewayReport) {
-	fmt.Printf("gateway: %d ranks, window %d, %d sessions\n", r.Ranks, r.Window, r.Sessions)
-	fmt.Printf("load:    %d requests, %d errors, %.1f ms\n", r.Requests, r.Errors, r.ElapsedMs)
-	fmt.Printf("rate:    %.0f req/s, p50 %.0fus, p99 %.0fus\n", r.ReqPerSec, r.P50Us, r.P99Us)
-	fmt.Printf("mesh:    served %d (handshakes and creates included)\n", r.MeshServed)
-}
-
-func writeReport(path string, r bench.GatewayReport) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		log.Fatalf("lapigate: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatalf("lapigate: %v", err)
-	}
-	fmt.Printf("wrote %s\n", path)
 }

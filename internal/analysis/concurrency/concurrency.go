@@ -884,7 +884,7 @@ func (m *Model) propagateClasses() {
 // main units of package main) that can reach it — over call edges, and
 // through spawn sites (a spawned goroutine belongs to the programs that
 // execute its spawning unit). The module holds several distinct programs
-// (cmd/lapigate, cmd/gabench, the examples); two goroutine classes whose
+// (cmd/lapigate, cmd/lapibench, the examples); two goroutine classes whose
 // origin sets are known and disjoint never share a process, so their
 // accesses cannot race. Units reachable only from ambient API surface get
 // an empty set — "no known program" — which is never grounds for

@@ -526,7 +526,7 @@ func (m *Model) Concurrent(a, b *Access) (bool, [2]ClassID) {
 			if !m.comboConcurrent(a, ca, b, cb) {
 				continue
 			}
-			// Classes confined to disjoint programs (a gabench sweep and
+			// Classes confined to disjoint programs (a lapibench sweep and
 			// the lapigate runtime, say) never share a process.
 			oa, ob := m.classOrigins(a, ca), m.classOrigins(b, cb)
 			if len(oa) > 0 && len(ob) > 0 && !originsIntersect(oa, ob) {

@@ -1,76 +1,41 @@
-// gateway.go measures the lapigate front end: an in-process gateway over
-// a real TCP LAPI mesh, driven by the pipelined load generator. Like the
-// hotpath suite these are wall-clock host numbers, but every timestamp is
-// taken by the client package — which never touches the simulator — so
-// this file needs no simdeterminism ignores.
+// gateway.go runs the lapigate soak gate: an in-process gateway over a
+// real TCP LAPI mesh, driven closed-loop by the pipelined load generator.
+// It reports outcomes — requests answered, errors, the mesh's own count,
+// throughput — not latency: a closed loop with thousands of requests in
+// flight measures its own queue (Little's law), so latency is taken open
+// loop by benchmark/'s gate_open_mix.
 package bench
 
 import (
-	"runtime"
-
 	"golapi/internal/gateway"
 	"golapi/internal/gateway/client"
 )
 
-// GatewayReport is a gateway load run's output, serialized to
-// BENCH_gateway.json by `lapigate -mode bench`.
+// GatewayReport is a soak run's outcome.
 type GatewayReport struct {
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	Quick      bool   `json:"quick"` // reduced load (CI smoke run)
-
-	// Gateway shape: mesh size behind the front end and the per-session
-	// credit window it grants.
-	Ranks  int `json:"ranks"`
-	Window int `json:"window"`
-
-	Sessions  int     `json:"sessions"`
-	Requests  int64   `json:"requests"`
-	Errors    int64   `json:"errors"`
-	ElapsedMs float64 `json:"elapsed_ms"`
-	ReqPerSec float64 `json:"req_per_sec"`
-	P50Us     float64 `json:"p50_us"`
-	P99Us     float64 `json:"p99_us"`
-
+	client.Result
 	// MeshServed is the mesh's own request count, aggregated across all
 	// ranks by the shutdown allreduce; it cross-checks the client-side
 	// Requests number (it runs higher by the handshakes and creates).
-	MeshServed int64 `json:"mesh_served"`
+	MeshServed int64
 }
 
 // MeasureGateway starts an in-process gateway, drives it with the load
 // generator, shuts the mesh down, and folds the run into a report.
 // lcfg.Addr is overwritten with the gateway's listen address.
-func MeasureGateway(gcfg gateway.Config, lcfg client.LoadConfig, quick bool) (GatewayReport, error) {
-	r := GatewayReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Quick:      quick,
-		Ranks:      gcfg.Ranks,
-		Window:     gcfg.Window,
-	}
+func MeasureGateway(gcfg gateway.Config, lcfg client.LoadConfig) (GatewayReport, error) {
 	srv, err := gateway.New(gcfg)
 	if err != nil {
-		return r, err
+		return GatewayReport{}, err
 	}
 	lcfg.Addr = srv.Addr()
 	res, runErr := client.Run(lcfg)
 	closeErr := srv.Close()
 	if runErr != nil {
-		return r, runErr
+		return GatewayReport{}, runErr
 	}
 	if closeErr != nil {
-		return r, closeErr
+		return GatewayReport{}, closeErr
 	}
-	r.Sessions = res.Sessions
-	r.Requests = res.Requests
-	r.Errors = res.Errors
-	r.ElapsedMs = float64(res.Elapsed.Microseconds()) / 1e3
-	r.ReqPerSec = res.ReqPs
-	r.P50Us = float64(res.P50.Nanoseconds()) / 1e3
-	r.P99Us = float64(res.P99.Nanoseconds()) / 1e3
-	r.MeshServed = srv.MeshServed()
-	return r, nil
+	return GatewayReport{Result: res, MeshServed: srv.MeshServed()}, nil
 }

@@ -1,8 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§4 and §5.4) on the simulated SP switch. Each experiment
 // builds a fresh simulated cluster, runs the paper's measurement procedure
-// in virtual time, and returns the numbers; the cmd/lapibench and
-// cmd/gabench tools print them in the paper's layout, and bench_test.go
+// in virtual time, and returns the numbers; registry.go names them for
+// cmd/lapibench, which prints them in the paper's layout, and bench_test.go
 // exposes them as testing.B benchmarks.
 package bench
 

@@ -28,12 +28,6 @@ type Contract struct {
 	// transport once written to the wire, so a steady-state sender
 	// allocates nothing. Send always takes ownership either way.
 	PooledSend bool
-	// Direct means the transport implements the zero-copy lane
-	// (SendDirect/RecvInto): payload bytes move straight between the
-	// caller's slices with no intermediate pool buffer on either side.
-	// When false those methods are inert stubs and protocol layers must
-	// stay on the eager Send path for every size.
-	Direct bool
 }
 
 // Transport is one task's endpoint on the interconnect.
@@ -85,9 +79,9 @@ type Transport interface {
 	Contract() Contract
 
 	// The three methods below form the zero-copy lane used by the
-	// rendezvous (RTS/CTS) protocol for large messages. They are live only
-	// when Contract().Direct is true; otherwise they are stubs and callers
-	// must not use them.
+	// rendezvous (RTS/CTS) protocol for large messages: payload bytes move
+	// straight between the caller's slices with no intermediate pool
+	// buffer on either side.
 
 	// SendDirect queues payload for dst on the zero-copy lane. Unlike
 	// Send, the transport BORROWS payload — the caller must not write to

@@ -1,9 +1,10 @@
 package client
 
-// The load generator: N concurrent sessions, each pipelining batches of
-// requests up to its credit window, with latency sampled per response.
-// Responses on a session arrive in request order (the gateway dispatches
-// each session FIFO), so a send-timestamp ring suffices for latency.
+// The closed-loop load generator: N concurrent sessions, each pipelining
+// batches of requests up to its credit window. It is a soak gate — every
+// request answered, none in error, throughput — not a latency instrument:
+// with every session's window in flight a response's delay is the queue
+// the generator itself built. benchmark/'s open loop measures latency.
 
 import (
 	"bufio"
@@ -11,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,36 +31,20 @@ type LoadConfig struct {
 	Rows, Cols, Seg int
 	// Seed scrambles each worker's access pattern.
 	Seed uint64
-	// MaxSamples caps retained latency samples (default 1<<20).
-	MaxSamples int
-}
-
-// DefaultLoadConfig returns the shape used by `make bench-gateway`.
-func DefaultLoadConfig(addr string) LoadConfig {
-	return LoadConfig{
-		Addr:     addr,
-		Sessions: 1000,
-		Requests: 100000,
-		Pipeline: 16,
-		Rows:     256, Cols: 512, Seg: 16,
-		Seed: 1,
-	}
 }
 
 // Result is a load run's outcome.
 type Result struct {
-	Sessions int           `json:"sessions"`
-	Requests int64         `json:"requests"`
-	Errors   int64         `json:"errors"`
-	Elapsed  time.Duration `json:"elapsed_ns"`
-	ReqPs    float64       `json:"req_per_sec"`
-	P50      time.Duration `json:"p50_ns"`
-	P99      time.Duration `json:"p99_ns"`
+	Sessions int
+	Requests int64
+	Errors   int64
+	Elapsed  time.Duration
+	ReqPs    float64
 }
 
 // Run connects cfg.Sessions sessions, creates the shared benchmark array
 // and counter, drives the request mix (40% put / 40% get / 20% read-inc),
-// and aggregates throughput and latency percentiles.
+// and aggregates the outcome counts and throughput.
 func Run(cfg LoadConfig) (Result, error) {
 	if cfg.Sessions <= 0 || cfg.Requests <= 0 {
 		return Result{}, fmt.Errorf("loadgen: Sessions and Requests must be positive")
@@ -70,9 +54,6 @@ func Run(cfg LoadConfig) (Result, error) {
 	}
 	if cfg.Rows <= 0 || cfg.Cols <= 0 || cfg.Seg <= 0 || cfg.Seg > cfg.Cols {
 		return Result{}, fmt.Errorf("loadgen: bad array shape %dx%d seg %d", cfg.Rows, cfg.Cols, cfg.Seg)
-	}
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = 1 << 20
 	}
 
 	// Control session: create the shared objects (create-or-open, so
@@ -91,18 +72,13 @@ func Run(cfg LoadConfig) (Result, error) {
 		return Result{}, fmt.Errorf("loadgen: create counter: %v %v", st, err)
 	}
 
-	stride := 1
-	if cfg.Requests > cfg.MaxSamples {
-		stride = (cfg.Requests + cfg.MaxSamples - 1) / cfg.MaxSamples
-	}
-
 	workers := make([]*worker, cfg.Sessions)
 	for i := range workers {
 		n := cfg.Requests / cfg.Sessions
 		if i < cfg.Requests%cfg.Sessions {
 			n++
 		}
-		w, err := newWorker(cfg, i, n, ah, ch, stride)
+		w, err := newWorker(cfg, i, n, ah, ch)
 		if err != nil {
 			for _, p := range workers[:i] {
 				p.close()
@@ -130,13 +106,10 @@ func Run(cfg LoadConfig) (Result, error) {
 	wg.Wait()
 	elapsed := time.Since(t0)
 
-	var samples []time.Duration
 	var done int64
 	for _, w := range workers {
-		samples = append(samples, w.samples...)
 		done += int64(w.recvd)
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	res := Result{
 		Sessions: cfg.Sessions,
 		Requests: done,
@@ -146,32 +119,25 @@ func Run(cfg LoadConfig) (Result, error) {
 	if elapsed > 0 {
 		res.ReqPs = float64(done) / elapsed.Seconds()
 	}
-	if len(samples) > 0 {
-		res.P50 = samples[len(samples)/2]
-		res.P99 = samples[len(samples)*99/100]
-	}
 	return res, nil
 }
 
 // worker is one pipelined session.
 type worker struct {
-	cfg     LoadConfig
-	c       net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	n       int // requests to issue
-	recvd   int
-	window  int
-	ah, ch  uint32
-	rng     uint64
-	seq     uint32
-	stride  int
-	ring    []time.Time
-	samples []time.Duration
-	wbuf    []byte
+	cfg    LoadConfig
+	c      net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	n      int // requests to issue
+	recvd  int
+	window int
+	ah, ch uint32
+	rng    uint64
+	seq    uint32
+	wbuf   []byte
 }
 
-func newWorker(cfg LoadConfig, idx, n int, ah, ch uint32, stride int) (*worker, error) {
+func newWorker(cfg LoadConfig, idx, n int, ah, ch uint32) (*worker, error) {
 	conn, err := Dial(cfg.Addr)
 	if err != nil {
 		return nil, err
@@ -190,8 +156,6 @@ func newWorker(cfg LoadConfig, idx, n int, ah, ch uint32, stride int) (*worker, 
 		ah:     ah,
 		ch:     ch,
 		rng:    cfg.Seed*2654435761 + uint64(idx)*0x9E3779B97F4A7C15 + 1,
-		stride: stride,
-		ring:   make([]time.Time, depth),
 		wbuf:   make([]byte, proto.HeaderSize+8+cfg.Seg*8),
 	}
 	return w, nil
@@ -218,7 +182,6 @@ func (w *worker) run() int64 {
 			batch = left
 		}
 		for i := 0; i < batch; i++ {
-			w.ring[i] = time.Now()
 			if err := w.send(sent); err != nil {
 				return errs + int64(w.n-w.recvd)
 			}
@@ -234,9 +197,6 @@ func (w *worker) run() int64 {
 			}
 			if rh.Status != proto.StatusOK {
 				errs++
-			}
-			if w.recvd%w.stride == 0 {
-				w.samples = append(w.samples, time.Since(w.ring[i]))
 			}
 			w.recvd++
 		}

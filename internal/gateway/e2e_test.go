@@ -159,34 +159,48 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLoadgenSmall drives the closed-loop soak generator. The second input
+// pipelines at exactly the granted window: a compliant client may send its
+// next request the instant it has read a response, so the credit must be
+// back before the response is observable (ROADMAP 1c).
 func TestLoadgenSmall(t *testing.T) {
-	srv := startGateway(t, 2)
-	cfg := client.LoadConfig{
-		Addr:     srv.Addr(),
-		Sessions: 8,
-		Requests: 400,
-		Pipeline: 4,
-		Rows:     16, Cols: 64, Seg: 8,
-		Seed: 7,
-	}
-	res, err := client.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 400 || res.Errors != 0 {
-		t.Fatalf("loadgen: %d requests, %d errors", res.Requests, res.Errors)
-	}
-	if res.P50 <= 0 || res.P99 < res.P50 || res.ReqPs <= 0 {
-		t.Fatalf("loadgen percentiles implausible: %+v", res)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// +1 control session; every request plus handshakes answered.
-	if srv.MeshServed() < 400 {
-		t.Fatalf("mesh served %d, want >= 400", srv.MeshServed())
-	}
-	if srv.InflightFrames() != 0 {
-		t.Fatalf("%d pooled frames still held after close", srv.InflightFrames())
+	for _, tc := range []struct {
+		name               string
+		sessions, requests int
+		pipeline           int
+	}{
+		{"pipeline=4", 8, 400, 4},
+		{"pipeline=window", 4, 20000, gateway.DefaultConfig().Window},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := startGateway(t, 2)
+			res, err := client.Run(client.LoadConfig{
+				Addr:     srv.Addr(),
+				Sessions: tc.sessions,
+				Requests: tc.requests,
+				Pipeline: tc.pipeline,
+				Rows:     16, Cols: 64, Seg: 8,
+				Seed: 7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Requests != int64(tc.requests) || res.Errors != 0 {
+				t.Fatalf("loadgen: %d/%d requests, %d errors", res.Requests, tc.requests, res.Errors)
+			}
+			if res.ReqPs <= 0 {
+				t.Fatalf("loadgen throughput implausible: %+v", res)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// +1 control session; every request plus handshakes answered.
+			if srv.MeshServed() < int64(tc.requests) {
+				t.Fatalf("mesh served %d, want >= %d", srv.MeshServed(), tc.requests)
+			}
+			if srv.InflightFrames() != 0 {
+				t.Fatalf("%d pooled frames still held after close", srv.InflightFrames())
+			}
+		})
 	}
 }

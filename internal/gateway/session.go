@@ -4,7 +4,7 @@ package gateway
 // dispatcher activity on the session's home rank, one writer goroutine.
 //
 //	reader ──PostArg──▶ dispatcher (serialized, may block on counters)
-//	                        │ out chan (buffered ≥ window: never blocks)
+//	                        │ out chan (cap > window ≥ queued frames: never blocks)
 //	                        ▼
 //	                     writer ──▶ conn
 //
@@ -53,7 +53,7 @@ type session struct {
 	out  chan []byte // response frames to the writer
 
 	window      int32
-	outstanding atomic.Int32 // requests posted, responses not yet written
+	outstanding atomic.Int32 // requests posted, responses not yet taken off out by the writer
 
 	enqueueFn func(arg any) // bound once: rt.PostArg(s.enqueueFn, req)
 
@@ -250,12 +250,17 @@ func (s *session) respond(req *request, st proto.Status, value uint64, frame []b
 	s.rs.served.Add(1)
 	s.srv.served.Add(1)
 	s.putReq(req)
-	// Never blocks: cap(out) > window >= frames in flight.
+	// Never blocks: cap(out) > window >= outstanding >= frames queued in
+	// out (the writer returns a frame's credit only after dequeuing it).
 	s.out <- frame
 }
 
 // writeLoop owns the socket's write side and the final release of every
-// response frame. On write failure it keeps draining so buffer and credit
+// response frame. The credit goes back before the write: a client that
+// pipelines at exactly the granted window sends its next request the
+// moment it reads this response, and the reader must already see the slot
+// free. out still never overfills — the frame being written is off the
+// channel. On write failure it keeps draining so buffer and credit
 // accounting still balance.
 func (s *session) writeLoop() {
 	defer s.srv.sessWG.Done()
@@ -263,6 +268,7 @@ func (s *session) writeLoop() {
 	defer s.conn.Close()
 	failed := false
 	for frame := range s.out {
+		s.outstanding.Add(-1)
 		if !failed {
 			if _, err := s.conn.Write(frame); err != nil {
 				failed = true
@@ -270,6 +276,5 @@ func (s *session) writeLoop() {
 		}
 		s.rs.ep.Release(frame)
 		s.srv.frames.Add(-1)
-		s.outstanding.Add(-1)
 	}
 }

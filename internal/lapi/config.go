@@ -103,9 +103,7 @@ type Config struct {
 	// pooled transport buffers) to the RTS/CTS rendezvous protocol with
 	// direct placement between user buffers (DESIGN.md §12). 0 auto-tunes
 	// at task creation (see Task.RndvCrossover); a negative value disables
-	// rendezvous entirely (every message stays eager). Rendezvous also
-	// requires the transport's direct lane (fabric.Contract.Direct);
-	// without it the limit resolves to disabled.
+	// rendezvous entirely (every message stays eager).
 	RndvLimit int
 	// RegisterCost is the CPU cost of pinning and registering a target
 	// memory region on a registration-cache miss (the rendezvous analogue

@@ -53,7 +53,7 @@ const rndvAutoSim = 256 << 10
 // switch to rendezvous. Auto-tuning keys off whether the CPU cost model is
 // live (the simulator calibration) or zeroed (real transports).
 func resolveRndvLimit(cfg Config, tr fabric.Transport) int {
-	if cfg.RndvLimit < 0 || !tr.Contract().Direct {
+	if cfg.RndvLimit < 0 {
 		return 0
 	}
 	if cfg.RndvLimit > 0 {
@@ -67,7 +67,7 @@ func resolveRndvLimit(cfg Config, tr fabric.Transport) int {
 
 // RndvCrossover reports the task's eager/rendezvous crossover in bytes:
 // Puts and Gets of at least this size use the zero-copy rendezvous path.
-// 0 means rendezvous is disabled (config or transport) and every message
+// 0 means rendezvous is disabled (Config.RndvLimit < 0) and every message
 // is eager. Callers that hold references to origin buffers (collectives,
 // services) use this to decide when Put stops capturing the payload
 // synchronously.

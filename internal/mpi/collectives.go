@@ -150,24 +150,8 @@ func (t *Task) Allreduce(ctx exec.Context, buf []byte, combine func(dst, src []b
 }
 
 // AllreduceSum computes the global sum of one float64 per rank on every
-// rank. By default it runs on the recursive-doubling Allreduce; with
-// Config.LinearAllreduce it is the original reduce-to-root followed by a
-// broadcast.
+// rank, on the recursive-doubling Allreduce.
 func (t *Task) AllreduceSum(ctx exec.Context, x float64) (float64, error) {
-	if t.cfg.LinearAllreduce {
-		sum, err := t.ReduceSum(ctx, 0, x)
-		if err != nil {
-			return 0, err
-		}
-		buf := make([]byte, 8)
-		if t.Self() == 0 {
-			binary.BigEndian.PutUint64(buf, math.Float64bits(sum))
-		}
-		if err := t.Bcast(ctx, 0, buf); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(buf)), nil
-	}
 	buf := make([]byte, 8)
 	binary.BigEndian.PutUint64(buf, math.Float64bits(x))
 	err := t.Allreduce(ctx, buf, func(dst, src []byte) {

@@ -83,11 +83,6 @@ type Config struct {
 	// is exhausted, which is why "for larger messages, buffering of all
 	// the data is not possible on the sender side" (§5.4). 0 = unlimited.
 	BufferPoolBytes int
-
-	// LinearAllreduce selects the original reduce-to-root-then-broadcast
-	// allreduce instead of the default recursive-doubling schedule. Kept
-	// as a knob so the two schedules stay comparable in benchmarks.
-	LinearAllreduce bool
 }
 
 // DefaultConfig is calibrated alongside lapi.DefaultConfig (DESIGN.md §5).

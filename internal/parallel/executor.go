@@ -29,16 +29,8 @@ import (
 // value and the nil pointer both act as a serial executor (jobs run inline
 // on the caller's goroutine), which is the escape hatch the -serial flags
 // of the bench commands use.
-//
-// The executor also provides an exclusive lane (Exclusive) for
-// measurements that must not share the process with concurrent workers —
-// testing.AllocsPerRun counts mallocs process-wide, so allocation
-// measurements taken while sweep workers run would be polluted.
 type Executor struct {
 	workers int
-	// lane serializes Exclusive against running jobs: every Map/ForEach
-	// holds the read side for its whole duration, Exclusive the write side.
-	lane sync.RWMutex
 }
 
 // New returns an executor with the given worker count. Counts below one
@@ -61,22 +53,6 @@ func (x *Executor) Workers() int {
 		return 1
 	}
 	return x.workers
-}
-
-// Exclusive runs fn while no Map or ForEach job is executing on this
-// executor — the dedicated lane for process-global measurements such as
-// testing.AllocsPerRun. On a nil executor fn runs directly. Exclusive
-// must not be called from inside a job running on the same executor (the
-// job holds the lane's read side, so the write acquisition would
-// deadlock); measurement code runs either before a sweep or on its own.
-func (x *Executor) Exclusive(fn func()) {
-	if x == nil {
-		fn()
-		return
-	}
-	x.lane.Lock()
-	defer x.lane.Unlock()
-	fn()
 }
 
 // Map runs fn(i) for every i in [0, n) on the executor's workers and
@@ -111,9 +87,6 @@ func Map[T any](x *Executor, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 		return results, nil
 	}
-
-	x.lane.RLock()
-	defer x.lane.RUnlock()
 
 	errs := make([]error, n)
 	q := newStealQueues(n, w)

@@ -3,7 +3,6 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,40 +95,9 @@ func TestMapEmptyAndNil(t *testing.T) {
 	if x.Workers() != 1 {
 		t.Fatalf("nil executor workers = %d, want 1", x.Workers())
 	}
-	x.Exclusive(func() {}) // must not panic
 	r, err := Map(x, 3, func(i int) (int, error) { return i, nil })
 	if err != nil || len(r) != 3 {
 		t.Fatalf("nil executor Map: %v, %v", r, err)
-	}
-}
-
-// TestExclusiveBlocksJobs: Exclusive must never overlap a running Map.
-func TestExclusiveBlocksJobs(t *testing.T) {
-	x := New(4)
-	var inJobs atomic.Int32
-	var violations atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ForEach(x, 64, func(i int) error {
-			inJobs.Add(1)
-			time.Sleep(100 * time.Microsecond)
-			inJobs.Add(-1)
-			return nil
-		})
-	}()
-	for k := 0; k < 16; k++ {
-		x.Exclusive(func() {
-			if inJobs.Load() != 0 {
-				violations.Add(1)
-			}
-			time.Sleep(50 * time.Microsecond)
-		})
-	}
-	wg.Wait()
-	if v := violations.Load(); v != 0 {
-		t.Fatalf("Exclusive overlapped running jobs %d times", v)
 	}
 }
 

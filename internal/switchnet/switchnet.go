@@ -543,9 +543,8 @@ func (a *Adapter) Alloc(n int) []byte { return make([]byte, n) }
 // Release implements fabric.Transport as a no-op; see Alloc.
 func (a *Adapter) Release(pkt []byte) {}
 
-// Contract implements fabric.Transport: nothing is pooled, but the
-// zero-copy direct lane is live.
-func (a *Adapter) Contract() fabric.Contract { return fabric.Contract{Direct: true} }
+// Contract implements fabric.Transport: nothing is pooled.
+func (a *Adapter) Contract() fabric.Contract { return fabric.Contract{} }
 
 // SetDirectDone implements fabric.Transport.
 func (a *Adapter) SetDirectDone(fn func(src int, token uint64)) { a.directDone = fn } //lapivet:ignore racefree registration precedes wire-up: no direct send can complete before the callback is installed

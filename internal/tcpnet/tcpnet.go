@@ -328,10 +328,9 @@ func (e *Endpoint) Alloc(n int) []byte { return pool.get(n) }
 // pool. The caller must not touch pkt afterwards.
 func (e *Endpoint) Release(pkt []byte) { pool.put(pkt) }
 
-// Contract implements fabric.Transport: both directions are pooled, and
-// the zero-copy direct lane is live.
+// Contract implements fabric.Transport: both directions are pooled.
 func (e *Endpoint) Contract() fabric.Contract {
-	return fabric.Contract{PooledDelivery: true, PooledSend: true, Direct: true}
+	return fabric.Contract{PooledDelivery: true, PooledSend: true}
 }
 
 // SetDirectDone implements fabric.Transport.
