@@ -71,40 +71,12 @@ determinism:
 		diff /tmp/golapi-fig2-rndv.out /tmp/golapi-fig2-eager.out; exit 1; \
 	fi; \
 	echo "determinism: fig2 sub-crossover rows byte-identical with and without rendezvous"
-	@$(GO) build -o /tmp/golapi-lapivet ./cmd/lapivet
-	@/tmp/golapi-lapivet -json ./internal/analysis/buflifetime/testdata/src/bl > /tmp/golapi-lapivet-1.json 2>/dev/null; \
-	/tmp/golapi-lapivet -json ./internal/analysis/buflifetime/testdata/src/bl > /tmp/golapi-lapivet-2.json 2>/dev/null; \
-	if ! cmp -s /tmp/golapi-lapivet-1.json /tmp/golapi-lapivet-2.json; then \
-		echo "determinism: lapivet -json differs between runs:"; \
-		diff /tmp/golapi-lapivet-1.json /tmp/golapi-lapivet-2.json; exit 1; \
-	fi; \
-	if ! grep -q '"pass": "buflifetime"' /tmp/golapi-lapivet-1.json; then \
-		echo "determinism: lapivet -json produced no buflifetime diagnostics on its golden package"; exit 1; \
-	fi; \
-	echo "determinism: lapivet -json byte-identical across runs"
-	@/tmp/golapi-lapivet -json ./internal/analysis/creditflow/testdata/src/cf > /tmp/golapi-lapivet-cf-1.json 2>/dev/null; \
-	/tmp/golapi-lapivet -json ./internal/analysis/creditflow/testdata/src/cf > /tmp/golapi-lapivet-cf-2.json 2>/dev/null; \
-	if ! cmp -s /tmp/golapi-lapivet-cf-1.json /tmp/golapi-lapivet-cf-2.json; then \
-		echo "determinism: lapivet -json differs between runs on the creditflow golden package:"; \
-		diff /tmp/golapi-lapivet-cf-1.json /tmp/golapi-lapivet-cf-2.json; exit 1; \
-	fi; \
-	if ! grep -q '"pass": "creditflow"' /tmp/golapi-lapivet-cf-1.json; then \
-		echo "determinism: lapivet -json produced no creditflow diagnostics on its golden package"; exit 1; \
-	fi; \
-	echo "determinism: lapivet -json byte-identical across runs (creditflow golden)"
-	@# The concurrency model iterates maps (units, accesses, locksets);
-	@# the racefree golden package proves the diagnostic stream is still
-	@# deterministically ordered.
-	@/tmp/golapi-lapivet -json ./internal/analysis/racefree/testdata/src/rf > /tmp/golapi-lapivet-rf-1.json 2>/dev/null; \
-	/tmp/golapi-lapivet -json ./internal/analysis/racefree/testdata/src/rf > /tmp/golapi-lapivet-rf-2.json 2>/dev/null; \
-	if ! cmp -s /tmp/golapi-lapivet-rf-1.json /tmp/golapi-lapivet-rf-2.json; then \
-		echo "determinism: lapivet -json differs between runs on the racefree golden package:"; \
-		diff /tmp/golapi-lapivet-rf-1.json /tmp/golapi-lapivet-rf-2.json; exit 1; \
-	fi; \
-	if ! grep -q '"pass": "racefree"' /tmp/golapi-lapivet-rf-1.json; then \
-		echo "determinism: lapivet -json produced no racefree diagnostics on its golden package"; exit 1; \
-	fi; \
-	echo "determinism: lapivet -json byte-identical across runs (racefree golden)"
+	@# lapivet's diagnostic stream is pinned byte for byte: the full suite
+	@# over every golden package under internal/analysis/*/testdata/src
+	@# must equal the committed internal/analysis/suite/testdata/golden.json,
+	@# three runs in a row (the concurrency model iterates maps, so order
+	@# must not depend on iteration).
+	@$(GO) test -count=3 -run TestSuiteGolden ./internal/analysis/suite/
 
 # lapivet enforces the LAPI usage invariants the type system cannot see
 # (DESIGN.md "Usage invariants"): non-blocking header handlers, origin

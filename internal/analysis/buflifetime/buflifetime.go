@@ -7,23 +7,14 @@
 // permanent hole in the pool and a use-after-Release is a data race with
 // whatever frame the pool backs next; neither is detectable at runtime.
 //
-// The pass is flow-sensitive (internal/analysis/cfg + dataflow): the
-// abstract state maps each locally-acquired buffer to a may-set of
-// {owned, released} facts, merged by union at joins. Since v3 it is also
-// interprocedural and channel-aware, backed by internal/analysis/summary:
-//
-//   - a call to a module function consults the callee's per-parameter
-//     ownership summary — a Borrows callee (header filler, checksummer)
-//     leaves the obligation in place, so an early return after the call
-//     still reports the leak; a Consumes callee (a release helper, the
-//     gateway's respond) discharges it, and touching the buffer afterwards
-//     is reported like a use-after-Release;
-//   - a send on a transfer channel (one that carries owned frames
-//     somewhere in the module, e.g. the gateway's session.out) discharges
-//     the obligation and arms use-after-send; a receive from one — plain,
-//     two-valued, select comm, or `for b := range ch` — is a fresh
-//     acquire, so the receiving loop (the gateway writer) is checked for
-//     leak-on-return like any allocator.
+// The pass is a protocol for the obligation engine
+// (internal/analysis/obligation) over summary.BufferOps. Through the
+// engine it is flow-sensitive, interprocedural and channel-aware: a
+// Borrows callee (header filler, checksummer) leaves the obligation in
+// place, so an early return after the call still reports the leak; a
+// Consumes callee (a release helper, the gateway's respond) discharges
+// it; a send on a transfer channel (the gateway's session.out) discharges
+// it and a receive from one — the gateway writer's loop — acquires.
 //
 // Reports:
 //
@@ -37,14 +28,9 @@
 //   - use after discharge: any read, write, send, or call argument use of
 //     a buffer already released, sent, or consumed by a callee.
 //
-// Ownership is discharged without complaint when the buffer escapes the
-// pass's view: returned, stored into a non-local, captured by a function
-// literal or goroutine, or passed to a call with no informative summary.
-// Calls into io and encoding/binary, the fabric framing helpers, and the
-// builtins (copy, len, cap, clear, spread append) only borrow. Reslicing
-// into a new name (data := frame[k:]) is an alias borrow: the base keeps
-// the obligation. Transports whose Contract() does not set PooledSend
-// (switchnet) are exempt: their Alloc is plain make and Release a no-op.
+// Calls into io and encoding/binary and the fabric framing helpers only
+// borrow. Transports whose Contract() does not set PooledSend (switchnet)
+// are exempt: their Alloc is plain make and Release a no-op.
 //
 // The v2 intraprocedural/single-goroutine mode survives as the
 // Intraprocedural analyzer, used by tests to prove which findings need
@@ -52,669 +38,55 @@
 package buflifetime
 
 import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
+	"fmt"
 
 	"golapi/internal/analysis"
-	"golapi/internal/analysis/cfg"
-	"golapi/internal/analysis/dataflow"
+	"golapi/internal/analysis/obligation"
 	"golapi/internal/analysis/summary"
 )
 
-// Analyzer is the buflifetime pass (v3: interprocedural + channel-aware).
-var Analyzer = &analysis.Analyzer{
-	Name: "buflifetime",
-	Doc:  "track pooled transport buffers across helpers and channel handoffs: leak on some path, double-Release, use-after-discharge",
-	Run:  func(pass *analysis.Pass) error { return run(pass, true) },
-}
+// Analyzer is the buflifetime pass (v3: interprocedural + channel-aware);
+// Intraprocedural is the v2 behaviour, with no callee summaries and no
+// channel transfer modeling. Intraprocedural is not registered in
+// cmd/lapivet; tests use it to assert which true positives require the
+// interprocedural machinery.
+var Analyzer, Intraprocedural = obligation.Analyzers(protocol,
+	"buflifetime",
+	"track pooled transport buffers across helpers and channel handoffs: leak on some path, double-Release, use-after-discharge",
+	"buflifetime without ownership summaries or channel transfers (comparison baseline)")
 
-// Intraprocedural is the v2 behaviour: no callee summaries, no channel
-// transfer modeling. Not registered in cmd/lapivet; tests use it to assert
-// which true positives require the interprocedural machinery.
-var Intraprocedural = &analysis.Analyzer{
-	Name: "buflifetime-intra",
-	Doc:  "buflifetime without ownership summaries or channel transfers (comparison baseline)",
-	Run:  func(pass *analysis.Pass) error { return run(pass, false) },
-}
-
-func run(pass *analysis.Pass, interproc bool) error {
-	ops := summary.NewBufferOps(pass)
-	if ops == nil {
-		return nil
-	}
-	r := &runner{pass: pass, ops: ops}
-	if interproc {
-		r.comp = summary.New(pass, ops)
-	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					r.check(n.Body)
-				}
-			case *ast.FuncLit:
-				r.check(n.Body)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-type runner struct {
-	pass *analysis.Pass
-	ops  *summary.BufferOps
-	comp *summary.Computer // nil in intraprocedural mode
-}
-
-func (r *runner) check(body *ast.BlockStmt) {
-	g := cfg.New(body)
-	c := &checker{r: r, g: g}
-	res := dataflow.Solve(g, c)
-	// Capture the exit state before reporting is on: Out replays the exit
-	// block (deferred calls), which Walk will also do.
-	exit, reachable := res.Out(g, g.Exit, c)
-	c.report = true
-	res.Walk(g, c)
-	if reachable {
-		c.reportLeaks(exit)
-	}
-}
-
-// Verbs for how a buffer's obligation was discharged; "Release" keeps the
-// v2 message wording, the others read as "<verb> ... discharged it".
 const (
 	vRelease = "Release"
 	vSend    = "Send"
-	vChan    = "the channel send"
 )
 
-// fact is one possible status of a tracked buffer: owned (pos = the
-// acquire site) or released (pos = the discharge site, verb = how).
-type fact struct {
-	obj      types.Object
-	released bool
-	verb     string
-	pos      token.Pos
-}
-
-// state is the may-set of facts; a buffer both owned and released here is
-// owned on one path and released on another.
-type state map[fact]bool
-
-type checker struct {
-	r      *runner
-	g      *cfg.Graph
-	report bool
-}
-
-func (c *checker) Entry() state { return state{} }
-
-func (c *checker) Clone(s state) state {
-	n := make(state, len(s))
-	for f := range s {
-		n[f] = true
-	}
-	return n
-}
-
-func (c *checker) Merge(dst, src state) state {
-	for f := range src {
-		dst[f] = true
-	}
-	return dst
-}
-
-func (c *checker) Equal(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for f := range a {
-		if !b[f] {
-			return false
+var protocol = &obligation.Protocol{
+	Ops: func(pass *analysis.Pass) summary.Ops {
+		if ops := summary.NewBufferOps(pass); ops != nil {
+			return ops
 		}
-	}
-	return true
-}
-
-// Transfer applies one CFG leaf node.
-func (c *checker) Transfer(n ast.Node, s state) state {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		c.assign(n, s)
-	case *ast.ReturnStmt:
-		for _, res := range n.Results {
-			c.escapeExpr(res, s)
-		}
-	case *ast.SendStmt:
-		c.send(n, s)
-	case *ast.DeferStmt, *ast.GoStmt:
-		// Registration evaluates arguments at an unknown distance from the
-		// call itself; deferred calls reappear in the exit block. Treat any
-		// tracked buffer mentioned as escaping (a deferred Release still
-		// discharges the obligation when the exit block replays it).
-		c.escapeIdents(n, s)
-	case *ast.ExprStmt:
-		c.use(n.X, s)
-	case *ast.IncDecStmt:
-		c.use(n.X, s)
-	case *ast.DeclStmt:
-		ast.Inspect(n, func(m ast.Node) bool {
-			if vs, ok := m.(*ast.ValueSpec); ok {
-				for _, v := range vs.Values {
-					c.escapeExpr(v, s)
-				}
-				return false
-			}
-			return true
-		})
-	default:
-		if e, ok := n.(ast.Expr); ok {
-			c.use(e, s)
-		}
-	}
-	return s
-}
-
-// send handles `ch <- b`. An owned (or already-discharged) buffer sent on
-// any channel transfers its obligation to the receiver: discharge it and
-// arm use-after-send. Intraprocedural mode keeps the v2 escape semantics.
-func (c *checker) send(n *ast.SendStmt, s state) {
-	info := c.r.pass.Pkg.Info
-	c.use(n.Chan, s)
-	if c.r.comp != nil {
-		if obj := objectIfIdent(info, n.Value); obj != nil && hasFacts(s, obj) {
-			if rel, ok := releasedFact(s, obj); ok {
-				c.reportf(n.Pos(), "pooled transport buffer %s sent after %s", obj.Name(), dischargeClause(rel, c.line(rel.pos)))
-			}
-			dropFacts(s, obj)
-			s[fact{obj: obj, released: true, verb: vChan, pos: n.Pos()}] = true
-			return
-		}
-	}
-	c.escapeExpr(n.Value, s)
-}
-
-// assign handles acquire bindings, receives, rebindings, alias borrows,
-// and element writes.
-func (c *checker) assign(a *ast.AssignStmt, s state) {
-	info := c.r.pass.Pkg.Info
-
-	// Synthesized range binding: `for b := range ch` over a transfer
-	// channel acquires a fresh frame each iteration.
-	if len(a.Rhs) == 0 {
-		if x, ok := c.g.RangeBind[a]; ok && c.r.comp != nil && len(a.Lhs) > 0 {
-			if ch := analysis.ObjectOf(info, x); ch != nil && c.r.comp.IsTransferChan(ch) {
-				if obj := objectIfIdent(info, a.Lhs[0]); obj != nil {
-					dropFacts(s, obj)
-					s[fact{obj: obj, pos: a.Pos()}] = true
-					return
-				}
-			}
-		}
-		for _, lhs := range a.Lhs {
-			if obj := objectIfIdent(info, lhs); obj != nil {
-				dropFacts(s, obj)
-			}
-		}
-		return
-	}
-
-	// Two-valued receive: v, ok := <-ch.
-	if len(a.Lhs) == 2 && len(a.Rhs) == 1 {
-		if ue, ok := ast.Unparen(a.Rhs[0]).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-			if obj := objectIfIdent(info, a.Lhs[0]); obj != nil {
-				dropFacts(s, obj)
-				if c.r.comp != nil {
-					if ch := analysis.ObjectOf(info, ue.X); ch != nil && c.r.comp.IsTransferChan(ch) {
-						s[fact{obj: obj, pos: a.Pos()}] = true
-					}
-				}
-			}
-			if obj := objectIfIdent(info, a.Lhs[1]); obj != nil {
-				dropFacts(s, obj)
-			}
-			return
-		}
-	}
-
-	paired := len(a.Lhs) == len(a.Rhs)
-	for i, lhs := range a.Lhs {
-		var rhs ast.Expr
-		if paired && i < len(a.Rhs) {
-			rhs = a.Rhs[i]
-		}
-		switch l := ast.Unparen(lhs).(type) {
-		case *ast.Ident:
-			obj := info.ObjectOf(l)
-			if rhs != nil {
-				if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && c.r.isAcquire(info, call) {
-					for _, arg := range call.Args {
-						c.use(arg, s)
-					}
-					if obj == nil {
-						continue
-					}
-					if prev, owned := ownedFact(s, obj); owned {
-						c.reportf(a.Pos(), "pooled transport buffer %s reallocated while the allocation from line %d is still owned: Release or Send it first", obj.Name(), c.line(prev.pos))
-					}
-					dropFacts(s, obj)
-					s[fact{obj: obj, pos: call.Pos()}] = true
-					continue
-				}
-				// Plain receive into one name: an acquire when the channel
-				// carries owned frames.
-				if ue, ok := ast.Unparen(rhs).(*ast.UnaryExpr); ok && ue.Op == token.ARROW && c.r.comp != nil {
-					if ch := analysis.ObjectOf(info, ue.X); ch != nil && c.r.comp.IsTransferChan(ch) {
-						if obj != nil {
-							dropFacts(s, obj)
-							s[fact{obj: obj, pos: a.Pos()}] = true
-							continue
-						}
-					}
-				}
-				// Rebinding through the same buffer (b = b[:n], b = append(b,
-				// x), b = fabric.PutUint32(b, v)) keeps the obligation on the
-				// name: scan the rhs in borrow mode, which leaves obj's facts
-				// in place while still escaping anything else that flows out
-				// (append elements, unmodelled call arguments).
-				if obj != nil && mentions(info, rhs, obj) {
-					c.use(rhs, s)
-					continue
-				}
-				// Alias borrow: data := frame[k:] — the new name is a window
-				// into the allocation; the base keeps the obligation (and a
-				// released base is still reported by the use walk).
-				if base := sliceBaseObj(info, rhs); base != nil && hasFacts(s, base) {
-					c.use(rhs, s)
-					if obj != nil {
-						dropFacts(s, obj)
-					}
-					continue
-				}
-				// Rebinding to an unrelated value retires tracking, with the
-				// old value either escaping through the rhs or simply dropped.
-				c.escapeExpr(rhs, s)
-			}
-			if obj != nil {
-				dropFacts(s, obj)
-			}
-		case *ast.IndexExpr, *ast.SliceExpr:
-			if obj, rel := c.releasedBase(l.(ast.Expr), s); obj != nil {
-				c.reportf(a.Pos(), "pooled transport buffer %s written after %s: the memory may already back another frame", obj.Name(), dischargeClause(rel, c.line(rel.pos)))
-			}
-			if rhs != nil {
-				c.escapeExpr(rhs, s)
-			}
-		default:
-			c.use(lhs, s)
-			if rhs != nil {
-				c.escapeExpr(rhs, s)
-			}
-		}
-	}
-	if !paired {
-		for _, rhs := range a.Rhs {
-			c.escapeExpr(rhs, s)
-		}
-	}
-}
-
-// use walks an expression: calls are classified (release, send, borrow,
-// summary, escape), reads of discharged buffers are reported, and tracked
-// buffers that flow somewhere the pass cannot see stop being tracked.
-func (c *checker) use(e ast.Expr, s state) {
-	if e == nil {
-		return
-	}
-	info := c.r.pass.Pkg.Info
-	skip := map[ast.Node]bool{}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if n == nil || skip[n] {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			c.escapeIdents(n, s)
-			return false
-		case *ast.CallExpr:
-			c.call(n, s, skip)
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				c.escapeExpr(n.X, s)
-				return false
-			}
-		case *ast.CompositeLit:
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					elt = kv.Value
-				}
-				c.escapeExpr(elt, s)
-			}
-			return false
-		case *ast.Ident:
-			if obj := info.ObjectOf(n); obj != nil {
-				if rel, ok := releasedFact(s, obj); ok {
-					c.reportf(n.Pos(), "pooled transport buffer %s used after %s: the memory may already back another frame", obj.Name(), dischargeClause(rel, c.line(rel.pos)))
-				}
-			}
-		}
-		return true
-	})
-}
-
-// call classifies one call expression inside use.
-func (c *checker) call(call *ast.CallExpr, s state, skip map[ast.Node]bool) {
-	info := c.r.pass.Pkg.Info
-
-	// Builtins and conversions copy or measure: borrow, never escape.
-	// append retains reference arguments (elements) but borrows the spread
-	// form and the destination.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			if b.Name() == "append" && call.Ellipsis == token.NoPos {
-				for i, arg := range call.Args {
-					if i == 0 {
-						continue
-					}
-					c.escapeExpr(arg, s)
-					skip[arg] = true
-				}
-			}
-			return
-		}
-	}
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		return // conversion: borrows the operand
-	}
-
-	kind, argIdx := c.r.ops.Classify(info, call)
-	switch kind {
-	case summary.OpAcquire:
-		// Result discarded or consumed by an unmodelled context: nothing to
-		// track (the binding form is handled in assign).
-	case summary.OpRelease:
-		if len(call.Args) > argIdx {
-			arg := call.Args[argIdx]
-			skip[arg] = true
-			if obj := objectIfIdent(info, arg); obj != nil {
-				if rel, ok := releasedFact(s, obj); ok {
-					if rel.verb == vRelease {
-						c.reportf(call.Pos(), "pooled transport buffer %s released twice (previous Release at line %d)", obj.Name(), c.line(rel.pos))
-					} else {
-						c.reportf(call.Pos(), "pooled transport buffer %s released after %s", obj.Name(), dischargeClause(rel, c.line(rel.pos)))
-					}
-				}
-				dropFacts(s, obj)
-				s[fact{obj: obj, released: true, verb: vRelease, pos: call.Pos()}] = true
-			}
-		}
-	case summary.OpTransfer:
-		if len(call.Args) > argIdx {
-			arg := call.Args[argIdx]
-			skip[arg] = true
-			if obj := objectIfIdent(info, arg); obj != nil {
-				if rel, ok := releasedFact(s, obj); ok {
-					c.reportf(call.Pos(), "pooled transport buffer %s sent after %s", obj.Name(), dischargeClause(rel, c.line(rel.pos)))
-				}
-				dropFacts(s, obj)
-				if c.r.comp != nil {
-					// Ownership passed to the transport; arm use-after-send.
-					s[fact{obj: obj, released: true, verb: vSend, pos: call.Pos()}] = true
-				}
-			}
-		}
-	case summary.OpBorrow:
-		// Arguments are read or filled but the obligation stays put. The
-		// generic Ident case still reports use-after-discharge.
-	case summary.OpNone:
-		c.summaryCall(call, s, skip)
-	}
-}
-
-// summaryCall applies callee ownership summaries to a call the base
-// protocol does not classify. Without summaries (intraprocedural mode, or
-// no static callee) every tracked argument escapes, as in v2.
-func (c *checker) summaryCall(call *ast.CallExpr, s state, skip map[ast.Node]bool) {
-	info := c.r.pass.Pkg.Info
-	var callee *types.Func
-	var sig *types.Signature
-	if c.r.comp != nil {
-		callee = analysis.Callee(info, call)
-		if callee != nil {
-			sig, _ = callee.Type().(*types.Signature)
-		}
-	}
-	for i, arg := range call.Args {
-		obj := objectIfIdent(info, arg)
-		if obj == nil || !hasFacts(s, obj) {
-			c.escapeExpr(arg, s)
-			skip[arg] = true
-			continue
-		}
-		eff := summary.Escapes
-		if callee != nil && sig != nil && !(sig.Variadic() && i >= sig.Params().Len()-1) {
-			eff = c.r.comp.Effect(callee, i)
-		}
-		switch eff {
-		case summary.Borrows:
-			// The callee reads or fills the buffer; obligation stays with
-			// us. The Ident walk still reports a discharged argument.
-		case summary.Consumes:
-			if rel, ok := releasedFact(s, obj); ok {
-				c.reportf(call.Pos(), "pooled transport buffer %s passed to %s, which releases it, after %s", obj.Name(), callee.Name(), dischargeClause(rel, c.line(rel.pos)))
-			}
-			dropFacts(s, obj)
-			s[fact{obj: obj, released: true, verb: callee.Name() + "()", pos: call.Pos()}] = true
-			skip[arg] = true
-		default:
-			c.escapeExpr(arg, s)
-			skip[arg] = true
-		}
-	}
-}
-
-// escapeExpr handles a value flowing out of the pass's view: a discharged
-// buffer is reported, an owned one silently stops being tracked.
-func (c *checker) escapeExpr(e ast.Expr, s state) {
-	if e == nil {
-		return
-	}
-	info := c.r.pass.Pkg.Info
-	if obj := objectIfIdent(info, e); obj != nil {
-		if rel, ok := releasedFact(s, obj); ok {
-			c.reportf(e.Pos(), "pooled transport buffer %s used after %s: the memory may already back another frame", obj.Name(), dischargeClause(rel, c.line(rel.pos)))
-		}
-		dropFacts(s, obj)
-		return
-	}
-	// Slicing or indexing before the escape still aliases the allocation.
-	switch x := ast.Unparen(e).(type) {
-	case *ast.SliceExpr:
-		c.escapeExpr(x.X, s)
-		return
-	}
-	c.use(e, s)
-}
-
-// escapeIdents conservatively retires every tracked buffer mentioned under
-// n (captures by literals, defer/go registrations).
-func (c *checker) escapeIdents(n ast.Node, s state) {
-	info := c.r.pass.Pkg.Info
-	ast.Inspect(n, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok {
-			if obj := info.ObjectOf(id); obj != nil {
-				dropFacts(s, obj)
-			}
-		}
-		return true
-	})
-}
-
-// releasedBase resolves the base identifier of an index/slice expression
-// and returns it with the discharge fact when it is released on some path.
-func (c *checker) releasedBase(e ast.Expr, s state) (types.Object, fact) {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.Ident:
-			if obj := c.r.pass.Pkg.Info.ObjectOf(x); obj != nil {
-				if rel, ok := releasedFact(s, obj); ok {
-					return obj, rel
-				}
-			}
-			return nil, fact{}
-		default:
-			return nil, fact{}
-		}
-	}
-}
-
-// reportLeaks reports, at each acquire site, buffers still owned when the
-// function exits on some path.
-func (c *checker) reportLeaks(exit state) {
-	var owned []fact
-	for f := range exit {
-		if !f.released {
-			owned = append(owned, f)
-		}
-	}
-	sort.Slice(owned, func(i, j int) bool { return owned[i].pos < owned[j].pos })
-	for _, f := range owned {
-		c.reportf(f.pos, "pooled transport buffer %s may leak: not released or sent on some path to return", f.obj.Name())
-	}
-}
-
-func (c *checker) reportf(pos token.Pos, format string, args ...any) {
-	if !c.report {
-		return
-	}
-	c.r.pass.Reportf(pos, format, args...)
-}
-
-func (c *checker) line(pos token.Pos) int {
-	return c.r.pass.Fset.Position(pos).Line
-}
-
-// dischargeClause phrases how a buffer's obligation went away, for report
-// messages: "Release (line 12)", "Send (line 12)", "the channel send at
-// line 12 discharged it", "respond() at line 12 discharged it".
-func dischargeClause(f fact, line int) string {
-	switch f.verb {
-	case vRelease, vSend:
-		return f.verb + " (line " + itoa(line) + ")"
-	default:
-		return f.verb + " at line " + itoa(line) + " discharged it"
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-func (r *runner) isAcquire(info *types.Info, call *ast.CallExpr) bool {
-	kind, _ := r.ops.Classify(info, call)
-	return kind == summary.OpAcquire
-}
-
-// --- state helpers -------------------------------------------------------
-
-func ownedFact(s state, obj types.Object) (fact, bool) {
-	var best fact
-	found := false
-	for f := range s {
-		if f.obj == obj && !f.released && (!found || f.pos < best.pos) {
-			best, found = f, true
-		}
-	}
-	return best, found
-}
-
-func releasedFact(s state, obj types.Object) (fact, bool) {
-	var best fact
-	found := false
-	for f := range s {
-		if f.obj == obj && f.released && (!found || f.pos < best.pos) {
-			best, found = f, true
-		}
-	}
-	return best, found
-}
-
-func hasFacts(s state, obj types.Object) bool {
-	for f := range s {
-		if f.obj == obj {
-			return true
-		}
-	}
-	return false
-}
-
-func dropFacts(s state, obj types.Object) {
-	for f := range s {
-		if f.obj == obj {
-			delete(s, f)
-		}
-	}
-}
-
-func mentions(info *types.Info, e ast.Expr, obj types.Object) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func objectIfIdent(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "nil" {
 		return nil
-	}
-	return info.ObjectOf(id)
+	},
+	ReleaseVerb:   vRelease,
+	TransferVerb:  vSend,
+	Clause:        clause,
+	UseAfter:      "pooled transport buffer %s used after %s: the memory may already back another frame",
+	WriteAfter:    "pooled transport buffer %s written after %s: the memory may already back another frame",
+	SendAfter:     "pooled transport buffer %s sent after %s",
+	ReleaseAfter:  "pooled transport buffer %[1]s released after %[3]s",
+	ReleaseTwice:  "pooled transport buffer %s released twice (previous Release at line %d)",
+	TransferAfter: "pooled transport buffer %[1]s sent after %[3]s",
+	ConsumeAfter:  "pooled transport buffer %s passed to %s, which releases it, after %s",
+	Realloc:       "pooled transport buffer %s reallocated while the allocation from line %d is still owned: Release or Send it first",
+	Leak:          "pooled transport buffer %s may leak: not released or sent on some path to return",
 }
 
-// sliceBaseObj returns the base identifier's object when e is a (possibly
-// nested) slice or index expression over an identifier, else nil.
-func sliceBaseObj(info *types.Info, e ast.Expr) types.Object {
-	x := ast.Unparen(e)
-	if _, ok := x.(*ast.SliceExpr); !ok {
-		if _, ok := x.(*ast.IndexExpr); !ok {
-			return nil
-		}
+// clause phrases how a buffer's obligation went away: "Release (line
+// 12)", "Send (line 12)", "the channel send at line 12 discharged it",
+// "respond() at line 12 discharged it".
+func clause(verb string, line int) string {
+	if verb == vRelease || verb == vSend {
+		return fmt.Sprintf("%s (line %d)", verb, line)
 	}
-	for {
-		switch y := ast.Unparen(x).(type) {
-		case *ast.SliceExpr:
-			x = y.X
-		case *ast.IndexExpr:
-			x = y.X
-		case *ast.Ident:
-			return info.ObjectOf(y)
-		default:
-			return nil
-		}
-	}
+	return fmt.Sprintf("%s at line %d discharged it", verb, line)
 }

@@ -1,26 +1,41 @@
 // Package bufreuse statically enforces the paper's §2.3 origin-buffer
 // contract: the buffer handed to a non-blocking Put/Get/Amsend (and their
-// strided variants) belongs to the library until the operation's origin
-// counter fires. Writing to it earlier races with the transfer — on real
-// hardware, with the adapter's DMA; in the simulator, with the modelled
-// copy — and the runtime cannot detect it.
+// strided variants) belongs to the library until a counter proves the
+// transfer no longer reads it. Writing to it earlier races with the
+// transfer — on real hardware, with the adapter's DMA; in the simulator,
+// with the modelled copy — and the runtime cannot detect it.
 //
-// The pass is flow-sensitive: each function body is lowered to a CFG
+// One lending checker enforces the rule; a table of rows says which calls
+// lend which arguments and which counter retires the loan. Two analyzers
+// run it over two row sets:
+//
+//   - bufreuse (Analyzer): a call with a resolvable origin counter lends
+//     its buffers until that counter is waited on;
+//   - rndvpin (PinAnalyzer): a Put or PutStrided issued with a nil origin
+//     counter may still borrow the caller's buffer — above the crossover
+//     the library pins it for zero-copy direct placement until the
+//     transfer drains (DESIGN.md §12). With no origin counter to wait on,
+//     only a wait on the completion counter (which fires causally after
+//     the payload left the buffer) or a fence proves the drain. A call
+//     with an unresolvable (non-nil) origin expression is neither pass's
+//     business: the caller may well wait on it.
+//
+// The checker is flow-sensitive: each function body is lowered to a CFG
 // (internal/analysis/cfg) and a may-analysis is run to a fixpoint with
 // internal/analysis/dataflow. The abstract state is the set of outstanding
-// (buffer, origin counter) pairs; states merge by union at joins, so a pair
-// is outstanding at a program point if it is outstanding on ANY path into
-// it. A write to a buffer outstanding on some path is reported: a wait that
-// happens only inside one branch, or a Put whose wait is after the loop
-// (leaving the pair pending across the back edge), no longer hides the
-// race the way the old statement-order scan did.
+// (buffer, retiring counter) loans; states merge by union at joins, so a
+// loan is outstanding at a program point if it is outstanding on ANY path
+// into it. A write to a buffer outstanding on some path is reported: a
+// wait that happens only inside one branch, or a Put whose wait is after
+// the loop (leaving the loan pending across the back edge), does not hide
+// the race.
 //
-// Kills: Waitcntr/Getcntr/Setcntr on the pair's counter retires it, a
-// Fence/Gfence/Barrier/Close retires everything, and rebinding the buffer
-// name retires its pairs (the lent-out array is no longer reachable through
-// the name). A wait whose counter expression the pass cannot resolve to a
-// variable also retires everything — the pass underreports rather than cry
-// wolf.
+// Kills: Waitcntr/Getcntr/Setcntr on the loan's counter retires it (a loan
+// with no counter survives every wait), a Fence/Gfence/Barrier/Close
+// retires everything, and rebinding the buffer name retires its loans (the
+// lent-out array is no longer reachable through the name). A wait whose
+// counter expression the checker cannot resolve to a variable also
+// retires everything — the checker underreports rather than cry wolf.
 package bufreuse
 
 import (
@@ -34,29 +49,58 @@ import (
 	"golapi/internal/analysis/dataflow"
 )
 
-// Analyzer is the bufreuse pass.
+// Analyzer is the bufreuse pass: the lending checker over lendRows.
 var Analyzer = &analysis.Analyzer{
 	Name: "bufreuse",
 	Doc:  "report writes to an origin buffer before its origin counter is waited on, on any path",
-	Run:  run,
+	Run:  func(pass *analysis.Pass) error { return run(pass, lendRows) },
 }
 
-// commOp describes one LAPI data-moving call: which arguments are origin
-// buffers and which is the origin counter.
-type commOp struct {
-	bufArgs []int
-	cntrArg int
+// PinAnalyzer is the rndvpin pass: the lending checker over pinRows.
+var PinAnalyzer = &analysis.Analyzer{
+	Name: "rndvpin",
+	Doc:  "report writes to a rendezvous-pinned origin buffer (nil origin counter) before its completion counter or a fence retires the pin",
+	Run:  func(pass *analysis.Pass) error { return run(pass, pinRows) },
 }
 
-var commOps = map[string]commOp{
-	"Put":        {bufArgs: []int{3}, cntrArg: 5},
-	"Get":        {bufArgs: []int{3}, cntrArg: 5},
-	"Amsend":     {bufArgs: []int{3, 4}, cntrArg: 6},
-	"PutStrided": {bufArgs: []int{4}, cntrArg: 6},
-	"GetStrided": {bufArgs: []int{4}, cntrArg: 6},
+// A row is one lapi.Task method's lending rule.
+type row struct {
+	method    string
+	bufs      []int // buffer argument indices
+	org, cmpl int   // origin- and completion-counter argument indices (-1: none)
+	// nilOrg selects the calls the row applies to: those whose origin
+	// counter is the nil literal, or else those whose origin counter
+	// resolves to a variable.
+	nilOrg bool
+	// retireCmpl: the completion counter retires the loan, else the
+	// origin counter.
+	retireCmpl bool
+	// msg formats a write report from buffer, method, line and counter;
+	// msgNoCntr from the first three when the retiring slot names no
+	// counter.
+	msg, msgNoCntr string
 }
 
-func run(pass *analysis.Pass) error {
+const (
+	lentMsg      = "origin buffer %s of %s (line %d) written before Waitcntr/Getcntr on its origin counter %s: the buffer belongs to LAPI until the origin counter fires (§2.3)"
+	pinMsg       = "origin buffer %s of nil-origin %s (line %d) written before Waitcntr/Getcntr on its completion counter %s: above the rendezvous crossover the buffer is pinned for zero-copy until the transfer drains (DESIGN.md §12)"
+	pinNoCntrMsg = "origin buffer %s of nil-origin %s (line %d) written with no counter to wait on: only Fence/Gfence can retire a rendezvous pin issued without counters (DESIGN.md §12)"
+)
+
+var lendRows = []row{
+	{method: "Put", bufs: []int{3}, org: 5, cmpl: 6, msg: lentMsg},
+	{method: "Get", bufs: []int{3}, org: 5, cmpl: -1, msg: lentMsg},
+	{method: "Amsend", bufs: []int{3, 4}, org: 6, cmpl: 7, msg: lentMsg},
+	{method: "PutStrided", bufs: []int{4}, org: 6, cmpl: 7, msg: lentMsg},
+	{method: "GetStrided", bufs: []int{4}, org: 6, cmpl: -1, msg: lentMsg},
+}
+
+var pinRows = []row{
+	{method: "Put", bufs: []int{3}, org: 5, cmpl: 6, nilOrg: true, retireCmpl: true, msg: pinMsg, msgNoCntr: pinNoCntrMsg},
+	{method: "PutStrided", bufs: []int{4}, org: 6, cmpl: 7, nilOrg: true, retireCmpl: true, msg: pinMsg, msgNoCntr: pinNoCntrMsg},
+}
+
+func run(pass *analysis.Pass, rows []row) error {
 	if pass.Lookup(analysis.LapiPath) == nil {
 		return nil
 	}
@@ -68,10 +112,10 @@ func run(pass *analysis.Pass) error {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					check(pass, n.Body)
+					check(pass, rows, n.Body)
 				}
 			case *ast.FuncLit:
-				check(pass, n.Body)
+				check(pass, rows, n.Body)
 			}
 			return true
 		})
@@ -79,28 +123,30 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func check(pass *analysis.Pass, body *ast.BlockStmt) {
+func check(pass *analysis.Pass, rows []row, body *ast.BlockStmt) {
 	g := cfg.New(body)
-	c := &checker{pass: pass}
+	c := &checker{pass: pass, rows: rows}
 	res := dataflow.Solve(g, c)
 	c.report = true
 	res.Walk(g, c)
 }
 
-// rec is one outstanding origin-buffer fact: buf was lent to op (at line)
-// until cntr fires.
+// rec is one outstanding loan: buf was lent by a call of row's method (at
+// line) until cntr fires; cntr is nil when the retiring slot named no
+// counter (then only a fence retires it).
 type rec struct {
 	buf  types.Object
 	cntr types.Object
-	op   string
+	row  *row
 	line int
 }
 
-// state is the may-set of outstanding records.
+// state is the may-set of outstanding loans.
 type state map[rec]bool
 
 type checker struct {
 	pass   *analysis.Pass
+	rows   []row
 	report bool
 }
 
@@ -155,8 +201,8 @@ func (c *checker) Transfer(n ast.Node, s state) state {
 	return s
 }
 
-// call handles one call expression: comm ops add records, wait ops retire
-// them, copy into a tracked buffer is a write.
+// call handles one call expression: a call matching a row lends its
+// buffers, wait ops retire loans, copy into a lent buffer is a write.
 func (c *checker) call(call *ast.CallExpr, s state) {
 	info := c.pass.Pkg.Info
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
@@ -171,20 +217,7 @@ func (c *checker) call(call *ast.CallExpr, s state) {
 	if fn == nil {
 		return
 	}
-	name := fn.Name()
 	switch {
-	case analysis.IsMethodOf(fn, analysis.LapiPath, "Task", "Put", "Get", "Amsend", "PutStrided", "GetStrided"):
-		op := commOps[name]
-		cntr := c.objectIfIdent(call.Args[op.cntrArg])
-		if cntr == nil {
-			return // nil or non-trivial counter expression: not tracked
-		}
-		for _, i := range op.bufArgs {
-			if buf := c.objectIfIdent(call.Args[i]); buf != nil {
-				pos := c.pass.Fset.Position(call.Pos())
-				s[rec{buf: buf, cntr: cntr, op: name, line: pos.Line}] = true
-			}
-		}
 	case analysis.IsMethodOf(fn, analysis.LapiPath, "Task", "Waitcntr", "Getcntr", "Setcntr"):
 		if len(call.Args) < 2 {
 			return
@@ -193,13 +226,42 @@ func (c *checker) call(call *ast.CallExpr, s state) {
 		for r := range s {
 			// An unresolvable counter expression may name any counter: retire
 			// everything rather than report around an opaque wait.
-			if cntr == nil || r.cntr == cntr {
+			if cntr == nil || (r.cntr != nil && r.cntr == cntr) {
 				delete(s, r)
 			}
 		}
 	case analysis.IsMethodOf(fn, analysis.LapiPath, "Task", "Fence", "Gfence", "Barrier", "Close"):
 		for r := range s {
 			delete(s, r)
+		}
+	case analysis.IsMethodOf(fn, analysis.LapiPath, "Task", fn.Name()):
+		// Any other lapi.Task method lends what its rows say.
+		for i := range c.rows {
+			if row := &c.rows[i]; row.method == fn.Name() {
+				c.lend(call, row, s)
+			}
+		}
+	}
+}
+
+// lend records the loans of one call that row applies to.
+func (c *checker) lend(call *ast.CallExpr, row *row, s state) {
+	if len(call.Args) <= max(row.org, row.cmpl) {
+		return
+	}
+	org := call.Args[row.org]
+	if row.nilOrg && !c.isNil(org) || !row.nilOrg && c.objectIfIdent(org) == nil {
+		return
+	}
+	slot := row.org
+	if row.retireCmpl {
+		slot = row.cmpl
+	}
+	cntr := c.objectIfIdent(call.Args[slot])
+	line := c.pass.Fset.Position(call.Pos()).Line
+	for _, i := range row.bufs {
+		if buf := c.objectIfIdent(call.Args[i]); buf != nil {
+			s[rec{buf: buf, cntr: cntr, row: row, line: line}] = true
 		}
 	}
 }
@@ -219,8 +281,8 @@ func (c *checker) assign(a *ast.AssignStmt, s state) {
 			if obj == nil || !tracked(s, obj) {
 				continue
 			}
-			// buf = append(buf, ...) may write the tracked backing array;
-			// any other rebinding just retires the tracked name.
+			// buf = append(buf, ...) may write the lent backing array; any
+			// other rebinding just retires the name's loans.
 			if c.appendsTo(a.Rhs, obj) {
 				c.reportWrite(a.Pos(), obj, s)
 			} else {
@@ -235,23 +297,12 @@ func (c *checker) assign(a *ast.AssignStmt, s state) {
 }
 
 // writeTarget resolves the base identifier of an index/slice expression if
-// its object is currently tracked on some path.
+// its object is currently lent on some path.
 func (c *checker) writeTarget(e ast.Expr, s state) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.Ident:
-			if obj := c.pass.Pkg.Info.ObjectOf(x); obj != nil && tracked(s, obj) {
-				return obj
-			}
-			return nil
-		default:
-			return nil
-		}
+	if obj := analysis.BaseObject(c.pass.Pkg.Info, e); obj != nil && tracked(s, obj) {
+		return obj
 	}
+	return nil
 }
 
 // appendsTo reports whether any rhs is append(obj, ...).
@@ -284,16 +335,22 @@ func tracked(s state, obj types.Object) bool {
 	return false
 }
 
-func (c *checker) objectIfIdent(e ast.Expr) types.Object {
+// isNil reports whether e is the untyped nil literal.
+func (c *checker) isNil(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "nil" {
-		return nil
+	if !ok {
+		return false
 	}
-	return c.pass.Pkg.Info.ObjectOf(id)
+	_, isNil := c.pass.Pkg.Info.Uses[id].(*types.Nil)
+	return isNil
+}
+
+func (c *checker) objectIfIdent(e ast.Expr) types.Object {
+	return analysis.IdentObject(c.pass.Pkg.Info, e)
 }
 
 // reportWrite emits one diagnostic for a write to a buffer outstanding on
-// some path. Several records may name the buffer (e.g. a Put in each
+// some path. Several loans may name the buffer (e.g. a Put in each
 // branch); the earliest is reported, deterministically.
 func (c *checker) reportWrite(pos token.Pos, obj types.Object, s state) {
 	if !c.report {
@@ -313,11 +370,22 @@ func (c *checker) reportWrite(pos token.Pos, obj types.Object, s state) {
 		if a.line != b.line {
 			return a.line < b.line
 		}
-		if a.op != b.op {
-			return a.op < b.op
+		if a.row.method != b.row.method {
+			return a.row.method < b.row.method
 		}
-		return a.cntr.Name() < b.cntr.Name()
+		return cntrName(a) < cntrName(b)
 	})
 	r := hits[0]
-	c.pass.Reportf(pos, "origin buffer %s of %s (line %d) written before Waitcntr/Getcntr on its origin counter %s: the buffer belongs to LAPI until the origin counter fires (§2.3)", obj.Name(), r.op, r.line, r.cntr.Name())
+	if r.cntr == nil {
+		c.pass.Reportf(pos, r.row.msgNoCntr, obj.Name(), r.row.method, r.line)
+		return
+	}
+	c.pass.Reportf(pos, r.row.msg, obj.Name(), r.row.method, r.line, r.cntr.Name())
+}
+
+func cntrName(r rec) string {
+	if r.cntr == nil {
+		return ""
+	}
+	return r.cntr.Name()
 }

@@ -11,3 +11,7 @@ import (
 func TestBufreuse(t *testing.T) {
 	analysistest.Run(t, filepath.Join("testdata", "src", "br"), bufreuse.Analyzer)
 }
+
+func TestRndvpin(t *testing.T) {
+	analysistest.Run(t, filepath.Join("testdata", "src", "rp"), bufreuse.PinAnalyzer)
+}

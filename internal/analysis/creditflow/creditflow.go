@@ -17,8 +17,9 @@
 // qualifies (mpi's getInMsg has no putter; tcpnet's pool trades []byte;
 // the collective put/get are multi-parameter RPCs).
 //
-// The pass is flow-sensitive over internal/analysis/cfg + dataflow and,
-// like buflifetime v3, interprocedural over internal/analysis/summary:
+// The pass is a protocol for the obligation engine
+// (internal/analysis/obligation), the one buflifetime also runs on, so it
+// is flow-sensitive and interprocedural over internal/analysis/summary:
 // a call to a helper whose summary Consumes the request (the gateway's
 // respond) discharges the credit, so respond-then-putReq is reported as a
 // double grant even though neither call is a base pool operation; a send
@@ -43,547 +44,47 @@
 package creditflow
 
 import (
+	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"golapi/internal/analysis"
-	"golapi/internal/analysis/cfg"
-	"golapi/internal/analysis/dataflow"
+	"golapi/internal/analysis/obligation"
 	"golapi/internal/analysis/summary"
 )
 
-// Analyzer is the creditflow pass (interprocedural + channel-aware).
-var Analyzer = &analysis.Analyzer{
-	Name: "creditflow",
-	Doc:  "every freelist request credit is discharged exactly once on every path: no drop, no double grant",
-	Run:  func(pass *analysis.Pass) error { return run(pass, true) },
-}
+// Analyzer is the creditflow pass (interprocedural + channel-aware);
+// Intraprocedural is the comparison baseline, with no callee summaries and
+// no channel handoffs. Intraprocedural is not registered in cmd/lapivet;
+// tests use it to prove which true positives need the interprocedural
+// machinery.
+var Analyzer, Intraprocedural = obligation.Analyzers(protocol,
+	"creditflow",
+	"every freelist request credit is discharged exactly once on every path: no drop, no double grant",
+	"creditflow without ownership summaries or channel handoffs (comparison baseline)")
 
-// Intraprocedural is the comparison baseline: no callee summaries, no
-// channel handoffs. Not registered in cmd/lapivet; tests use it to prove
-// which true positives need the interprocedural machinery.
-var Intraprocedural = &analysis.Analyzer{
-	Name: "creditflow-intra",
-	Doc:  "creditflow without ownership summaries or channel handoffs (comparison baseline)",
-	Run:  func(pass *analysis.Pass) error { return run(pass, false) },
-}
-
-func run(pass *analysis.Pass, interproc bool) error {
-	ops := NewRequestOps(pass)
-	if ops == nil {
+var protocol = &obligation.Protocol{
+	Ops: func(pass *analysis.Pass) summary.Ops {
+		if ops := NewRequestOps(pass); ops != nil {
+			return ops
+		}
 		return nil
-	}
-	r := &runner{pass: pass, ops: ops}
-	if interproc {
-		r.comp = summary.New(pass, ops)
-	}
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func); ok && ops.IsPool(fn) {
-				continue
-			}
-			r.check(fd)
-		}
-	}
-	return nil
-}
-
-type runner struct {
-	pass *analysis.Pass
-	ops  *RequestOps
-	comp *summary.Computer // nil in intraprocedural mode
-}
-
-func (r *runner) check(fd *ast.FuncDecl) {
-	info := r.pass.Pkg.Info
-	c := &checker{r: r, g: cfg.New(fd.Body), params: map[types.Object]bool{}}
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if obj := info.Defs[name]; obj != nil && r.ops.Tracks(obj.Type()) {
-				c.params[obj] = true
-			}
-		}
-	}
-	res := dataflow.Solve(c.g, c)
-	exit, reachable := res.Out(c.g, c.g.Exit, c)
-	c.report = true
-	res.Walk(c.g, c)
-	if reachable {
-		c.reportExit(exit)
-	}
-}
-
-// Discharge verbs; anything else is "<callee>()".
-const (
-	vPost = "PostArg"
-	vChan = "the channel send"
-)
-
-// fact is one possible status of a tracked request: held (pos = the
-// acquire site, or the parameter for entry facts) or discharged (pos =
-// the discharge site, verb = how).
-type fact struct {
-	obj      types.Object
-	released bool
-	verb     string
-	pos      token.Pos
-}
-
-type state map[fact]bool
-
-type checker struct {
-	r      *runner
-	g      *cfg.Graph
-	params map[types.Object]bool
-	report bool
-}
-
-func (c *checker) Entry() state {
-	s := state{}
-	if c.r.comp != nil {
-		// The parameter contract only means something when callers read it
-		// through summaries; the baseline mode does not track parameters.
-		for obj := range c.params {
-			s[fact{obj: obj, pos: obj.Pos()}] = true
-		}
-	}
-	return s
-}
-
-func (c *checker) Clone(s state) state {
-	n := make(state, len(s))
-	for f := range s {
-		n[f] = true
-	}
-	return n
-}
-
-func (c *checker) Merge(dst, src state) state {
-	for f := range src {
-		dst[f] = true
-	}
-	return dst
-}
-
-func (c *checker) Equal(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for f := range a {
-		if !b[f] {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *checker) Transfer(n ast.Node, s state) state {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		c.assign(n, s)
-	case *ast.ReturnStmt:
-		for _, res := range n.Results {
-			c.escapeExpr(res, s)
-		}
-	case *ast.SendStmt:
-		c.send(n, s)
-	case *ast.DeferStmt, *ast.GoStmt:
-		// Registration runs the call at an unknown distance; conservatively
-		// stop tracking everything mentioned (a deferred putReq replayed in
-		// the exit block then applies to an untracked object: silence).
-		c.escapeIdents(n, s)
-	case *ast.ExprStmt:
-		c.use(n.X, s)
-	case *ast.IncDecStmt:
-		c.use(n.X, s)
-	case *ast.DeclStmt:
-		ast.Inspect(n, func(m ast.Node) bool {
-			if vs, ok := m.(*ast.ValueSpec); ok {
-				for _, v := range vs.Values {
-					c.escapeExpr(v, s)
-				}
-				return false
-			}
-			return true
-		})
-	default:
-		if e, ok := n.(ast.Expr); ok {
-			c.use(e, s)
-		}
-	}
-	return s
-}
-
-// send: handing an owned request to another goroutine discharges the
-// credit (the receiver restates it); a discharged one is a double grant.
-func (c *checker) send(n *ast.SendStmt, s state) {
-	info := c.r.pass.Pkg.Info
-	c.use(n.Chan, s)
-	if c.r.comp != nil {
-		if obj := objectIfIdent(info, n.Value); obj != nil && hasFacts(s, obj) {
-			if rel, ok := releasedFact(s, obj); ok {
-				c.reportf(n.Pos(), "request %s handed off after %s already discharged its credit", obj.Name(), clause(rel, c.line(rel.pos)))
-			}
-			dropFacts(s, obj)
-			s[fact{obj: obj, released: true, verb: vChan, pos: n.Pos()}] = true
-			return
-		}
-	}
-	c.escapeExpr(n.Value, s)
-}
-
-func (c *checker) assign(a *ast.AssignStmt, s state) {
-	info := c.r.pass.Pkg.Info
-	if len(a.Rhs) == 0 {
-		// Synthesized range binding: request channels are drained by value;
-		// a receive from a transfer channel is a fresh credit.
-		if x, ok := c.g.RangeBind[a]; ok && c.r.comp != nil && len(a.Lhs) > 0 {
-			if ch := analysis.ObjectOf(info, x); ch != nil && c.r.comp.IsTransferChan(ch) {
-				if obj := objectIfIdent(info, a.Lhs[0]); obj != nil && c.r.ops.Tracks(obj.Type()) {
-					dropFacts(s, obj)
-					s[fact{obj: obj, pos: a.Pos()}] = true
-					return
-				}
-			}
-		}
-		for _, lhs := range a.Lhs {
-			if obj := objectIfIdent(info, lhs); obj != nil {
-				dropFacts(s, obj)
-			}
-		}
-		return
-	}
-	// Receives: v := <-ch / v, ok := <-ch.
-	if len(a.Rhs) == 1 {
-		if ue, ok := ast.Unparen(a.Rhs[0]).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-			for i, lhs := range a.Lhs {
-				obj := objectIfIdent(info, lhs)
-				if obj == nil {
-					continue
-				}
-				dropFacts(s, obj)
-				if i == 0 && c.r.comp != nil && c.r.ops.Tracks(obj.Type()) {
-					if ch := analysis.ObjectOf(info, ue.X); ch != nil && c.r.comp.IsTransferChan(ch) {
-						s[fact{obj: obj, pos: a.Pos()}] = true
-					}
-				}
-			}
-			return
-		}
-	}
-	paired := len(a.Lhs) == len(a.Rhs)
-	for i, lhs := range a.Lhs {
-		var rhs ast.Expr
-		if paired {
-			rhs = a.Rhs[i]
-		}
-		obj := objectIfIdent(info, lhs)
-		if obj == nil {
-			// Field/index/deref store: reading the base of a discharged
-			// request is a use-after; the stored value flows out of view.
-			c.use(lhs, s)
-			if rhs != nil {
-				c.escapeExpr(rhs, s)
-			}
-			continue
-		}
-		if rhs != nil {
-			if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-				if kind, _ := c.r.ops.Classify(info, call); kind == summary.OpAcquire {
-					for _, arg := range call.Args {
-						c.use(arg, s)
-					}
-					dropFacts(s, obj)
-					s[fact{obj: obj, pos: call.Pos()}] = true
-					continue
-				}
-			}
-			if mentions(info, rhs, obj) {
-				c.use(rhs, s)
-				continue
-			}
-			c.escapeExpr(rhs, s)
-		}
-		dropFacts(s, obj)
-	}
-	if !paired {
-		for _, rhs := range a.Rhs {
-			c.escapeExpr(rhs, s)
-		}
-	}
-}
-
-// use walks an expression. Call effects (consume, escape) are collected
-// first and applied after every argument has been scanned: Go evaluates
-// all arguments before the call runs, so `respond(req, uint64(req.prev))`
-// reads req.prev strictly before respond recycles req.
-func (c *checker) use(e ast.Expr, s state) {
-	if e == nil {
-		return
-	}
-	info := c.r.pass.Pkg.Info
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			c.escapeIdents(n, s)
-			return false
-		case *ast.CallExpr:
-			c.call(n, s)
-			return false
-		case *ast.Ident:
-			if obj := info.ObjectOf(n); obj != nil {
-				if rel, ok := releasedFact(s, obj); ok {
-					c.reportf(n.Pos(), "request %s used after %s: the freelist may already have handed it out again", obj.Name(), clause(rel, c.line(rel.pos)))
-				}
-			}
-		}
-		return true
-	})
-}
-
-// effect is one pending post-call state change for a tracked request.
-type effect struct {
-	obj     types.Object
-	consume bool // else escape
-	verb    string
-	pos     token.Pos
-}
-
-func (c *checker) call(call *ast.CallExpr, s state) {
-	info := c.r.pass.Pkg.Info
-
-	// Builtins and conversions only read their operands.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, ok := info.Uses[id].(*types.Builtin); ok {
-			for _, arg := range call.Args {
-				c.use(arg, s)
-			}
-			return
-		}
-	}
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		for _, arg := range call.Args {
-			c.use(arg, s)
-		}
-		return
-	}
-
-	var effects []effect
-	kind, argIdx := c.r.ops.Classify(info, call)
-	switch kind {
-	case summary.OpRelease, summary.OpTransfer:
-		for i, arg := range call.Args {
-			if i == argIdx {
-				if obj := objectIfIdent(info, arg); obj != nil {
-					verb := vPost
-					if kind == summary.OpRelease {
-						if fn := analysis.Callee(info, call); fn != nil {
-							verb = fn.Name() + "()"
-						}
-					}
-					if rel, ok := releasedFact(s, obj); ok {
-						c.reportf(call.Pos(), "request %s credit granted twice: %s, after %s already discharged it", obj.Name(), verb, clause(rel, c.line(rel.pos)))
-					}
-					effects = append(effects, effect{obj: obj, consume: true, verb: verb, pos: call.Pos()})
-					continue
-				}
-			}
-			c.use(arg, s)
-		}
-	case summary.OpAcquire:
-		// Result discarded: nothing acquired a name (the binding form is
-		// handled in assign).
-		for _, arg := range call.Args {
-			c.use(arg, s)
-		}
-	default:
-		var callee *types.Func
-		var sig *types.Signature
-		if c.r.comp != nil {
-			callee = analysis.Callee(info, call)
-			if callee != nil {
-				sig, _ = callee.Type().(*types.Signature)
-			}
-		}
-		for i, arg := range call.Args {
-			obj := objectIfIdent(info, arg)
-			if obj == nil || !hasFacts(s, obj) {
-				c.escapeExpr(arg, s)
-				continue
-			}
-			eff := summary.Escapes
-			if callee != nil && sig != nil && !(sig.Variadic() && i >= sig.Params().Len()-1) {
-				eff = c.r.comp.Effect(callee, i)
-			}
-			switch eff {
-			case summary.Borrows:
-				c.use(arg, s)
-			case summary.Consumes:
-				verb := callee.Name() + "()"
-				if rel, ok := releasedFact(s, obj); ok {
-					c.reportf(call.Pos(), "request %s passed to %s, which recycles it, after %s already discharged it", obj.Name(), callee.Name(), clause(rel, c.line(rel.pos)))
-				}
-				effects = append(effects, effect{obj: obj, consume: true, verb: verb, pos: call.Pos()})
-			default:
-				effects = append(effects, effect{obj: obj})
-			}
-		}
-	}
-	for _, ef := range effects {
-		dropFacts(s, ef.obj)
-		if ef.consume {
-			s[fact{obj: ef.obj, released: true, verb: ef.verb, pos: ef.pos}] = true
-		}
-	}
-}
-
-func (c *checker) escapeExpr(e ast.Expr, s state) {
-	if e == nil {
-		return
-	}
-	if obj := objectIfIdent(c.r.pass.Pkg.Info, e); obj != nil {
-		if rel, ok := releasedFact(s, obj); ok {
-			c.reportf(e.Pos(), "request %s used after %s: the freelist may already have handed it out again", obj.Name(), clause(rel, c.line(rel.pos)))
-		}
-		dropFacts(s, obj)
-		return
-	}
-	c.use(e, s)
-}
-
-func (c *checker) escapeIdents(n ast.Node, s state) {
-	info := c.r.pass.Pkg.Info
-	ast.Inspect(n, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok {
-			if obj := info.ObjectOf(id); obj != nil {
-				dropFacts(s, obj)
-			}
-		}
-		return true
-	})
-}
-
-// reportExit reports credits still owed when the function returns. A
-// locally-acquired request held on any path is a drop. A parameter is
-// reported only when the exit state is mixed — discharged on some paths,
-// held on others — since all-borrow and all-consume are both coherent
-// caller contracts.
-func (c *checker) reportExit(exit state) {
-	heldBy := map[types.Object]fact{}
-	released := map[types.Object]bool{}
-	for f := range exit {
-		if f.released {
-			released[f.obj] = true
-		} else if prev, ok := heldBy[f.obj]; !ok || f.pos < prev.pos {
-			heldBy[f.obj] = f
-		}
-	}
-	var owed []fact
-	for obj, f := range heldBy {
-		if c.params[obj] && !released[obj] {
-			continue // borrowed everywhere: the caller keeps the credit
-		}
-		owed = append(owed, f)
-	}
-	sort.Slice(owed, func(i, j int) bool { return owed[i].pos < owed[j].pos })
-	for _, f := range owed {
-		if c.params[f.obj] {
-			c.reportf(f.pos, "request %s discharged on some paths but still held on others: every path must respond, recycle, or hand it off", f.obj.Name())
-		} else {
-			c.reportf(f.pos, "request %s may drop its credit: not recycled or handed off on some path to return", f.obj.Name())
-		}
-	}
-}
-
-func (c *checker) reportf(pos token.Pos, format string, args ...any) {
-	if !c.report {
-		return
-	}
-	c.r.pass.Reportf(pos, format, args...)
-}
-
-func (c *checker) line(pos token.Pos) int {
-	return c.r.pass.Fset.Position(pos).Line
-}
-
-// clause phrases a prior discharge for report messages: "putReq() at line
-// 12", "respond() at line 12", "PostArg at line 12", "the channel send at
-// line 12".
-func clause(f fact, line int) string {
-	return f.verb + " at line " + itoa(line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// --- state helpers -------------------------------------------------------
-
-func releasedFact(s state, obj types.Object) (fact, bool) {
-	var best fact
-	found := false
-	for f := range s {
-		if f.obj == obj && f.released && (!found || f.pos < best.pos) {
-			best, found = f, true
-		}
-	}
-	return best, found
-}
-
-func hasFacts(s state, obj types.Object) bool {
-	for f := range s {
-		if f.obj == obj {
-			return true
-		}
-	}
-	return false
-}
-
-func dropFacts(s state, obj types.Object) {
-	for f := range s {
-		if f.obj == obj {
-			delete(s, f)
-		}
-	}
-}
-
-func mentions(info *types.Info, e ast.Expr, obj types.Object) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func objectIfIdent(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "nil" {
-		return nil
-	}
-	return info.ObjectOf(id)
+	},
+	Exempt:       func(ops summary.Ops, fn *types.Func) bool { return ops.(*RequestOps).IsPool(fn) },
+	Params:       true,
+	TransferVerb: "PostArg",
+	// "putReq() at line 12", "respond() at line 12", "PostArg at line 12",
+	// "the channel send at line 12".
+	Clause:        func(verb string, line int) string { return fmt.Sprintf("%s at line %d", verb, line) },
+	UseAfter:      "request %s used after %s: the freelist may already have handed it out again",
+	WriteAfter:    "request %s written after %s: the freelist may already have handed it out again",
+	SendAfter:     "request %s handed off after %s already discharged its credit",
+	ReleaseAfter:  "request %s credit granted twice: %s, after %s already discharged it",
+	TransferAfter: "request %s credit granted twice: %s, after %s already discharged it",
+	ConsumeAfter:  "request %s passed to %s, which recycles it, after %s already discharged it",
+	Leak:          "request %s may drop its credit: not recycled or handed off on some path to return",
+	Mixed:         "request %s discharged on some paths but still held on others: every path must respond, recycle, or hand it off",
 }
 
 // --- the inferred freelist protocol --------------------------------------

@@ -1,7 +1,9 @@
 // Package suite lists the lapivet pass suite in its canonical order — the
-// single source of truth shared by cmd/lapivet (the `make lint` gate) and
-// internal/bench (which times the suite so the cost of the summary layer
-// stays visible in BENCH_hotpath.json).
+// single source of truth shared by cmd/lapivet (the `make lint` gate), the
+// benchmark's lint_module workload (which times each pass over the module)
+// and `lapibench -exp lintgate` (the full-suite over load-only cost gate).
+// testdata/golden.json pins the suite's full output over every golden
+// package; TestSuiteGolden regenerates and diffs it.
 package suite
 
 import (
@@ -16,7 +18,6 @@ import (
 	"golapi/internal/analysis/handlerblock"
 	"golapi/internal/analysis/poollifetime"
 	"golapi/internal/analysis/racefree"
-	"golapi/internal/analysis/rndvpin"
 	"golapi/internal/analysis/shardshare"
 	"golapi/internal/analysis/simdeterminism"
 	"golapi/internal/analysis/teardownpath"
@@ -28,7 +29,7 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		handlerblock.Analyzer,
 		bufreuse.Analyzer,
-		rndvpin.Analyzer,
+		bufreuse.PinAnalyzer,
 		buflifetime.Analyzer,
 		counterproto.Analyzer,
 		creditflow.Analyzer,

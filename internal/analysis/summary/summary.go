@@ -339,7 +339,7 @@ func (p *sproblem) assign(a *ast.AssignStmt, s sstate) {
 		// variable is simply untracked; a rebound tracked parameter loses
 		// its identity (escape, conservatively).
 		for _, lhs := range a.Lhs {
-			if obj := objectOf(p.info, lhs); obj != nil {
+			if obj := analysis.IdentObject(p.info, lhs); obj != nil {
 				p.retire(obj, s)
 			}
 		}
@@ -350,7 +350,7 @@ func (p *sproblem) assign(a *ast.AssignStmt, s sstate) {
 		if paired {
 			rhs = a.Rhs[i]
 		}
-		obj := objectOf(p.info, lhs)
+		obj := analysis.IdentObject(p.info, lhs)
 		if obj == nil {
 			// Store into a field, index, or deref: the rhs flows out.
 			p.use(lhs, s)
@@ -374,12 +374,12 @@ func (p *sproblem) assign(a *ast.AssignStmt, s sstate) {
 				continue
 			}
 		}
-		if mentions(p.info, rhs, obj) {
+		if analysis.Mentions(p.info, rhs, obj) {
 			// b = b[:n], b = append(b, ...): same allocation, same facts.
 			p.use(rhs, s)
 			continue
 		}
-		if base := sliceBase(p.info, rhs); base != nil && s[base] != 0 {
+		if base := analysis.BaseObject(p.info, rhs); base != nil && s[base] != 0 {
 			// data := frame[k:]: an alias borrow — the base keeps the
 			// obligation, the new name is untracked.
 			p.retire(obj, s)
@@ -417,7 +417,7 @@ func (p *sproblem) isParam(obj types.Object) bool {
 
 func (p *sproblem) send(n *ast.SendStmt, s sstate) {
 	p.use(n.Chan, s)
-	obj := objectOf(p.info, n.Value)
+	obj := analysis.IdentObject(p.info, n.Value)
 	if obj != nil && s[obj]&held != 0 {
 		// Sending an owned resource transfers the obligation to the
 		// receiving loop — and marks the channel as a transfer point.
@@ -437,7 +437,7 @@ func (p *sproblem) send(n *ast.SendStmt, s sstate) {
 func (p *sproblem) deferStmt(n *ast.DeferStmt, s sstate) {
 	args := map[types.Object]bool{}
 	for _, a := range n.Call.Args {
-		if obj := objectOf(p.info, a); obj != nil {
+		if obj := analysis.IdentObject(p.info, a); obj != nil {
 			args[obj] = true
 		}
 	}
@@ -514,7 +514,7 @@ func (p *sproblem) call(call *ast.CallExpr, s sstate, skip map[ast.Node]bool) {
 		if argIdx < len(call.Args) {
 			arg := call.Args[argIdx]
 			skip[arg] = true
-			if obj := objectOf(p.info, arg); obj != nil && s[obj] != 0 {
+			if obj := analysis.IdentObject(p.info, arg); obj != nil && s[obj] != 0 {
 				s[obj] = (s[obj] &^ held) | consumed
 			}
 		}
@@ -534,7 +534,7 @@ func (p *sproblem) call(call *ast.CallExpr, s sstate, skip map[ast.Node]bool) {
 		sum, known = p.eng.mem.sums[callee]
 	}
 	for i, arg := range call.Args {
-		obj := objectOf(p.info, arg)
+		obj := analysis.IdentObject(p.info, arg)
 		if obj == nil || s[obj] == 0 {
 			continue
 		}
@@ -558,7 +558,7 @@ func (p *sproblem) escapeExpr(e ast.Expr, s sstate) {
 	if e == nil {
 		return
 	}
-	if obj := objectOf(p.info, e); obj != nil {
+	if obj := analysis.IdentObject(p.info, e); obj != nil {
 		if s[obj] != 0 {
 			s[obj] |= escaped
 		}
@@ -580,46 +580,4 @@ func (p *sproblem) escapeIdents(n ast.Node, s sstate) {
 		}
 		return true
 	})
-}
-
-// --- small shared helpers ------------------------------------------------
-
-func objectOf(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "nil" {
-		return nil
-	}
-	return info.ObjectOf(id)
-}
-
-// mentions reports whether e references obj anywhere.
-func mentions(info *types.Info, e ast.Expr, obj types.Object) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// sliceBase returns the base identifier's object when e is a (possibly
-// nested) slice or index of an identifier, else nil.
-func sliceBase(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.Ident:
-			return info.ObjectOf(x)
-		default:
-			return nil
-		}
-	}
 }

@@ -215,3 +215,46 @@ func RootsOfType(info *types.Info, want types.Type, n ast.Node) []ast.Expr {
 	}
 	return roots
 }
+
+// IdentObject returns the object a plain identifier denotes, or nil when e
+// is not an identifier or is the nil literal.
+func IdentObject(info *types.Info, e ast.Expr) types.Object {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok || id.Name == "nil" {
+		return nil
+	}
+	return info.ObjectOf(id)
+}
+
+// BaseObject returns the object of the identifier at the base of a
+// (possibly nested) slice or index expression, or of e itself when it is
+// an identifier; nil otherwise.
+func BaseObject(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.Ident:
+			return info.ObjectOf(x)
+		default:
+			return nil
+		}
+	}
+}
+
+// Mentions reports whether e references obj anywhere.
+func Mentions(info *types.Info, e ast.Expr, obj types.Object) bool {
+	if e == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && info.ObjectOf(id) == obj {
+			found = true
+		}
+		return !found
+	})
+	return found
+}

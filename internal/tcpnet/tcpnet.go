@@ -174,8 +174,18 @@ var _ fabric.Transport = (*Endpoint)(nil)
 // listen address. Each endpoint accepts connections from lower ranks and
 // dials higher ranks, then handshakes with a 4-byte rank exchange. All
 // endpoints must be constructed concurrently (their Dial calls
-// rendezvous).
+// rendezvous). Bring-up is bounded: a higher rank gives up dialing after
+// the dial-retry window, a lower rank that does not connect and say hello
+// within bringUpBudget fails the accept, and either way Dial returns an
+// error instead of waiting for a rank that is not coming.
 func Dial(rt *exec.RealRuntime, self, n int, addrs []string, maxPacket int) (*Endpoint, error) {
+	return dialWith(rt, self, n, addrs, maxPacket, bringUpBudget)
+}
+
+// dialWith is Dial with the bring-up budget exposed for tests: how long
+// this rank waits for its lower ranks to connect and say hello before the
+// mesh fails.
+func dialWith(rt *exec.RealRuntime, self, n int, addrs []string, maxPacket int, budget time.Duration) (*Endpoint, error) {
 	if maxPacket <= 0 {
 		maxPacket = DefaultMaxPacket
 	}
@@ -194,6 +204,12 @@ func Dial(rt *exec.RealRuntime, self, n int, addrs []string, maxPacket int) (*En
 		return nil, fmt.Errorf("tcpnet: rank %d listen: %w", self, err)
 	}
 	defer ln.Close()
+	// A lower rank that failed never connects: bound the accepts and the
+	// hello reads so this rank fails too instead of waiting for ever.
+	deadline := wallDeadline(budget)
+	if err := ln.(*net.TCPListener).SetDeadline(deadline); err != nil {
+		return nil, fmt.Errorf("tcpnet: rank %d listen: %w", self, err)
+	}
 
 	errs := make(chan error, n)
 	var wg sync.WaitGroup
@@ -208,14 +224,10 @@ func Dial(rt *exec.RealRuntime, self, n int, addrs []string, maxPacket int) (*En
 				errs <- err
 				return
 			}
-			var hello [4]byte
-			if _, err := io.ReadFull(c, hello[:]); err != nil {
+			peer, err := readHello(c, n, deadline)
+			if err != nil {
+				c.Close()
 				errs <- err
-				return
-			}
-			peer := int(binary.BigEndian.Uint32(hello[:]))
-			if peer < 0 || peer >= n {
-				errs <- fmt.Errorf("tcpnet: bad hello rank %d", peer)
 				return
 			}
 			e.mu.Lock()
@@ -248,6 +260,11 @@ func Dial(rt *exec.RealRuntime, self, n int, addrs []string, maxPacket int) (*En
 	wg.Wait()
 	select {
 	case err := <-errs:
+		for _, cn := range e.conns {
+			if cn != nil {
+				cn.c.Close()
+			}
+		}
 		return nil, fmt.Errorf("tcpnet: rank %d mesh: %w", self, err)
 	default:
 	}
@@ -264,17 +281,58 @@ func Dial(rt *exec.RealRuntime, self, n int, addrs []string, maxPacket int) (*En
 	return e, nil
 }
 
+// readHello reads a lower rank's 4-byte hello, waiting no later than
+// deadline, and returns the rank it names.
+func readHello(c net.Conn, n int, deadline time.Time) (int, error) {
+	var hello [4]byte
+	if err := c.SetReadDeadline(deadline); err != nil {
+		return 0, err
+	}
+	if _, err := io.ReadFull(c, hello[:]); err != nil {
+		return 0, err
+	}
+	peer := int(binary.BigEndian.Uint32(hello[:]))
+	if peer < 0 || peer >= n {
+		return 0, fmt.Errorf("tcpnet: bad hello rank %d", peer)
+	}
+	// readLoop blocks on this connection for as long as the mesh lives.
+	return peer, c.SetReadDeadline(time.Time{})
+}
+
 // Dial-retry policy during mesh bring-up. Peers start their listeners
 // concurrently, so early refusals are expected; backoff doubles from
 // dialRetryBase to dialRetryCap (exponential, capped) so a slow peer is
 // waited for without hammering the port, and dialRetryAttempts bounds the
-// total wait (~2.3 s with the defaults) so a peer that never comes up
-// turns into an error instead of an infinite retry loop.
+// total wait (~3.3 s of backoff with the defaults) so a peer that never
+// comes up turns into an error instead of an infinite retry loop.
 const (
 	dialRetryAttempts = 24
 	dialRetryBase     = 1 * time.Millisecond
 	dialRetryCap      = 200 * time.Millisecond
 )
+
+// bringUpBudget is how long an accepting rank waits for its lower ranks:
+// two of their dial-retry windows, so a live peer whose first dials were
+// refused still connects in time, and one that failed fails this rank
+// within seconds.
+var bringUpBudget = 2 * retryWindow(dialRetryAttempts, dialRetryBase, dialRetryCap)
+
+// Mesh bring-up is the one place the transport reads the wall clock: it
+// runs on raw goroutines before any activity exists, and the TCP transport
+// never runs simulated. The ignore on the first helper's line also covers
+// the second's.
+func wallSleep(d time.Duration)              { time.Sleep(d) } //lapivet:ignore simdeterminism bring-up backoff and deadlines are wall-clock; the TCP transport never runs simulated
+func wallDeadline(d time.Duration) time.Time { return time.Now().Add(d) }
+
+// retryWindow is the total backoff dialRetryWith sleeps before giving up.
+func retryWindow(attempts int, base, cap time.Duration) time.Duration {
+	var total time.Duration
+	for i, b := 0, base; i < attempts-1; i++ {
+		total += b
+		b = min(2*b, cap)
+	}
+	return total
+}
 
 func dialRetry(addr string) (net.Conn, error) {
 	return dialRetryWith(addr, dialRetryAttempts, dialRetryBase, dialRetryCap)
@@ -293,9 +351,7 @@ func dialRetryWith(addr string, attempts int, base, cap time.Duration) (net.Conn
 		if i == attempts-1 {
 			break // don't sleep after the final attempt
 		}
-		// Dial-retry backoff during mesh bring-up: runs on a raw goroutine
-		// before any activity exists, and the transport is real-TCP only.
-		time.Sleep(backoff) //lapivet:ignore simdeterminism dial backoff predates the runtime; TCP transport never runs simulated
+		wallSleep(backoff)
 		backoff *= 2
 		if backoff > cap {
 			backoff = cap
