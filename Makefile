@@ -96,7 +96,7 @@ lint-json:
 # simulator's microbenchmarks, and the lint-cost ratio, whose record is
 # BENCH_hotpath.json (fails above 3.5x the load-only time).
 bench:
-	$(GO) test -run 'AllocBudget|DoesNotAllocate' ./internal/sim/ ./internal/lapi/ ./internal/tcpnet/ ./internal/gateway/
+	$(GO) test -run 'AllocBudget|DoesNotAllocate' ./internal/sim/ ./internal/switchnet/ ./internal/lapi/ ./internal/tcpnet/ ./internal/gateway/
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/
 	$(GO) run ./cmd/lapibench -exp lintgate > BENCH_hotpath.json
 

@@ -29,8 +29,9 @@
 //     a buffer already released, sent, or consumed by a callee.
 //
 // Calls into io and encoding/binary and the fabric framing helpers only
-// borrow. Transports whose Contract() does not set PooledSend (switchnet)
-// are exempt: their Alloc is plain make and Release a no-op.
+// borrow. Transports whose Contract() does not set PooledSend are exempt:
+// their Alloc is plain make and Release a no-op. Both of the module's
+// transports, tcpnet and the simulated switch, pool.
 //
 // The v2 intraprocedural/single-goroutine mode survives as the
 // Intraprocedural analyzer, used by tests to prove which findings need

@@ -180,9 +180,23 @@ func aliasBorrowLeak(tr fabric.Transport, bad bool) {
 	tr.Release(b)
 }
 
-// unpooledExempt: switchnet's Contract has no PooledSend, so its Alloc is
-// plain make and dropping the buffer is fine.
-func unpooledExempt(a *switchnet.Adapter) {
+// switchLeak: the simulated switch pools its buffers (PooledSend), so a
+// dropped one is a leak there too.
+func switchLeak(a *switchnet.Adapter) {
+	b := a.Alloc(64) // want `pooled transport buffer b may leak`
+	b[0] = 1
+}
+
+// unpooled is a transport whose Contract sets no PooledSend: its Alloc is
+// plain make and its Release a no-op.
+type unpooled struct{ fabric.Transport }
+
+func (unpooled) Alloc(n int) []byte { return make([]byte, n) }
+
+func (unpooled) Contract() fabric.Contract { return fabric.Contract{} }
+
+// unpooledExempt: dropping an unpooled transport's buffer is fine.
+func unpooledExempt(a unpooled) {
 	b := a.Alloc(64)
 	b[0] = 1
 }

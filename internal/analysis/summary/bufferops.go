@@ -104,8 +104,9 @@ func (o *BufferOps) implementsTransport(recv types.Type) bool {
 // Interface receivers are assumed pooled (the honest default: the Contract
 // documents Release as mandatory on pooled transports and a no-op
 // otherwise). For a concrete type the Contract method body is inspected
-// for a PooledSend: true composite-literal field; switchnet's Adapter
-// returns the zero Contract and is exempt.
+// for a PooledSend: true composite-literal field; a transport whose
+// Contract leaves it unset is exempt (both of the module's transports,
+// tcpnet's Endpoint and switchnet's Adapter, set it).
 func (o *BufferOps) pooledSend(recv types.Type) bool {
 	if types.IsInterface(recv) {
 		return true

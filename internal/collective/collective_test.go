@@ -377,7 +377,7 @@ func TestCollectiveTraceAndStats(t *testing.T) {
 			return
 		}
 		if c.Rank() == 0 {
-			for _, name := range []string{stats.CollCalls, stats.CollRingSteps, stats.CollRingBytes, stats.CollRDSteps, stats.CollRDBytes, stats.CollBarrierSteps} {
+			for _, name := range []stats.Name{stats.CollCalls, stats.CollRingSteps, stats.CollRingBytes, stats.CollRDSteps, stats.CollRDBytes, stats.CollBarrierSteps} {
 				if tk.Counters.Get(name) == 0 {
 					t.Errorf("stat %s did not advance", name)
 				}

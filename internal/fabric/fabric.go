@@ -20,9 +20,9 @@ type Contract struct {
 	// until the receiver calls Release, after which the memory may back a
 	// future frame. Receivers that need the bytes longer must copy before
 	// releasing. When false, delivered slices are immutable history the
-	// transport may still alias (e.g. the simulated switch keeps them for
-	// retransmission) — never write to or recycle them, but retaining
-	// references is safe.
+	// transport may still alias (say, for retransmission) — never write to
+	// or recycle them, but retaining references is safe. Both transports
+	// here (tcpnet and the simulated switch) pool delivery.
 	PooledDelivery bool
 	// PooledSend means buffers obtained from Alloc are recycled by the
 	// transport once written to the wire, so a steady-state sender

@@ -10,6 +10,7 @@ import (
 	"golapi/internal/cluster"
 	"golapi/internal/exec"
 	"golapi/internal/mpi"
+	"golapi/internal/stats"
 	"golapi/internal/switchnet"
 )
 
@@ -197,7 +198,7 @@ func TestUnexpectedThenPosted(t *testing.T) {
 			if string(buf[:st.Len]) != "early bird" {
 				t.Errorf("got %q", buf[:st.Len])
 			}
-			copies = mt.Counters.Get("unexpected_msgs")
+			copies = mt.Counters.Get(stats.UnexpectedMsgs)
 			mt.Barrier(ctx)
 		}
 	})
@@ -217,7 +218,7 @@ func TestEagerLimitSwitchesProtocol(t *testing.T) {
 			buf := make([]byte, 8192)
 			mt.Recv(ctx, 0, 1, buf)
 			mt.Recv(ctx, 0, 2, buf)
-			if rts := mt.Counters.Get("rendezvous_rts"); rts != 1 {
+			if rts := mt.Counters.Get(stats.RendezvousRTS); rts != 1 {
 				t.Errorf("rendezvous count = %d, want 1", rts)
 			}
 			mt.Barrier(ctx)
@@ -407,7 +408,7 @@ func TestAllRendezvousEagerLimitZero(t *testing.T) {
 			if small[0] != 42 {
 				t.Errorf("rendezvous 1-byte message = %d", small[0])
 			}
-			if rts := mt.Counters.Get("rendezvous_rts"); rts != 2 {
+			if rts := mt.Counters.Get(stats.RendezvousRTS); rts != 2 {
 				t.Errorf("rendezvous count = %d, want 2", rts)
 			}
 			mt.Barrier(ctx)

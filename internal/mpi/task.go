@@ -272,7 +272,7 @@ func (t *Task) handleEager(ctx exec.Context, src int, h wireHeader, payload []by
 
 func (t *Task) handleRts(ctx exec.Context, src int, h wireHeader) {
 	t.getInMsg(src, h, mtRts)
-	t.Counters.Add("rendezvous_rts", 1)
+	t.Counters.Add(stats.RendezvousRTS, 1)
 	t.advanceMatching(ctx, src)
 }
 
@@ -303,7 +303,7 @@ func (t *Task) matchEligible(ctx exec.Context, im *inMsg) {
 		}
 	}
 	t.unexpected = append(t.unexpected, im)
-	t.Counters.Add("unexpected_msgs", 1)
+	t.Counters.Add(stats.UnexpectedMsgs, 1)
 }
 
 // bind attaches a message to a receive request and advances the protocol.
@@ -323,7 +323,7 @@ func (t *Task) bind(ctx exec.Context, im *inMsg, req *Request) {
 		req = &Request{task: t, buf: make([]byte, im.total)} // sink
 	}
 	im.matched = req
-	t.Counters.Add("matches", 1)
+	t.Counters.Add(stats.Matches, 1)
 	switch im.kind {
 	case mtEager:
 		if im.recvd >= im.total {

@@ -38,15 +38,15 @@ import (
 	"golapi/internal/stats"
 )
 
-// Export is one cross-shard event: a closure that must run at absolute
-// virtual time At on the engine of shard Shard. Producers (e.g. a sharded
-// switchnet fabric) accumulate these in per-shard outboxes while their
-// engine runs an epoch; RunEpochs drains and re-schedules them at the
-// barrier.
+// Export is one cross-shard event: a sim.Handler that must fire at
+// absolute virtual time At on the engine of shard Shard. Producers (e.g. a
+// sharded switchnet fabric) accumulate these in per-shard outboxes while
+// their engine runs an epoch; RunEpochs drains and re-schedules them at
+// the barrier.
 type Export struct {
 	At    sim.Time
 	Shard int // destination shard index
-	Fn    func()
+	H     sim.Handler
 }
 
 // Hooks customises RunEpochs' barrier. TakeOutbox is required; the rest
@@ -164,7 +164,7 @@ func RunEpochs(x *Executor, engines []*sim.Engine, lookahead sim.Time, h Hooks) 
 		}
 		sort.SliceStable(imports, func(i, j int) bool { return imports[i].At < imports[j].At })
 		for _, ev := range imports {
-			engines[ev.Shard].ScheduleAt(ev.At, ev.Fn)
+			engines[ev.Shard].ScheduleHandlerAt(ev.At, ev.H)
 		}
 		if h.Stats != nil {
 			h.Stats.Add(stats.EpochBarriers, 1)

@@ -31,7 +31,7 @@ func newPingPong(n int, L sim.Time) *pingPong {
 		}
 		next := 1 - shard
 		at := p.engines[shard].Now() + L
-		p.outbox[shard] = append(p.outbox[shard], Export{At: at, Shard: next, Fn: func() { hop(next) }})
+		p.outbox[shard] = append(p.outbox[shard], Export{At: at, Shard: next, H: sim.HandlerFunc(func() { hop(next) })})
 	}
 	p.engines[0].Schedule(0, func() { hop(0) })
 	return p

@@ -69,7 +69,7 @@ func (m *burstMesh) fire(s int, id string, hops int) {
 	}
 	next := (s + 1) % len(m.engines)
 	at := now + burstLookahead + sim.Time(len(id)%3)
-	m.outbox[s] = append(m.outbox[s], Export{At: at, Shard: next, Fn: func() { m.fire(next, id+">", hops-1) }})
+	m.outbox[s] = append(m.outbox[s], Export{At: at, Shard: next, H: sim.HandlerFunc(func() { m.fire(next, id+">", hops-1) })})
 }
 
 func (m *burstMesh) take(s int) []Export {
@@ -126,7 +126,7 @@ func runEpochsFanningOutEveryEpoch(x *Executor, engines []*sim.Engine, lookahead
 		}
 		sort.SliceStable(imports, func(i, j int) bool { return imports[i].At < imports[j].At })
 		for _, ev := range imports {
-			engines[ev.Shard].ScheduleAt(ev.At, ev.Fn)
+			engines[ev.Shard].ScheduleHandlerAt(ev.At, ev.H)
 		}
 		h.Stats.Add(stats.EpochBarriers, 1)
 		h.Stats.Add(stats.EpochImports, int64(len(imports)))
@@ -159,7 +159,7 @@ func TestMixedInlineAndFannedEpochsMatchAlwaysFanOut(t *testing.T) {
 			t.Fatalf("merged trace differs at %d: %v, reference %v", i, have[i], want[i])
 		}
 	}
-	keys := []string{stats.EpochBarriers, stats.EpochImports}
+	keys := []stats.Name{stats.EpochBarriers, stats.EpochImports}
 	for s := 0; s < shards; s++ {
 		keys = append(keys, stats.ShardEpochs(s))
 	}

@@ -62,15 +62,38 @@ func (t Time) String() string {
 	return time.Duration(t).String()
 }
 
+// Handler is an event that carries its own state. A pointer type whose
+// Fire method does the work is stored in the queue as it is, so scheduling
+// one allocates nothing — unlike a closure, which must capture its state
+// on the heap. Protocol code that schedules an event per packet converts
+// its per-packet record to a small handler type (a zero-cost pointer
+// conversion) instead of building a closure for each one.
+type Handler interface{ Fire() }
+
+// HandlerFunc adapts an ordinary function to a Handler; Schedule and
+// ScheduleAt store their callbacks this way. A func value is
+// pointer-shaped, so the conversion allocates nothing.
+type HandlerFunc func()
+
+// Fire calls f.
+func (f HandlerFunc) Fire() { f() }
+
+// wakeup is a process wake-up as a Handler: dispatch recognises it and
+// resumes the process instead of calling Fire, so the scheduler's own
+// bookkeeping never allocates.
+type wakeup Proc
+
+// Fire is never called; see wakeup.
+func (w *wakeup) Fire() {}
+
 // event is a scheduled callback, stored by value. Events with equal time
 // fire in scheduling order (seq breaks ties), which is what makes runs
-// deterministic. A process wakeup is stored as proc directly rather than as
-// a closure, so the scheduler's own bookkeeping never allocates.
+// deterministic. Every payload is a Handler — a callback as a HandlerFunc,
+// a process wake-up as a wakeup — so an event is three words.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	proc *Proc // when non-nil, fire by resuming this process; fn is nil
+	at  Time
+	seq uint64
+	h   Handler
 }
 
 // timerEntry is one future event in the timer heap: the ordering key plus
@@ -93,8 +116,7 @@ func entryLess(a, b *timerEntry) bool {
 // index from the heap. Slots are recycled through a free list, so steady
 // state schedules allocate nothing.
 type timerSlot struct {
-	fn   func()
-	proc *Proc
+	h Handler
 }
 
 // Engine is a discrete-event scheduler; create one with NewEngine.
@@ -102,10 +124,11 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// timers is a 4-ary min-heap (by (at, seq)) of events strictly in the
-	// future. 4-ary rather than binary: shallower trees mean fewer swaps
-	// per push/pop, and the 4 children share cache lines. Payloads live in
-	// slots; freeSlots recycles vacated indices.
+	// timers is a 4-ary min-heap (by (at, seq)) of events in the future,
+	// plus any reserved-seq event queued for the current instant
+	// (ScheduleReserved). 4-ary rather than binary: shallower trees mean
+	// fewer swaps per push/pop, and the 4 children share cache lines.
+	// Payloads live in slots; freeSlots recycles vacated indices.
 	timers    []timerEntry
 	slots     []timerSlot
 	freeSlots []int32
@@ -143,17 +166,22 @@ func (e *Engine) Schedule(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+Time(d), fn, nil)
+	e.schedule(e.now+Time(d), HandlerFunc(fn))
 }
 
 // schedule enqueues one event. Current-instant events go to the due FIFO;
 // future events go to the timer heap.
-func (e *Engine) schedule(at Time, fn func(), p *Proc) {
+func (e *Engine) schedule(at Time, h Handler) {
 	e.seq++
 	if at == e.now {
-		e.due = append(e.due, event{at: at, seq: e.seq, fn: fn, proc: p})
+		e.due = append(e.due, event{at: at, seq: e.seq, h: h})
 		return
 	}
+	e.pushTimer(at, e.seq, h)
+}
+
+// pushTimer puts one event on the timer heap under the key (at, seq).
+func (e *Engine) pushTimer(at Time, seq uint64, h Handler) {
 	var slot int32
 	if n := len(e.freeSlots); n > 0 {
 		slot = e.freeSlots[n-1]
@@ -162,8 +190,8 @@ func (e *Engine) schedule(at Time, fn func(), p *Proc) {
 		slot = int32(len(e.slots))
 		e.slots = append(e.slots, timerSlot{})
 	}
-	e.slots[slot] = timerSlot{fn: fn, proc: p}
-	e.push(timerEntry{at: at, seq: e.seq, slot: slot})
+	e.slots[slot] = timerSlot{h: h}
+	e.push(timerEntry{at: at, seq: seq, slot: slot})
 }
 
 // ScheduleAt arranges for fn to run at the absolute virtual time at, which
@@ -177,7 +205,42 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%v) is in the past (now %v)", at, e.now))
 	}
-	e.schedule(at, fn, nil)
+	e.schedule(at, HandlerFunc(fn))
+}
+
+// ScheduleHandlerAt is ScheduleAt for a Handler: h.Fire runs at the
+// absolute virtual time at, which must not be in the past.
+func (e *Engine) ScheduleHandlerAt(at Time, h Handler) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: ScheduleHandlerAt(%v) is in the past (now %v)", at, e.now))
+	}
+	e.schedule(at, h)
+}
+
+// ReserveSeq consumes one sequence number exactly as scheduling an event
+// would, without queueing anything, and returns it. Together with
+// ScheduleReserved it lets a caller decide later — or never — to queue an
+// event that keeps the (at, seq) key it would have had if scheduled now,
+// so every other event's key, and with it the firing order, is the same
+// whether or not the reserved event is ever queued.
+func (e *Engine) ReserveSeq() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// ScheduleReserved queues h under the key (at, seq), where seq came from
+// ReserveSeq and at is not in the past. The event fires where that key
+// sorts among all pending events — before a current-instant event
+// scheduled after the reservation, for example — so it always goes to the
+// timer heap, never the due FIFO (whose entries must stay in seq order).
+func (e *Engine) ScheduleReserved(at Time, seq uint64, h Handler) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: ScheduleReserved(%v) is in the past (now %v)", at, e.now))
+	}
+	if seq == 0 || seq > e.seq {
+		panic(fmt.Sprintf("sim: ScheduleReserved with unreserved seq %d", seq))
+	}
+	e.pushTimer(at, seq, h)
 }
 
 // NextAt returns the timestamp of the earliest pending event, if any. A
@@ -201,7 +264,7 @@ func (e *Engine) scheduleProc(d Duration, p *Proc) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+Time(d), nil, p)
+	e.schedule(e.now+Time(d), (*wakeup)(p))
 }
 
 // pending reports the number of queued events.
@@ -254,8 +317,8 @@ func (e *Engine) popTimer() event {
 	}
 	e.timers = h
 	s := &e.slots[top.slot]
-	ev := event{at: top.at, seq: top.seq, fn: s.fn, proc: s.proc}
-	*s = timerSlot{} // release fn/proc references
+	ev := event{at: top.at, seq: top.seq, h: s.h}
+	*s = timerSlot{} // release payload references
 	e.freeSlots = append(e.freeSlots, top.slot)
 	return ev
 }
@@ -264,7 +327,7 @@ func (e *Engine) popTimer() event {
 // checked is non-empty. The backing array is recycled once drained.
 func (e *Engine) popDue() event {
 	ev := e.due[e.dueHead]
-	e.due[e.dueHead] = event{} // release fn/proc references
+	e.due[e.dueHead] = event{} // release payload references
 	e.dueHead++
 	if e.dueHead == len(e.due) {
 		e.due = e.due[:0]
@@ -316,8 +379,8 @@ func (e *Engine) dispatch() *Proc {
 		case e.dueHead < len(e.due):
 			// Due entries sit at the current instant, so they are never
 			// later than the heap minimum; at the same instant the smaller
-			// seq — necessarily the heap's, scheduled strictly earlier —
-			// fires first.
+			// seq — necessarily the heap's, scheduled or reserved strictly
+			// earlier — fires first.
 			d := &e.due[e.dueHead]
 			if d.at > e.deadline {
 				return nil
@@ -340,10 +403,10 @@ func (e *Engine) dispatch() *Proc {
 			panic("sim: event scheduled in the past")
 		}
 		e.now = ev.at
-		if ev.proc == nil {
-			ev.fn()
-		} else if !ev.proc.done {
-			return ev.proc
+		if w, ok := ev.h.(*wakeup); !ok {
+			ev.h.Fire()
+		} else if p := (*Proc)(w); !p.done {
+			return p
 		}
 	}
 }

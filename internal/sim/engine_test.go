@@ -344,3 +344,72 @@ func TestNextAt(t *testing.T) {
 		t.Fatal("drained engine reported a pending event")
 	}
 }
+
+// logHandler is a Handler that appends its id to a shared log.
+type logHandler struct {
+	id  int
+	log *[]int
+}
+
+func (h *logHandler) Fire() { *h.log = append(*h.log, h.id) }
+
+// TestHandlerEventsInterleaveWithCallbacks: handlers and closures share one
+// (at, seq) order, on the timer heap and in the due FIFO alike.
+func TestHandlerEventsInterleaveWithCallbacks(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	e.ScheduleHandlerAt(10, &logHandler{1, &order})
+	e.ScheduleAt(10, func() {
+		order = append(order, 2)
+		e.ScheduleHandlerAt(10, &logHandler{4, &order})
+	})
+	e.ScheduleHandlerAt(10, &logHandler{3, &order})
+	e.ScheduleHandlerAt(5, &logHandler{0, &order})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 1, 2, 3, 4}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestScheduleReservedKeepsKey: an event queued late under a reserved seq
+// fires exactly where it would have had it been scheduled at reservation
+// time — including at the current instant, ahead of due-FIFO events
+// scheduled after the reservation.
+func TestScheduleReservedKeepsKey(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	var r1, r2 uint64
+	e.ScheduleAt(10, func() {
+		order = append(order, 1)
+		e.Schedule(0, func() { order = append(order, 4) })
+		e.ScheduleReserved(10, r1, &logHandler{2, &order})
+	})
+	r1 = e.ReserveSeq()
+	e.ScheduleAt(10, func() { order = append(order, 3) })
+	r2 = e.ReserveSeq()
+	e.ScheduleAt(20, func() { order = append(order, 6) })
+	e.ScheduleAt(15, func() { e.ScheduleReserved(20, r2, &logHandler{5, &order}) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{1, 2, 3, 4, 5, 6}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	if e.Now() != 20 {
+		t.Fatalf("Now = %v, want 20", e.Now())
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"golapi/internal/parallel"
 	"golapi/internal/sim"
+	"golapi/internal/stats"
 )
 
 // TestShardedUngated pins the post-gate contract: configs with interior
@@ -288,5 +289,69 @@ func TestFatTreeSerialContention(t *testing.T) {
 	mixed := arrivals([][2]int{{0, 2}, {4, 6}, {1, 0}})
 	if mixed[0] != intra[1] {
 		t.Errorf("intra-leaf arrival %v shifted by unrelated root contention (want %v)", mixed[0], intra[1])
+	}
+}
+
+// TestShardedPoolRecyclesAcrossShards streams pooled 1 KB packets between
+// the two halves of a sharded switch, so one shard's adapters Release
+// buffers the other's Alloc, under drops and reordering (retransmitted
+// copies of recycled buffers). Every delivery must carry exactly the bytes
+// its sender wrote, and every packet must arrive once; under -race the
+// epochs busy enough to fan out exercise the shared free list from two
+// workers at once.
+func TestShardedPoolRecyclesAcrossShards(t *testing.T) {
+	const n, msgs = 64, 100
+	cfg := DefaultConfig()
+	cfg.DropEvery, cfg.ReorderEvery = 7, 5
+	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	sw, err := NewSharded(engines, n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(b []byte, src, m int) {
+		for i := range b {
+			b[i] = byte(src*31 + m*7 + i)
+		}
+	}
+	got := make([]int, n)
+	for i := 0; i < n; i++ {
+		ad := sw.Endpoint(i)
+		want := make([]byte, 1024)
+		ad.SetDeliver(func(src int, data []byte) {
+			m := int(data[0]) | int(data[1])<<8
+			fill(want, src, m)
+			if string(data[2:]) != string(want[2:]) {
+				t.Errorf("rank %d: packet %d from %d corrupted", ad.rank, m, src)
+			}
+			got[ad.rank]++
+			ad.Release(data)
+		})
+	}
+	for i := 0; i < n; i++ {
+		ad := sw.Endpoint(i)
+		dst := (i + n/2) % n
+		ad.eng.Schedule(0, func() {
+			for m := 0; m < msgs; m++ {
+				b := ad.Alloc(1024)
+				fill(b, ad.rank, m)
+				b[0], b[1] = byte(m), byte(m>>8)
+				ad.Send(nil, dst, b, nil)
+			}
+		})
+	}
+	err = parallel.RunEpochs(parallel.New(2), engines, sw.Lookahead(), parallel.Hooks{
+		TakeOutbox: sw.TakeOutbox,
+		Barrier:    sw.ResolveSpine,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, c := range got {
+		if c != msgs {
+			t.Errorf("rank %d received %d packets, want %d", r, c, msgs)
+		}
+	}
+	if sw.Counters.Get(stats.Retransmits) == 0 {
+		t.Error("no retransmissions: the duplicate path went untested")
 	}
 }

@@ -26,6 +26,7 @@ package switchnet
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"golapi/internal/exec"
@@ -187,6 +188,53 @@ type Switch struct {
 	resolverArmed bool
 	// reqScratch is the barrier arbitration's reusable merge buffer.
 	reqScratch []spineReq
+	// pool recycles packet buffers between every adapter's Alloc and
+	// Release (Contract: PooledSend, PooledDelivery).
+	pool bufPool
+}
+
+// poolBytes bounds the memory a switch's free list keeps for reuse. A
+// sender Allocs every packet of an eager message at once (Send never
+// blocks) and receivers Release them as they drain, so the list must hold
+// the largest burst a run repeats — the paper's biggest eager transfer, 2
+// MB, is 2 048 one-KB packets — or each repetition allocates afresh; past
+// that, a one-off burst should go back to the garbage collector rather
+// than stay pinned for the rest of the run.
+const poolBytes = 4 << 20
+
+// bufPool is a switch's free list of PacketBytes-capacity packet buffers.
+// One list per switch, not per adapter, so that a one-directional stream —
+// the sender Allocs, a different adapter Releases — still recycles; the
+// mutex makes it safe for the shards of a sharded switch, whose adapters
+// Alloc and Release on different goroutines.
+type bufPool struct {
+	mu   sync.Mutex
+	free [][]byte
+	max  int // poolBytes / PacketBytes, at least 1
+}
+
+// get returns a buffer of length and capacity size, recycled when one is
+// free. Its contents are whatever its last user left.
+func (bp *bufPool) get(size int) []byte {
+	bp.mu.Lock()
+	if n := len(bp.free); n > 0 {
+		b := bp.free[n-1]
+		bp.free[n-1] = nil
+		bp.free = bp.free[:n-1]
+		bp.mu.Unlock()
+		return b
+	}
+	bp.mu.Unlock()
+	return make([]byte, size)
+}
+
+// put returns b, a buffer from get, to the free list unless it is full.
+func (bp *bufPool) put(b []byte) {
+	bp.mu.Lock()
+	if len(bp.free) < bp.max {
+		bp.free = append(bp.free, b)
+	}
+	bp.mu.Unlock()
 }
 
 // shardSlot is one partition of a sharded switch.
@@ -207,10 +255,10 @@ type spineReq struct {
 	at    sim.Time // transmit execution time: the arbitration key
 	src   int
 	dst   *Adapter
-	ready sim.Time // egress drain: earliest interior entry
-	wire  sim.Time // link occupancy of this packet
-	extra sim.Time // deterministic reorder delay, applied after the interior
-	fn    func()   // the arrival, scheduled on dst's engine once resolved
+	ready sim.Time    // egress drain: earliest interior entry
+	wire  sim.Time    // link occupancy of this packet
+	extra sim.Time    // deterministic reorder delay, applied after the interior
+	h     sim.Handler // the arrival, scheduled on dst's engine once resolved
 }
 
 // New builds a switch with n endpoints on eng.
@@ -252,6 +300,7 @@ func NewSharded(engines []*sim.Engine, n int, cfg Config) (*Switch, error) {
 		cfg.ReorderDelayPackets = 2
 	}
 	s := &Switch{cfg: cfg, shards: make([]shardSlot, shards)}
+	s.pool.max = max(1, poolBytes/cfg.PacketBytes)
 	lookahead, laErr := cfg.shardLookahead()
 	if shards > 1 {
 		if laErr != nil {
@@ -278,16 +327,10 @@ func NewSharded(engines []*sim.Engine, n int, cfg Config) (*Switch, error) {
 	for i := range s.adapters {
 		shard := i * shards / n
 		s.adapters[i] = &Adapter{
-			sw:      s,
-			rank:    i,
-			eng:     engines[shard],
-			shard:   shard,
-			unacked: make(map[uint64]*txPacket),
-			// seen maps are allocated lazily on first delivery from each
-			// source: at 1k+ ranks an eager n×n map grid dominates
-			// construction time and memory for meshes whose traffic
-			// touches few pairs.
-			seen:   make([]map[uint64]bool, n),
+			sw:     s,
+			rank:   i,
+			eng:    engines[shard],
+			shard:  shard,
 			posted: make(map[directKey]*dregion),
 		}
 	}
@@ -389,7 +432,7 @@ func (s *Switch) resolveReqs(reqs []spineReq) {
 	for i := range reqs {
 		r := &reqs[i]
 		end, hops := s.interiorOccupy(r.src, r.dst.rank, r.ready, r.wire)
-		r.dst.eng.ScheduleAt(end+sim.Time(hops)*lat+r.extra, r.fn)
+		r.dst.eng.ScheduleHandlerAt(end+sim.Time(hops)*lat+r.extra, r.h)
 	}
 	s.Counters.Add(stats.SpineRequests, int64(len(reqs)))
 	s.Counters.Max(stats.SpineReqHighWater, int64(len(reqs)))
@@ -404,9 +447,15 @@ func (s *Switch) resolveInstant() {
 	s.instReqs = s.instReqs[:0]
 	s.resolveReqs(reqs)
 	for i := range reqs {
-		reqs[i] = spineReq{} // drop closure references
+		reqs[i] = spineReq{} // drop packet references
 	}
 }
+
+// instantResolver is the single-engine interior's same-instant resolver
+// as an event.
+type instantResolver Switch
+
+func (r *instantResolver) Fire() { (*Switch)(r).resolveInstant() }
 
 // ResolveSpine is the epoch-barrier arbitration hook
 // (parallel.Hooks.Barrier) for a sharded switch with a shared interior.
@@ -430,7 +479,7 @@ func (s *Switch) ResolveSpine() {
 	}
 	s.resolveReqs(reqs)
 	for i := range reqs {
-		reqs[i] = spineReq{} // drop closure references
+		reqs[i] = spineReq{} // drop packet references
 	}
 	s.reqScratch = reqs[:0]
 }
@@ -460,13 +509,24 @@ func (s *Switch) Endpoint(rank int) *Adapter {
 // against the fixed RTS/CTS round trip, sets the rendezvous crossover.
 const directHdrBytes = 12
 
-// txPacket is a sender-side record of an in-flight packet.
+// txPacket is the record of one packet. The sender creates it; every
+// transmission carries it to the receiver as the arrival event, and every
+// acknowledgement carries it back. Its fields are split by side, so the
+// two ends of a sharded switch never write the same one: acked, data and
+// msg belong to the sender's engine, delivered to the receiver's, and the
+// rest never change after the packet is sent.
 type txPacket struct {
-	dst     int
-	seq     uint64
-	data    []byte
-	acked   bool
-	retries int
+	from, to *Adapter
+	// data is the packet, or a direct fragment's slice of the caller's
+	// payload. The sender drops it at the ack; by then the receiver has
+	// it, and a copy still in flight is discarded unread.
+	data []byte
+	// acked is set when the first acknowledgement reaches the sender.
+	acked bool
+	// delivered is set at the first arrival: any later copy — a
+	// retransmission that raced the ack — is a duplicate, dropped before
+	// a byte of data is read (the buffer may back another packet by then).
+	delivered bool
 	// Direct-lane fragments: data aliases the caller's payload slice
 	// (zero-copy), off is its placement offset in the posted region, and
 	// msg links the fragments of one SendDirect for the all-acked
@@ -476,6 +536,38 @@ type txPacket struct {
 	off    uint32
 	msg    *directMsg
 }
+
+// arrival is one transmission of a packet reaching its destination
+// adapter, and ackArrival that adapter's acknowledgement reaching the
+// sender: the record itself is the event, so neither allocates.
+type (
+	arrival    txPacket
+	ackArrival txPacket
+)
+
+func (e *arrival) Fire() {
+	p := (*txPacket)(e)
+	if p.direct {
+		p.to.receiveDirect(p)
+	} else {
+		p.to.receive(p)
+	}
+}
+
+func (e *ackArrival) Fire() { (*txPacket)(e).from.ack((*txPacket)(e)) }
+
+// rtoEntry is one transmission's retransmission deadline: the key (at,
+// seq) its timer event would have had, and the packet it covers.
+type rtoEntry struct {
+	at  sim.Time
+	seq uint64
+	p   *txPacket
+}
+
+// rtoTimer is an adapter's one armed retransmission timer.
+type rtoTimer Adapter
+
+func (r *rtoTimer) Fire() { (*Adapter)(r).expire() }
 
 // directMsg tracks one SendDirect until every fragment is acknowledged —
 // only then may the caller touch the payload again (a retransmission
@@ -513,9 +605,13 @@ type Adapter struct {
 	// reorder/drop rules.
 	dataSent uint64
 
-	unacked map[uint64]*txPacket // keyed by seq (seqs are globally unique per adapter)
-	seqGen  uint64               // global sequence generator for this adapter
-	seen    []map[uint64]bool    // per-source delivered seqs (dedup of retransmits)
+	// unacked counts packets sent and not yet acknowledged.
+	unacked int
+	// rto is the retransmission FIFO: one entry per transmission in
+	// transmit order, so its deadlines never decrease. Only the entry at
+	// rtoHead is in the engine's queue; expire explains why that is exact.
+	rto     []rtoEntry
+	rtoHead int
 
 	directDone func(src int, token uint64)
 	posted     map[directKey]*dregion
@@ -535,16 +631,35 @@ func (a *Adapter) MaxPacket() int { return a.sw.cfg.PacketBytes }
 // SetDeliver implements fabric.Transport.
 func (a *Adapter) SetDeliver(fn func(src int, data []byte)) { a.deliver = fn } //lapivet:ignore racefree registration precedes wire-up: no Send can deliver before the callback is installed
 
-// Alloc implements fabric.Transport. The switch does not pool: sent packets
-// are retained by the retransmission machinery (and delivered slices alias
-// them), so buffers cannot be recycled on release.
-func (a *Adapter) Alloc(n int) []byte { return make([]byte, n) }
+// Alloc implements fabric.Transport: a buffer of up to PacketBytes comes
+// from the switch's free list, unzeroed; a larger one (which Send will
+// refuse) is allocated outright.
+func (a *Adapter) Alloc(n int) []byte {
+	size := a.sw.cfg.PacketBytes
+	if n > size {
+		return make([]byte, n)
+	}
+	return a.sw.pool.get(size)[:n]
+}
 
-// Release implements fabric.Transport as a no-op; see Alloc.
-func (a *Adapter) Release(pkt []byte) {}
+// Release implements fabric.Transport: a delivered packet goes back to the
+// switch's free list. The sender's record keeps the slice header until the
+// ack, to size a retransmission; a copy still in flight after the first
+// delivery is discarded on the record's delivered flag before any byte is
+// read (txPacket), so recycled bytes are never observed. A slice that did
+// not come from Alloc is left to the garbage collector.
+func (a *Adapter) Release(pkt []byte) {
+	if cap(pkt) == a.sw.cfg.PacketBytes {
+		a.sw.pool.put(pkt[:cap(pkt)])
+	}
+}
 
-// Contract implements fabric.Transport: nothing is pooled.
-func (a *Adapter) Contract() fabric.Contract { return fabric.Contract{} }
+// Contract implements fabric.Transport: both directions are pooled. The
+// receiver owns a delivered packet until it calls Release; direct-lane
+// fragments bypass the pool and alias the caller's payload.
+func (a *Adapter) Contract() fabric.Contract {
+	return fabric.Contract{PooledDelivery: true, PooledSend: true}
+}
 
 // SetDirectDone implements fabric.Transport.
 func (a *Adapter) SetDirectDone(fn func(src int, token uint64)) { a.directDone = fn } //lapivet:ignore racefree registration precedes wire-up: no direct send can complete before the callback is installed
@@ -604,12 +719,11 @@ func (a *Adapter) SendDirect(ctx exec.Context, dst int, token uint64, payload []
 		if end > len(payload) {
 			end = len(payload)
 		}
-		a.seqGen++
 		p := &txPacket{
-			dst: dst, seq: a.seqGen, data: payload[off:end],
+			from: a, to: a.sw.adapters[dst], data: payload[off:end],
 			direct: true, token: token, off: uint32(off), msg: msg,
 		}
-		a.unacked[p.seq] = p
+		a.unacked++
 		a.transmit(p, false, nil)
 		if end >= len(payload) {
 			break
@@ -641,26 +755,24 @@ func (a *Adapter) Send(ctx exec.Context, dst int, data []byte, sent func()) {
 		})
 		return
 	}
-	a.seqGen++
-	p := &txPacket{dst: dst, seq: a.seqGen, data: data}
-	a.unacked[p.seq] = p
-	a.transmit(p, false, sent)
+	a.unacked++
+	a.transmit(&txPacket{from: a, to: a.sw.adapters[dst], data: data}, false, sent)
 }
 
-// post schedules fn at absolute virtual time at on dst's engine. When dst
+// post schedules h at absolute virtual time at on dst's engine. When dst
 // shares a's engine the schedule is direct (and identical, event for
 // event, to the pre-sharding code: ScheduleAt(at) is Schedule(at-now));
 // otherwise the event goes to a's shard outbox for the epoch coordinator
 // to import at the next barrier. Cross-shard posts are only ever created
 // at least WireLatency ahead of the sender's clock — the lookahead
 // guarantee the coordinator relies on.
-func (a *Adapter) post(dst *Adapter, at sim.Time, fn func()) {
+func (a *Adapter) post(dst *Adapter, at sim.Time, h sim.Handler) {
 	if dst.eng == a.eng {
-		a.eng.ScheduleAt(at, fn)
+		a.eng.ScheduleHandlerAt(at, h)
 		return
 	}
 	sl := &a.sw.shards[a.shard]
-	sl.outbox = append(sl.outbox, parallel.Export{At: at, Shard: dst.shard, Fn: fn})
+	sl.outbox = append(sl.outbox, parallel.Export{At: at, Shard: dst.shard, H: h})
 }
 
 // transmit puts p on the wire (first transmission or retransmission).
@@ -706,24 +818,18 @@ func (a *Adapter) transmit(p *txPacket, isRetry bool, sent func()) {
 		// Egress-link drain, then the shared interior (if any), then
 		// propagation.
 		ready := a.linkFree
-		src, seq, data := a.rank, p.seq, p.data
-		dstAd := a.sw.adapters[p.dst]
-		var fn func()
-		if p.direct {
-			token, off := p.token, p.off
-			fn = func() { dstAd.receiveDirect(src, seq, token, off, data) }
-		} else {
-			fn = func() { dstAd.receive(src, seq, data) }
-		}
+		dstAd := p.to
+		h := (*arrival)(p)
 		switch {
 		case a.sw.spineMode:
 			// Partitioned switch, shared interior: don't touch the
 			// occupancy clocks from inside an epoch. Record the claim;
-			// the barrier arbitrates it (ResolveSpine) and schedules fn.
+			// the barrier arbitrates it (ResolveSpine) and schedules the
+			// arrival.
 			sl := &a.sw.shards[a.shard]
 			sl.spineReqs = append(sl.spineReqs, spineReq{
-				at: eng.Now(), src: src, dst: dstAd,
-				ready: ready, wire: sim.Time(wire), extra: sim.Time(extra), fn: fn,
+				at: eng.Now(), src: a.rank, dst: dstAd,
+				ready: ready, wire: sim.Time(wire), extra: sim.Time(extra), h: h,
 			})
 		case a.sw.spineFree != nil || a.sw.treeFree != nil:
 			// Single-engine interior: defer the claim to a resolver at
@@ -731,64 +837,94 @@ func (a *Adapter) transmit(p *txPacket, isRetry bool, sent func()) {
 			// are arbitrated by source rank — matching the sharded
 			// barrier — not by event-creation order.
 			a.sw.instReqs = append(a.sw.instReqs, spineReq{
-				at: eng.Now(), src: src, dst: dstAd,
-				ready: ready, wire: sim.Time(wire), extra: sim.Time(extra), fn: fn,
+				at: eng.Now(), src: a.rank, dst: dstAd,
+				ready: ready, wire: sim.Time(wire), extra: sim.Time(extra), h: h,
 			})
 			if !a.sw.resolverArmed {
 				a.sw.resolverArmed = true
-				eng.Schedule(0, a.sw.resolveInstant)
+				eng.ScheduleHandlerAt(eng.Now(), (*instantResolver)(a.sw))
 			}
 		default:
 			arrive := ready + sim.Time(cfg.WireLatency) + sim.Time(extra)
-			a.post(dstAd, arrive, fn)
+			a.post(dstAd, arrive, h)
 		}
 	}
 
-	// Arm the retransmission timer.
-	seq := p.seq
-	eng.Schedule(time.Duration(a.linkFree-eng.Now())+cfg.RTO, func() {
-		q, ok := a.unacked[seq]
-		if !ok || q.acked {
-			return
-		}
-		q.retries++
-		a.transmit(q, true, nil)
-	})
+	// The retransmission deadline takes the sequence number its own timer
+	// event would have: every other event keeps its (at, seq) key. Only
+	// the FIFO's head is queued, so an entry joining an empty FIFO arms.
+	a.rto = append(a.rto, rtoEntry{at: a.linkFree + sim.Time(cfg.RTO), seq: eng.ReserveSeq(), p: p})
+	if len(a.rto)-a.rtoHead == 1 {
+		a.armRTO()
+	}
+}
+
+// armRTO queues the FIFO head's timer under its reserved key.
+func (a *Adapter) armRTO() {
+	e := &a.rto[a.rtoHead]
+	a.eng.ScheduleReserved(e.at, e.seq, (*rtoTimer)(a))
+}
+
+// expire fires the FIFO head's retransmission deadline: an unacked packet
+// goes out again (its new deadline joins the tail), an acked one does
+// nothing — exactly what the head's own timer event would have done.
+// Then it skips every following entry whose packet is acked already and
+// arms the first that is not. The skip is exact: an entry's deadline is at
+// or after the head's, so its own event would still lie ahead, and an
+// acked packet stays acked, so that event would do nothing. The last
+// entry is never skipped: its event is the adapter's latest, and firing it
+// leaves the engine's clock where a timer per transmission would have —
+// Job.Now() and everything printed from it depend on that.
+func (a *Adapter) expire() {
+	if p := a.rto[a.rtoHead].p; !p.acked {
+		a.transmit(p, true, nil)
+	}
+	a.rto[a.rtoHead] = rtoEntry{}
+	a.rtoHead++
+	for a.rtoHead < len(a.rto)-1 && a.rto[a.rtoHead].p.acked {
+		a.rto[a.rtoHead] = rtoEntry{}
+		a.rtoHead++
+	}
+	if a.rtoHead == len(a.rto) {
+		a.rto, a.rtoHead = a.rto[:0], 0
+		return
+	}
+	if a.rtoHead >= 64 && 2*a.rtoHead >= len(a.rto) {
+		n := copy(a.rto, a.rto[a.rtoHead:])
+		clear(a.rto[n:])
+		a.rto, a.rtoHead = a.rto[:n], 0
+	}
+	a.armRTO()
 }
 
 // receive handles an arriving data packet at the destination adapter.
-func (a *Adapter) receive(src int, seq uint64, data []byte) {
+func (a *Adapter) receive(p *txPacket) {
 	// Always (re-)acknowledge: the earlier ack may have raced a
 	// retransmission.
-	a.sendAck(src, seq)
-	if a.seen[src][seq] {
+	a.sendAck(p)
+	if p.delivered {
 		return // duplicate from retransmission
 	}
-	if a.seen[src] == nil {
-		a.seen[src] = make(map[uint64]bool)
-	}
-	a.seen[src][seq] = true
+	p.delivered = true
 	a.sw.Counters.Add(stats.PacketsRecv, 1)
-	a.sw.Counters.Add(stats.BytesRecv, int64(len(data)))
+	a.sw.Counters.Add(stats.BytesRecv, int64(len(p.data)))
 	if a.deliver == nil {
 		panic(fmt.Sprintf("switchnet: packet for rank %d with no deliver callback", a.rank))
 	}
-	a.deliver(src, data)
+	a.deliver(p.from.rank, p.data)
 }
 
 // receiveDirect lands one direct-lane fragment in its pre-posted region —
 // modeled as adapter DMA: the copy below is the simulation updating the
 // bytes a real adapter would have placed without CPU involvement, so no
 // virtual time is charged here beyond the wire time transmit already spent.
-func (a *Adapter) receiveDirect(src int, seq uint64, token uint64, off uint32, data []byte) {
-	a.sendAck(src, seq)
-	if a.seen[src][seq] {
+func (a *Adapter) receiveDirect(p *txPacket) {
+	a.sendAck(p)
+	if p.delivered {
 		return // duplicate from retransmission
 	}
-	if a.seen[src] == nil {
-		a.seen[src] = make(map[uint64]bool)
-	}
-	a.seen[src][seq] = true
+	p.delivered = true
+	src, token, off, data := p.from.rank, p.token, p.off, p.data
 	a.sw.Counters.Add(stats.PacketsRecv, 1)
 	a.sw.Counters.Add(stats.BytesRecv, int64(len(data)+directHdrBytes))
 	k := directKey{src: src, token: token}
@@ -820,10 +956,11 @@ func (a *Adapter) receiveLoopback(src int, data []byte) {
 	a.deliver(src, data)
 }
 
-// sendAck returns a small acknowledgement to src. Acks consume reverse-link
-// bandwidth but are never dropped or reordered (the adapter hardware
-// protocol), which keeps retransmission logic simple and deterministic.
-func (a *Adapter) sendAck(src int, seq uint64) {
+// sendAck returns a small acknowledgement of p to its sender. Acks consume
+// reverse-link bandwidth but are never dropped or reordered (the adapter
+// hardware protocol), which keeps retransmission logic simple and
+// deterministic.
+func (a *Adapter) sendAck(p *txPacket) {
 	cfg := a.sw.cfg
 	eng := a.eng
 	wire := cfg.wireTime(cfg.AckBytes)
@@ -833,23 +970,29 @@ func (a *Adapter) sendAck(src int, seq uint64) {
 	}
 	a.linkFree = depart + sim.Time(wire)
 	a.sw.Counters.Add(stats.AcksSent, 1)
-	arrive := a.linkFree + sim.Time(cfg.WireLatency)
-	origin := a.sw.adapters[src]
-	a.post(origin, arrive, func() {
-		if p, ok := origin.unacked[seq]; ok {
-			p.acked = true
-			delete(origin.unacked, seq)
-			if m := p.msg; m != nil {
-				// Direct-lane fragment: the payload slice is pinned until
-				// the whole message is acked, then the borrow ends.
-				m.remaining--
-				if m.remaining == 0 && m.sent != nil {
-					m.sent()
-				}
-			}
+	a.post(p.from, a.linkFree+sim.Time(cfg.WireLatency), (*ackArrival)(p))
+}
+
+// ack handles an acknowledgement of p arriving back at its sender. Only
+// the first counts; the record then lets go of the packet's bytes, so a
+// retransmission entry still queued behind the FIFO's head pins nothing.
+func (a *Adapter) ack(p *txPacket) {
+	if p.acked {
+		return
+	}
+	p.acked = true
+	p.data = nil
+	a.unacked--
+	if m := p.msg; m != nil {
+		// Direct-lane fragment: the payload slice is pinned until the
+		// whole message is acked, then the borrow ends.
+		p.msg = nil
+		m.remaining--
+		if m.remaining == 0 && m.sent != nil {
+			m.sent()
 		}
-	})
+	}
 }
 
 // PendingAcks reports the number of unacknowledged packets (test hook).
-func (a *Adapter) PendingAcks() int { return len(a.unacked) }
+func (a *Adapter) PendingAcks() int { return a.unacked }
