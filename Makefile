@@ -74,9 +74,11 @@ determinism:
 	@# lapivet's diagnostic stream is pinned byte for byte: the full suite
 	@# over every golden package under internal/analysis/*/testdata/src
 	@# must equal the committed internal/analysis/suite/testdata/golden.json,
-	@# three runs in a row (the concurrency model iterates maps, so order
-	@# must not depend on iteration).
-	@$(GO) test -count=3 -run TestSuiteGolden ./internal/analysis/suite/
+	@# and the ownership summaries of the obligation fixtures must equal
+	@# internal/analysis/obligation/testdata/effects.golden, three runs in a
+	@# row (the concurrency model and the obligation engine iterate maps,
+	@# so order must not depend on iteration).
+	@$(GO) test -count=3 -run 'TestSuiteGolden|TestEffectsGolden' ./internal/analysis/suite/ ./internal/analysis/obligation/
 
 # lapivet enforces the LAPI usage invariants the type system cannot see
 # (DESIGN.md "Usage invariants"): non-blocking header handlers, origin

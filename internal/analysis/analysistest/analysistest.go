@@ -10,6 +10,7 @@ package analysistest
 
 import (
 	"fmt"
+	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -24,19 +25,7 @@ import (
 // and want comments to t.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	l, err := analysis.NewLoader(dir)
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	pkg, err := l.LoadDir(dir)
-	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
-	}
-	diags, _, err := analysis.RunPackage(l, pkg, []*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-
+	l, pkg, diags := run(t, dir, a)
 	wants, err := parseWants(pkg.Dir)
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +54,49 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 			t.Errorf("%s:%d: no diagnostic matching %q", w.file, w.line, w.re)
 		}
 	}
+}
+
+// Layer is a CheckLayers row: a finding in function Func containing Substr.
+type Layer struct{ Func, Substr string }
+
+// CheckLayers fails t for each row the analyzer's findings in dir miss.
+// Substr is text only one layer produces, so a hit proves that layer fired.
+func CheckLayers(t *testing.T, dir string, a *analysis.Analyzer, rows []Layer) {
+	t.Helper()
+	_, pkg, diags := run(t, dir, a)
+	found := map[string][]string{} // enclosing function -> messages
+	for _, d := range diags {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= d.Pos && d.Pos < fd.End() {
+					found[fd.Name.Name] = append(found[fd.Name.Name], d.Message)
+				}
+			}
+		}
+	}
+	for _, r := range rows {
+		if !strings.Contains(strings.Join(found[r.Func], "\n"), r.Substr) {
+			t.Errorf("%s: no %s finding in %s containing %q (got %q)", dir, a.Name, r.Func, r.Substr, found[r.Func])
+		}
+	}
+}
+
+// run loads the package in dir and applies the analyzer to it.
+func run(t *testing.T, dir string, a *analysis.Analyzer) (*analysis.Loader, *analysis.Package, []analysis.Diagnostic) {
+	t.Helper()
+	l, err := analysis.NewLoader(dir)
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	pkg, err := l.LoadDir(dir)
+	if err != nil {
+		t.Fatalf("loading %s: %v", dir, err)
+	}
+	diags, _, err := analysis.RunPackage(l, pkg, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("running %s: %v", a.Name, err)
+	}
+	return l, pkg, diags
 }
 
 type want struct {

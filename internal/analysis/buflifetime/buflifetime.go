@@ -8,7 +8,7 @@
 // whatever frame the pool backs next; neither is detectable at runtime.
 //
 // The pass is a protocol for the obligation engine
-// (internal/analysis/obligation) over summary.BufferOps. Through the
+// (internal/analysis/obligation) over obligation.BufferOps. Through the
 // engine it is flow-sensitive, interprocedural and channel-aware: a
 // Borrows callee (header filler, checksummer) leaves the obligation in
 // place, so an early return after the call still reports the leak; a
@@ -32,10 +32,6 @@
 // borrow. Transports whose Contract() does not set PooledSend are exempt:
 // their Alloc is plain make and Release a no-op. Both of the module's
 // transports, tcpnet and the simulated switch, pool.
-//
-// The v2 intraprocedural/single-goroutine mode survives as the
-// Intraprocedural analyzer, used by tests to prove which findings need
-// the summary and transfer layers.
 package buflifetime
 
 import (
@@ -43,18 +39,12 @@ import (
 
 	"golapi/internal/analysis"
 	"golapi/internal/analysis/obligation"
-	"golapi/internal/analysis/summary"
 )
 
-// Analyzer is the buflifetime pass (v3: interprocedural + channel-aware);
-// Intraprocedural is the v2 behaviour, with no callee summaries and no
-// channel transfer modeling. Intraprocedural is not registered in
-// cmd/lapivet; tests use it to assert which true positives require the
-// interprocedural machinery.
-var Analyzer, Intraprocedural = obligation.Analyzers(protocol,
+// Analyzer is the buflifetime pass.
+var Analyzer = obligation.Analyzer(protocol,
 	"buflifetime",
-	"track pooled transport buffers across helpers and channel handoffs: leak on some path, double-Release, use-after-discharge",
-	"buflifetime without ownership summaries or channel transfers (comparison baseline)")
+	"track pooled transport buffers across helpers and channel handoffs: leak on some path, double-Release, use-after-discharge")
 
 const (
 	vRelease = "Release"
@@ -62,8 +52,8 @@ const (
 )
 
 var protocol = &obligation.Protocol{
-	Ops: func(pass *analysis.Pass) summary.Ops {
-		if ops := summary.NewBufferOps(pass); ops != nil {
+	Ops: func(pass *analysis.Pass) obligation.Ops {
+		if ops := obligation.NewBufferOps(pass); ops != nil {
 			return ops
 		}
 		return nil

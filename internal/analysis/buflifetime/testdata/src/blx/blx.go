@@ -1,7 +1,7 @@
 // Package blx is the interprocedural + channel-transfer golden test for
-// buflifetime v3. Every `want` here needs the ownership-summary or
-// transfer-channel layer: TestIntraproceduralBaselineSilent asserts the
-// v2 intraprocedural mode reports nothing on this package.
+// buflifetime. Every `want` here needs the ownership-summary or
+// transfer-channel layer; TestIntraproceduralBaselineSilent pins that each
+// of them fires.
 package blx
 
 import (

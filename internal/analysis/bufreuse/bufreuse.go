@@ -142,42 +142,16 @@ type rec struct {
 }
 
 // state is the may-set of outstanding loans.
-type state map[rec]bool
+type state = dataflow.Set[rec]
 
 type checker struct {
+	dataflow.MaySet[rec]
 	pass   *analysis.Pass
 	rows   []row
 	report bool
 }
 
 func (c *checker) Entry() state { return state{} }
-
-func (c *checker) Clone(s state) state {
-	n := make(state, len(s))
-	for r := range s {
-		n[r] = true
-	}
-	return n
-}
-
-func (c *checker) Merge(dst, src state) state {
-	for r := range src {
-		dst[r] = true
-	}
-	return dst
-}
-
-func (c *checker) Equal(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for r := range a {
-		if !b[r] {
-			return false
-		}
-	}
-	return true
-}
 
 // Transfer applies one CFG leaf. Function literals run at an unknown time
 // and defer/go registrations only evaluate arguments (deferred calls

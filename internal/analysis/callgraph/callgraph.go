@@ -1,6 +1,6 @@
 // Package callgraph builds a static call graph over the module packages a
 // pass has loaded, the substrate for the per-function ownership summaries
-// in internal/analysis/summary. Resolution is purely static (the same
+// in internal/analysis/obligation. Resolution is purely static (the same
 // analysis.Callee every pass uses): direct calls and method calls with a
 // known concrete callee produce edges; calls through function values,
 // interfaces without a static target, and out-of-module callees do not.

@@ -185,42 +185,16 @@ func isNil(info *types.Info, e ast.Expr) bool {
 }
 
 // state is the may-set of armed counters.
-type state map[types.Object]bool
+type state = dataflow.Set[types.Object]
 
 type checker struct {
+	dataflow.MaySet[types.Object]
 	pass     *analysis.Pass
 	eligible map[types.Object]bool
 	report   bool
 }
 
 func (c *checker) Entry() state { return state{} }
-
-func (c *checker) Clone(s state) state {
-	n := make(state, len(s))
-	for o := range s {
-		n[o] = true
-	}
-	return n
-}
-
-func (c *checker) Merge(dst, src state) state {
-	for o := range src {
-		dst[o] = true
-	}
-	return dst
-}
-
-func (c *checker) Equal(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for o := range a {
-		if !b[o] {
-			return false
-		}
-	}
-	return true
-}
 
 func (c *checker) Transfer(n ast.Node, s state) state {
 	info := c.pass.Pkg.Info

@@ -19,8 +19,8 @@
 //
 // The pass is a protocol for the obligation engine
 // (internal/analysis/obligation), the one buflifetime also runs on, so it
-// is flow-sensitive and interprocedural over internal/analysis/summary:
-// a call to a helper whose summary Consumes the request (the gateway's
+// is flow-sensitive and interprocedural over the engine's summaries: a
+// call to a helper whose summary Consumes the request (the gateway's
 // respond) discharges the credit, so respond-then-putReq is reported as a
 // double grant even though neither call is a base pool operation; a send
 // on a channel that carries owned requests is a handoff, and recycling
@@ -51,27 +51,21 @@ import (
 
 	"golapi/internal/analysis"
 	"golapi/internal/analysis/obligation"
-	"golapi/internal/analysis/summary"
 )
 
-// Analyzer is the creditflow pass (interprocedural + channel-aware);
-// Intraprocedural is the comparison baseline, with no callee summaries and
-// no channel handoffs. Intraprocedural is not registered in cmd/lapivet;
-// tests use it to prove which true positives need the interprocedural
-// machinery.
-var Analyzer, Intraprocedural = obligation.Analyzers(protocol,
+// Analyzer is the creditflow pass.
+var Analyzer = obligation.Analyzer(protocol,
 	"creditflow",
-	"every freelist request credit is discharged exactly once on every path: no drop, no double grant",
-	"creditflow without ownership summaries or channel handoffs (comparison baseline)")
+	"every freelist request credit is discharged exactly once on every path: no drop, no double grant")
 
 var protocol = &obligation.Protocol{
-	Ops: func(pass *analysis.Pass) summary.Ops {
+	Ops: func(pass *analysis.Pass) obligation.Ops {
 		if ops := NewRequestOps(pass); ops != nil {
 			return ops
 		}
 		return nil
 	},
-	Exempt:       func(ops summary.Ops, fn *types.Func) bool { return ops.(*RequestOps).IsPool(fn) },
+	Exempt:       func(ops obligation.Ops, fn *types.Func) bool { return ops.(*RequestOps).IsPool(fn) },
 	Params:       true,
 	TransferVerb: "PostArg",
 	// "putReq() at line 12", "respond() at line 12", "PostArg at line 12",
@@ -89,7 +83,7 @@ var protocol = &obligation.Protocol{
 
 // --- the inferred freelist protocol --------------------------------------
 
-// RequestOps is the summary.Ops for freelist request credits: acquire =
+// RequestOps is the obligation.Ops for freelist request credits: acquire =
 // the inferred get* methods, release = the put* methods, transfer =
 // RealRuntime.PostArg. Construct with NewRequestOps.
 type RequestOps struct {
@@ -167,20 +161,20 @@ func (o *RequestOps) Tracks(t types.Type) bool {
 
 // Classify maps a call to its credit behaviour and the index of the
 // request argument where one applies.
-func (o *RequestOps) Classify(info *types.Info, call *ast.CallExpr) (summary.Kind, int) {
+func (o *RequestOps) Classify(info *types.Info, call *ast.CallExpr) (obligation.Kind, int) {
 	fn := analysis.Callee(info, call)
 	if fn == nil {
-		return summary.OpNone, 0
+		return obligation.OpNone, 0
 	}
 	switch {
 	case o.acquire[fn]:
-		return summary.OpAcquire, 0
+		return obligation.OpAcquire, 0
 	case o.release[fn] && len(call.Args) == 1:
-		return summary.OpRelease, 0
+		return obligation.OpRelease, 0
 	case len(call.Args) == 2 && analysis.IsMethodOf(fn, analysis.ExecPath, "RealRuntime", "PostArg"):
-		return summary.OpTransfer, 1
+		return obligation.OpTransfer, 1
 	}
-	return summary.OpNone, 0
+	return obligation.OpNone, 0
 }
 
 // namedOf unwraps a (possibly pointer) receiver type to its type name.

@@ -1,12 +1,9 @@
 package creditflow_test
 
 import (
-	"go/ast"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"golapi/internal/analysis"
 	"golapi/internal/analysis/analysistest"
 	"golapi/internal/analysis/creditflow"
 )
@@ -16,74 +13,23 @@ func TestCreditflow(t *testing.T) {
 }
 
 // TestIntraproceduralMisses pins down which cf findings are genuinely
-// interprocedural or channel-aware: the baseline mode must miss every
-// finding that depends on a helper summary (respond), a channel handoff,
-// or the parameter contract, while still catching the base-protocol bugs
-// (dropOnError, putTwice, useAfterPut) so we know it ran.
+// interprocedural or channel-aware: each such finding carries the text
+// only its layer produces — "respond()" for a helper summary, "the
+// channel send" for a handoff, "discharged on some paths" for the
+// parameter contract; dropViaBorrower and recvDrop are leaks whose only
+// witness is a Borrows summary or a receive from a transfer channel. The
+// base-protocol rows (dropOnError, putTwice, useAfterPut) prove the pass
+// ran at all.
 func TestIntraproceduralMisses(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "cf")
-	l, err := analysis.NewLoader(dir)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := l.LoadDir(dir)
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	diags, _, err := analysis.RunPackage(l, pkg, []*analysis.Analyzer{creditflow.Intraprocedural})
-	if err != nil {
-		t.Fatalf("RunPackage: %v", err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("baseline mode reported nothing at all; expected it to catch the base-protocol cases")
-	}
-	// Function name -> which layer its finding needs; the baseline must
-	// report in none of these.
-	needsLayer := map[string]string{
-		"doubleGrantViaRespond": "summary",
-		"useAfterRespond":       "summary",
-		"dropViaBorrower":       "summary",
-		"sendThenRecycle":       "channel",
-		"recvDrop":              "channel",
-		"paramMixed":            "parameter-contract",
-	}
-	caught := map[string]bool{}
-	for _, d := range diags {
-		pos := l.Fset.Position(d.Pos)
-		fn := enclosingFunc(l, pkg, pos.Line)
-		caught[fn] = true
-		for _, marker := range []string{"respond()", "the channel send", "discharged on some paths"} {
-			if strings.Contains(d.Message, marker) {
-				t.Errorf("baseline mode produced an interprocedural message at %s:%d: %s",
-					filepath.Base(pos.Filename), pos.Line, d.Message)
-			}
-		}
-		if layer, ok := needsLayer[fn]; ok {
-			t.Errorf("baseline mode caught the %s finding (line %d: %s), which should need the %s layer",
-				fn, pos.Line, d.Message, layer)
-		}
-	}
-	for _, fn := range []string{"dropOnError", "putTwice", "useAfterPut"} {
-		if !caught[fn] {
-			t.Errorf("baseline mode missed the base-protocol finding in %s", fn)
-		}
-	}
-}
-
-// enclosingFunc names the function declaration spanning the given line.
-func enclosingFunc(l *analysis.Loader, pkg *analysis.Package, line int) string {
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			start := l.Fset.Position(fd.Pos()).Line
-			end := l.Fset.Position(fd.End()).Line
-			if start <= line && line <= end {
-				return fd.Name.Name
-			}
-		}
-	}
-	return ""
+	analysistest.CheckLayers(t, filepath.Join("testdata", "src", "cf"), creditflow.Analyzer, []analysistest.Layer{
+		{Func: "doubleGrantViaRespond", Substr: "respond()"},
+		{Func: "useAfterRespond", Substr: "respond()"},
+		{Func: "dropViaBorrower", Substr: "may drop its credit"},
+		{Func: "sendThenRecycle", Substr: "the channel send"},
+		{Func: "recvDrop", Substr: "may drop its credit"},
+		{Func: "paramMixed", Substr: "discharged on some paths"},
+		{Func: "dropOnError", Substr: "may drop its credit"},
+		{Func: "putTwice", Substr: "after putReq()"},
+		{Func: "useAfterPut", Substr: "used after putReq()"},
+	})
 }

@@ -1,9 +1,9 @@
 // Package cf is the creditflow golden test: a miniature of the gateway
 // session — a request freelist (getReq/putReq), a consuming respond
 // helper, a PostArg handoff, and a request channel between goroutines.
-// The intraprocedural baseline (creditflow-intra) must stay silent on
-// every case whose want mentions respond(), the channel send, or a
-// parameter contract — see TestIntraproceduralMisses.
+// The cases whose want mentions respond(), the channel send, or a
+// parameter contract need the summary, transfer-channel or parameter
+// layer — see TestIntraproceduralMisses.
 package cf
 
 import (
@@ -87,8 +87,8 @@ func (s *sess) useAfterRespond() {
 }
 
 // dropViaBorrower: touch provably only borrows, so the obligation stays
-// here and the error path drops it. The baseline treats the call as an
-// escape and goes silent.
+// here and the error path drops it. Without the summary the call would
+// read as an escape and the finding would vanish.
 func (s *sess) dropViaBorrower(bad bool) {
 	r := s.getReq() // want `request r may drop its credit: not recycled or handed off on some path to return`
 	touch(r)

@@ -17,9 +17,10 @@
 // times on the way to the fixpoint.
 //
 // Termination is the Problem's responsibility: Merge must be monotone
-// (never discard facts) over a finite domain. The lapivet passes use
-// may-union over finite fact sets (objects in the function × a small
-// status enum), which converges in at most |facts| iterations per block.
+// (never discard facts) over a finite domain. The lapivet passes use the
+// may-set lattice below — union over finite fact sets (objects in the
+// function × a small status enum) — which converges in at most |facts|
+// iterations per block.
 package dataflow
 
 import (
@@ -41,6 +42,44 @@ type Problem[S any] interface {
 	// Transfer applies one leaf node's effect; s may be mutated and
 	// returned. It must be deterministic given (n, s).
 	Transfer(n ast.Node, s S) S
+}
+
+// Set is a may-set of facts: a fact holds at a program point if it holds
+// on some path into it.
+type Set[K comparable] map[K]bool
+
+// MaySet is the Set lattice, joined by union. A Problem over Set[K] embeds
+// it and supplies only Entry and Transfer.
+type MaySet[K comparable] struct{}
+
+// Clone returns an independent copy of s.
+func (MaySet[K]) Clone(s Set[K]) Set[K] {
+	n := make(Set[K], len(s))
+	for k := range s {
+		n[k] = true
+	}
+	return n
+}
+
+// Merge adds src's facts to dst.
+func (MaySet[K]) Merge(dst, src Set[K]) Set[K] {
+	for k := range src {
+		dst[k] = true
+	}
+	return dst
+}
+
+// Equal reports whether a and b hold the same facts.
+func (MaySet[K]) Equal(a, b Set[K]) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // Result holds the fixpoint: the in-state of every reachable block.

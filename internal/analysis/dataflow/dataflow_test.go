@@ -15,37 +15,14 @@ import (
 // been assigned on some path. It exercises merge-at-join, loop
 // convergence, and Walk determinism.
 type assigned struct {
-	// waits counts Transfer invocations, to show Solve iterates loops.
+	MaySet[string]
+	// transfers counts Transfer invocations, to show Solve iterates loops.
 	transfers int
 }
 
-type nameSet map[string]bool
+type nameSet = Set[string]
 
 func (a *assigned) Entry() nameSet { return nameSet{} }
-func (a *assigned) Clone(s nameSet) nameSet {
-	c := make(nameSet, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-func (a *assigned) Merge(dst, src nameSet) nameSet {
-	for k := range src {
-		dst[k] = true
-	}
-	return dst
-}
-func (a *assigned) Equal(x, y nameSet) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k := range x {
-		if !y[k] {
-			return false
-		}
-	}
-	return true
-}
 func (a *assigned) Transfer(n ast.Node, s nameSet) nameSet {
 	a.transfers++
 	if as, ok := n.(*ast.AssignStmt); ok {

@@ -2,29 +2,27 @@
 // ownership passes (buflifetime, creditflow): a resource acquired from a
 // pool must, on every path, be discharged exactly once — released back to
 // the pool, or handed to another owner — and must not be touched once it
-// is discharged. A pass supplies only its Protocol: the summary.Ops that
-// classify acquire/release/transfer calls, its own rules, and its message
-// texts; the engine owns the lattice, the transfer function and the
+// is discharged. A pass supplies only its Protocol: the Ops that classify
+// acquire/release/transfer calls, its own rules, and its message texts;
+// the engine owns the lattice, the transfer function and the
 // interprocedural machinery.
 //
 // Each function body is lowered to a CFG (internal/analysis/cfg) and a
 // may-analysis runs to a fixpoint (internal/analysis/dataflow). The
-// abstract state maps each tracked object to a may-set of {held,
-// discharged} facts, merged by union at joins. The full pass is
-// interprocedural and channel-aware, backed by internal/analysis/summary:
+// abstract state is a may-set of {held, discharged} facts per tracked
+// object, merged by union at joins. One checker runs in two modes:
 //
-//   - a call to a module function consults the callee's per-parameter
-//     summary — a Borrows callee leaves the obligation in place, a Consumes
-//     callee discharges it;
-//   - a send on a transfer channel (one that carries owned resources
-//     somewhere in the module) discharges the obligation; a receive from
-//     one — plain, two-valued, select comm, or `for v := range ch` — is a
-//     fresh acquire.
-//
-// The intraprocedural baseline drops both layers: every call the base
-// protocol does not classify is an escape, channels are plain values, and
-// parameters are untracked. Tests use it to prove which findings need the
-// summaries and transfer channels.
+//   - summary mode (summary.go) walks every module function callee-first,
+//     its tracked parameters entering held and reporting off, and reads
+//     each parameter's exit facts as an Effect (Borrows, Consumes,
+//     MayConsume, Escapes); a send of a held value marks its channel as a
+//     transfer channel;
+//   - check mode runs a pass over one package's bodies on top of those
+//     summaries: a call to a module function consults the callee's
+//     per-parameter summary — a Borrows callee leaves the obligation in
+//     place, a Consumes callee discharges it — and a receive from a
+//     transfer channel — plain, two-valued, select comm, or `for v :=
+//     range ch` — is a fresh acquire.
 //
 // Reports: a discharge (release, transfer, consuming call, channel send)
 // of a resource already discharged on some path; any use of one; a
@@ -35,8 +33,9 @@
 // literal or goroutine, or passed to a call with no informative summary.
 // Builtins and conversions only read their operands (append keeps its
 // element arguments), reslicing into a new name (data := frame[k:]) is an
-// alias borrow, and rebinding a name through itself (b = b[:n]) keeps the
-// obligation on the name.
+// alias borrow, rebinding a name through itself (b = b[:n]) keeps the
+// obligation on the name, and a deferred call whose tracked operands are
+// plain arguments applies where cfg replays it, at the exit.
 package obligation
 
 import (
@@ -48,20 +47,19 @@ import (
 	"golapi/internal/analysis"
 	"golapi/internal/analysis/cfg"
 	"golapi/internal/analysis/dataflow"
-	"golapi/internal/analysis/summary"
 )
 
 // A Protocol is one ownership pass's contribution to the engine.
 type Protocol struct {
 	// Ops returns the package's resource protocol, or nil when there is
 	// nothing to track.
-	Ops func(*analysis.Pass) summary.Ops
+	Ops func(*analysis.Pass) Ops
 	// Exempt, when set, names functions whose bodies are not checked (the
 	// pool internals the protocol abstracts over).
-	Exempt func(ops summary.Ops, fn *types.Func) bool
-	// Params makes tracked parameters enter the function held (in the full
-	// pass only) and reports one that is discharged on some paths to the
-	// exit but held on others; one held everywhere is borrowed.
+	Exempt func(ops Ops, fn *types.Func) bool
+	// Params makes tracked parameters enter the function held and reports
+	// one that is discharged on some paths to the exit but held on others;
+	// one held everywhere is borrowed.
 	Params bool
 	// ReleaseVerb and TransferVerb name the discharge of a base
 	// OpRelease/OpTransfer call in messages; empty means the callee's name
@@ -83,62 +81,40 @@ type Protocol struct {
 	Realloc string
 }
 
-// Analyzers returns the pass p drives (summary-backed, channel-aware)
-// and its intraprocedural baseline, named name+"-intra".
-func Analyzers(p *Protocol, name, doc, intraDoc string) (full, intra *analysis.Analyzer) {
-	run := func(interproc bool) func(*analysis.Pass) error {
-		return func(pass *analysis.Pass) error {
-			ops := p.Ops(pass)
-			if ops == nil {
-				return nil
-			}
-			r := &runner{pass: pass, p: p, ops: ops}
-			if interproc {
-				r.comp = summary.New(pass, ops)
-			}
-			r.run()
+// Analyzer returns the pass p drives.
+func Analyzer(p *Protocol, name, doc string) *analysis.Analyzer {
+	return &analysis.Analyzer{Name: name, Doc: doc, Run: func(pass *analysis.Pass) error {
+		ops := p.Ops(pass)
+		if ops == nil {
 			return nil
 		}
-	}
-	return &analysis.Analyzer{Name: name, Doc: doc, Run: run(true)},
-		&analysis.Analyzer{Name: name + "-intra", Doc: intraDoc, Run: run(false)}
-}
-
-type runner struct {
-	pass *analysis.Pass
-	p    *Protocol
-	ops  summary.Ops
-	comp *summary.Computer // nil in the intraprocedural baseline
-}
-
-func (r *runner) run() {
-	info := r.pass.Pkg.Info
-	for _, f := range r.pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				fn, _ := info.Defs[n.Name].(*types.Func)
-				if n.Body != nil && (r.p.Exempt == nil || !r.p.Exempt(r.ops, fn)) {
-					r.check(n.Type, n.Body)
+		comp := New(pass, ops)
+		info := pass.Pkg.Info
+		for _, f := range pass.Pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					fn, _ := info.Defs[n.Name].(*types.Func)
+					if n.Body != nil && fn != nil && (p.Exempt == nil || !p.Exempt(ops, fn)) {
+						check(pass, p, comp, fn.Type().(*types.Signature), n.Body)
+					}
+				case *ast.FuncLit:
+					if sig, ok := info.TypeOf(n).(*types.Signature); ok {
+						check(pass, p, comp, sig, n.Body)
+					}
 				}
-			case *ast.FuncLit:
-				r.check(n.Type, n.Body)
-			}
-			return true
-		})
-	}
-}
-
-func (r *runner) check(ft *ast.FuncType, body *ast.BlockStmt) {
-	c := &checker{r: r, g: cfg.New(body), params: map[types.Object]bool{}}
-	if r.p.Params {
-		for _, field := range ft.Params.List {
-			for _, name := range field.Names {
-				if obj := r.pass.Pkg.Info.Defs[name]; obj != nil && r.ops.Tracks(obj.Type()) {
-					c.params[obj] = true
-				}
-			}
+				return true
+			})
 		}
+		return nil
+	}}
+}
+
+// check runs p over one function body in check mode.
+func check(pass *analysis.Pass, p *Protocol, comp *Computer, sig *types.Signature, body *ast.BlockStmt) {
+	c := &checker{pass: pass, p: p, comp: comp, info: pass.Pkg.Info, g: cfg.New(body)}
+	if p.Params {
+		c.params = trackedParams(comp.ops, sig)
 	}
 	res := dataflow.Solve(c.g, c)
 	// Capture the exit state before reporting is on: Out replays the exit
@@ -154,64 +130,54 @@ func (r *runner) check(ft *ast.FuncType, body *ast.BlockStmt) {
 // chanVerb is how a channel send discharges a resource.
 const chanVerb = "the channel send"
 
-// fact is one possible status of a tracked object: held (pos = the
-// acquire site, or the parameter) or discharged (pos = the discharge
-// site, verb = how).
+// status is what one fact says about a tracked object.
+type status uint8
+
+const (
+	// held: the obligation is present (pos = the acquire site, or the
+	// parameter).
+	held status = iota
+	// discharged: released, transferred or consumed (pos = the discharge
+	// site, verb = how).
+	discharged
+	// escaped: a tracked parameter flowed out of view on some path. It
+	// outlives every later transition, so a summary reads Escapes even
+	// where another path still holds the parameter.
+	escaped
+)
+
+// fact is one possible status of a tracked object.
 type fact struct {
-	obj      types.Object
-	released bool
-	verb     string
-	pos      token.Pos
+	obj  types.Object
+	st   status
+	verb string
+	pos  token.Pos
 }
 
 // state is the may-set of facts; an object both held and discharged here
 // is held on one path and discharged on another.
-type state map[fact]bool
+type state = dataflow.Set[fact]
 
 type checker struct {
-	r      *runner
+	dataflow.MaySet[fact]
+	pass   *analysis.Pass // check mode: where reports go
+	p      *Protocol
+	comp   *Computer
+	info   *types.Info
 	g      *cfg.Graph
-	params map[types.Object]bool
-	report bool
+	params map[types.Object]bool // tracked parameters, entering held
+	// summarizing is summary mode: comp is being built, so receives do not
+	// acquire, and a send of a held value marks its channel.
+	summarizing bool
+	report      bool
 }
 
 func (c *checker) Entry() state {
 	s := state{}
-	if c.r.comp != nil {
-		// The parameter contract only means something when callers read it
-		// through summaries.
-		for obj := range c.params {
-			s[fact{obj: obj, pos: obj.Pos()}] = true
-		}
+	for obj := range c.params {
+		s[fact{obj: obj, pos: obj.Pos()}] = true
 	}
 	return s
-}
-
-func (c *checker) Clone(s state) state {
-	n := make(state, len(s))
-	for f := range s {
-		n[f] = true
-	}
-	return n
-}
-
-func (c *checker) Merge(dst, src state) state {
-	for f := range src {
-		dst[f] = true
-	}
-	return dst
-}
-
-func (c *checker) Equal(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for f := range a {
-		if !b[f] {
-			return false
-		}
-	}
-	return true
 }
 
 // Transfer applies one CFG leaf node.
@@ -225,10 +191,15 @@ func (c *checker) Transfer(n ast.Node, s state) state {
 		}
 	case *ast.SendStmt:
 		c.send(n, s)
-	case *ast.DeferStmt, *ast.GoStmt:
-		// Registration runs the call at an unknown distance; stop tracking
-		// everything mentioned (a deferred release replayed in the exit
-		// block then applies to an untracked object).
+	case *ast.DeferStmt:
+		// cfg replays the deferred call in the exit block, which applies it
+		// there; until then its plain arguments stay tracked. A call that
+		// mentions a tracked object any other way runs at an unknown
+		// distance: stop tracking everything mentioned.
+		if !c.plainArgs(n.Call, s) {
+			c.escapeIdents(n, s)
+		}
+	case *ast.GoStmt:
 		c.escapeIdents(n, s)
 	case *ast.ExprStmt:
 		c.use(n.X, s)
@@ -252,22 +223,46 @@ func (c *checker) Transfer(n ast.Node, s state) state {
 	return s
 }
 
-// send handles `ch <- v`: in the full pass a tracked value sent on any
-// channel is handed to the receiver, which discharges it; the baseline
-// treats it as an escape.
-func (c *checker) send(n *ast.SendStmt, s state) {
-	c.use(n.Chan, s)
-	if c.r.comp != nil {
-		if obj := c.ident(n.Value); obj != nil && hasFacts(s, obj) {
-			if rel, ok := releasedFact(s, obj); ok {
-				c.reportf(n.Pos(), c.r.p.SendAfter, obj.Name(), c.clause(rel))
-			}
-			dropFacts(s, obj)
-			s[fact{obj: obj, released: true, verb: chanVerb, pos: n.Pos()}] = true
-			return
+// plainArgs reports whether every tracked object call mentions is one of
+// its plain identifier arguments.
+func (c *checker) plainArgs(call *ast.CallExpr, s state) bool {
+	args := map[types.Object]bool{}
+	for _, a := range call.Args {
+		if obj := c.ident(a); obj != nil {
+			args[obj] = true
 		}
 	}
-	c.escapeExpr(n.Value, s)
+	plain := true
+	ast.Inspect(call, func(m ast.Node) bool {
+		if id, ok := m.(*ast.Ident); ok {
+			if obj := c.info.ObjectOf(id); obj != nil && !args[obj] && hasFacts(s, obj) {
+				plain = false
+			}
+		}
+		return plain
+	})
+	return plain
+}
+
+// send handles `ch <- v`: a tracked value sent on a channel is handed to
+// the receiver, which discharges it.
+func (c *checker) send(n *ast.SendStmt, s state) {
+	c.use(n.Chan, s)
+	obj := c.ident(n.Value)
+	if obj == nil || !hasFacts(s, obj) {
+		c.escapeExpr(n.Value, s)
+		return
+	}
+	if rel, ok := dischargedFact(s, obj); ok {
+		c.reportf(n.Pos(), c.p.SendAfter, obj.Name(), c.clause(rel))
+	}
+	if _, ok := heldFact(s, obj); ok && c.summarizing {
+		if ch := analysis.ObjectOf(c.info, n.Chan); ch != nil {
+			c.comp.chans[ch] = true
+		}
+	}
+	dropFacts(s, obj)
+	s[fact{obj: obj, st: discharged, verb: chanVerb, pos: n.Pos()}] = true
 }
 
 // acquire starts tracking obj as held from pos.
@@ -276,28 +271,36 @@ func (c *checker) acquire(obj types.Object, pos token.Pos, s state) {
 	s[fact{obj: obj, pos: pos}] = true
 }
 
+// retire stops tracking obj: it was rebound or flowed out of view. A
+// tracked parameter keeps an escaped fact.
+func (c *checker) retire(obj types.Object, s state) {
+	dropFacts(s, obj)
+	if c.params[obj] {
+		s[fact{obj: obj, st: escaped}] = true
+	}
+}
+
 // receiving reports whether ch is a transfer channel, whose receives
-// acquire (full pass only).
+// acquire (check mode only).
 func (c *checker) receiving(ch ast.Expr) bool {
-	return c.r.comp != nil && c.r.comp.IsTransferChan(analysis.ObjectOf(c.r.pass.Pkg.Info, ch))
+	return !c.summarizing && c.comp.IsTransferChan(analysis.ObjectOf(c.info, ch))
 }
 
 // assign handles acquire bindings, receives, rebindings, alias borrows,
 // and stores.
 func (c *checker) assign(a *ast.AssignStmt, s state) {
-	info := c.r.pass.Pkg.Info
 	if len(a.Rhs) == 0 {
 		// Synthesized range binding: each iteration over a transfer channel
 		// acquires a fresh resource.
 		if x, ok := c.g.RangeBind[a]; ok && len(a.Lhs) > 0 && c.receiving(x) {
-			if obj := c.ident(a.Lhs[0]); obj != nil && c.r.ops.Tracks(obj.Type()) {
+			if obj := c.ident(a.Lhs[0]); obj != nil && c.comp.ops.Tracks(obj.Type()) {
 				c.acquire(obj, a.Pos(), s)
 				return
 			}
 		}
 		for _, lhs := range a.Lhs {
 			if obj := c.ident(lhs); obj != nil {
-				dropFacts(s, obj)
+				c.retire(obj, s)
 			}
 		}
 		return
@@ -307,8 +310,8 @@ func (c *checker) assign(a *ast.AssignStmt, s state) {
 		if ue, ok := ast.Unparen(a.Rhs[0]).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
 			for i, lhs := range a.Lhs {
 				if obj := c.ident(lhs); obj != nil {
-					dropFacts(s, obj)
-					if i == 0 && c.r.ops.Tracks(obj.Type()) && c.receiving(ue.X) {
+					c.retire(obj, s)
+					if i == 0 && c.comp.ops.Tracks(obj.Type()) && c.receiving(ue.X) {
 						c.acquire(obj, a.Pos(), s)
 					}
 				}
@@ -326,9 +329,9 @@ func (c *checker) assign(a *ast.AssignStmt, s state) {
 		if obj == nil {
 			// Element, field or deref store: writing into a discharged
 			// resource is reported; the stored value flows out of view.
-			base := sliceBase(info, lhs)
-			if rel, ok := releasedFact(s, base); ok {
-				c.reportf(a.Pos(), c.r.p.WriteAfter, base.Name(), c.clause(rel))
+			base := sliceBase(c.info, lhs)
+			if rel, ok := dischargedFact(s, base); ok {
+				c.reportf(a.Pos(), c.p.WriteAfter, base.Name(), c.clause(rel))
 			} else {
 				c.use(lhs, s)
 			}
@@ -337,12 +340,12 @@ func (c *checker) assign(a *ast.AssignStmt, s state) {
 		}
 		if rhs != nil {
 			if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-				if kind, _ := c.r.ops.Classify(info, call); kind == summary.OpAcquire {
+				if kind, _ := c.comp.ops.Classify(c.info, call); kind == OpAcquire {
 					for _, arg := range call.Args {
 						c.use(arg, s)
 					}
-					if prev, held := heldFact(s, obj); held && c.r.p.Realloc != "" {
-						c.reportf(a.Pos(), c.r.p.Realloc, obj.Name(), c.line(prev.pos))
+					if prev, ok := heldFact(s, obj); ok && c.p.Realloc != "" {
+						c.reportf(a.Pos(), c.p.Realloc, obj.Name(), c.line(prev.pos))
 					}
 					c.acquire(obj, call.Pos(), s)
 					continue
@@ -350,20 +353,20 @@ func (c *checker) assign(a *ast.AssignStmt, s state) {
 			}
 			// Rebinding through the same resource (b = b[:n], b =
 			// append(b, x)) keeps the obligation on the name.
-			if analysis.Mentions(info, rhs, obj) {
+			if analysis.Mentions(c.info, rhs, obj) {
 				c.use(rhs, s)
 				continue
 			}
 			// Alias borrow: data := frame[k:] is a window into the
 			// allocation; the base keeps the obligation.
-			if base := sliceBase(info, rhs); base != nil && hasFacts(s, base) {
+			if base := sliceBase(c.info, rhs); base != nil && hasFacts(s, base) {
 				c.use(rhs, s)
-				dropFacts(s, obj)
+				c.retire(obj, s)
 				continue
 			}
 			c.escapeExpr(rhs, s)
 		}
-		dropFacts(s, obj)
+		c.retire(obj, s)
 	}
 	if !paired {
 		for _, rhs := range a.Rhs {
@@ -379,7 +382,6 @@ func (c *checker) use(e ast.Expr, s state) {
 	if e == nil {
 		return
 	}
-	info := c.r.pass.Pkg.Info
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -402,9 +404,9 @@ func (c *checker) use(e ast.Expr, s state) {
 			}
 			return false
 		case *ast.Ident:
-			if obj := info.ObjectOf(n); obj != nil {
-				if rel, ok := releasedFact(s, obj); ok {
-					c.reportf(n.Pos(), c.r.p.UseAfter, obj.Name(), c.clause(rel))
+			if obj := c.info.ObjectOf(n); obj != nil {
+				if rel, ok := dischargedFact(s, obj); ok {
+					c.reportf(n.Pos(), c.p.UseAfter, obj.Name(), c.clause(rel))
 				}
 			}
 		}
@@ -417,11 +419,10 @@ func (c *checker) use(e ast.Expr, s state) {
 // runs, so `respond(req, uint64(req.prev))` reads req.prev strictly before
 // respond recycles req.
 func (c *checker) call(call *ast.CallExpr, s state) {
-	info := c.r.pass.Pkg.Info
-	p := c.r.p
+	p := c.p
 	c.use(call.Fun, s)
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
+		if b, ok := c.info.Uses[id].(*types.Builtin); ok {
 			for i, arg := range call.Args {
 				if b.Name() == "append" && call.Ellipsis == token.NoPos && i > 0 {
 					c.escapeExpr(arg, s) // the slice keeps the element
@@ -432,18 +433,18 @@ func (c *checker) call(call *ast.CallExpr, s state) {
 			return
 		}
 	}
-	kind, argIdx := c.r.ops.Classify(info, call)
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		kind = summary.OpBorrow // conversion
+	kind, argIdx := c.comp.ops.Classify(c.info, call)
+	if tv, ok := c.info.Types[call.Fun]; ok && tv.IsType() {
+		kind = OpBorrow // conversion
 	}
 	var done []fact
 	switch kind {
-	case summary.OpRelease, summary.OpTransfer:
+	case OpRelease, OpTransfer:
 		verb, msg := p.ReleaseVerb, p.ReleaseAfter
-		if kind == summary.OpTransfer {
+		if kind == OpTransfer {
 			verb, msg = p.TransferVerb, p.TransferAfter
 		}
-		if fn := analysis.Callee(info, call); verb == "" && fn != nil {
+		if fn := analysis.Callee(c.info, call); verb == "" && fn != nil {
 			verb = fn.Name() + "()"
 		}
 		for i, arg := range call.Args {
@@ -452,22 +453,23 @@ func (c *checker) call(call *ast.CallExpr, s state) {
 				c.use(arg, s)
 				continue
 			}
-			if rel, ok := releasedFact(s, obj); ok {
-				if kind == summary.OpRelease && rel.verb == verb && p.ReleaseTwice != "" {
+			if rel, ok := dischargedFact(s, obj); ok {
+				if kind == OpRelease && rel.verb == verb && p.ReleaseTwice != "" {
 					c.reportf(call.Pos(), p.ReleaseTwice, obj.Name(), c.line(rel.pos))
 				} else {
 					c.reportf(call.Pos(), msg, obj.Name(), verb, c.clause(rel))
 				}
 			}
-			done = append(done, fact{obj: obj, released: true, verb: verb, pos: call.Pos()})
+			done = append(done, fact{obj: obj, st: discharged, verb: verb, pos: call.Pos()})
 		}
-	case summary.OpNone:
-		var callee *types.Func
+	case OpNone:
+		// A callee met before its summary (a call cycle in summary mode) is
+		// summarized first, or reads as Escapes while in progress.
+		callee := analysis.Callee(c.info, call)
 		var sig *types.Signature
-		if c.r.comp != nil {
-			if callee = analysis.Callee(info, call); callee != nil {
-				sig, _ = callee.Type().(*types.Signature)
-			}
+		if callee != nil {
+			c.comp.summarize(callee)
+			sig, _ = callee.Type().(*types.Signature)
 		}
 		for i, arg := range call.Args {
 			obj := c.ident(arg)
@@ -475,18 +477,18 @@ func (c *checker) call(call *ast.CallExpr, s state) {
 				c.escapeExpr(arg, s)
 				continue
 			}
-			eff := summary.Escapes
+			eff := Escapes
 			if sig != nil && !(sig.Variadic() && i >= sig.Params().Len()-1) {
-				eff = c.r.comp.Effect(callee, i)
+				eff = c.comp.Effect(callee, i)
 			}
 			switch eff {
-			case summary.Borrows:
+			case Borrows:
 				c.use(arg, s)
-			case summary.Consumes:
-				if rel, ok := releasedFact(s, obj); ok {
+			case Consumes:
+				if rel, ok := dischargedFact(s, obj); ok {
 					c.reportf(call.Pos(), p.ConsumeAfter, obj.Name(), callee.Name(), c.clause(rel))
 				}
-				done = append(done, fact{obj: obj, released: true, verb: callee.Name() + "()", pos: call.Pos()})
+				done = append(done, fact{obj: obj, st: discharged, verb: callee.Name() + "()", pos: call.Pos()})
 			default:
 				c.escapeExpr(arg, s)
 			}
@@ -509,10 +511,10 @@ func (c *checker) call(call *ast.CallExpr, s state) {
 // tracked. Slicing before the escape still aliases the allocation.
 func (c *checker) escapeExpr(e ast.Expr, s state) {
 	if obj := c.ident(e); obj != nil {
-		if rel, ok := releasedFact(s, obj); ok {
-			c.reportf(e.Pos(), c.r.p.UseAfter, obj.Name(), c.clause(rel))
+		if rel, ok := dischargedFact(s, obj); ok {
+			c.reportf(e.Pos(), c.p.UseAfter, obj.Name(), c.clause(rel))
 		}
-		dropFacts(s, obj)
+		c.retire(obj, s)
 		return
 	}
 	if x, ok := ast.Unparen(e).(*ast.SliceExpr); ok {
@@ -528,11 +530,10 @@ func (c *checker) escapeExpr(e ast.Expr, s state) {
 // escapeIdents retires every tracked object mentioned under n (captures
 // by literals, defer/go registrations).
 func (c *checker) escapeIdents(n ast.Node, s state) {
-	info := c.r.pass.Pkg.Info
 	ast.Inspect(n, func(m ast.Node) bool {
 		if id, ok := m.(*ast.Ident); ok {
-			if obj := info.ObjectOf(id); obj != nil {
-				dropFacts(s, obj)
+			if obj := c.info.ObjectOf(id); obj != nil {
+				c.retire(obj, s)
 			}
 		}
 		return true
@@ -544,42 +545,52 @@ func (c *checker) escapeIdents(n ast.Node, s state) {
 // borrowed — the caller keeps it — so it is reported only when some other
 // path discharges it.
 func (c *checker) reportExit(exit state) {
-	var held []fact
-	released := map[types.Object]bool{}
+	var kept []fact
+	gone := map[types.Object]bool{}
 	for f := range exit {
-		if f.released {
-			released[f.obj] = true
-		} else {
-			held = append(held, f)
+		switch f.st {
+		case held:
+			kept = append(kept, f)
+		case discharged:
+			gone[f.obj] = true
 		}
 	}
-	sort.Slice(held, func(i, j int) bool { return held[i].pos < held[j].pos })
-	for _, f := range held {
+	sort.Slice(kept, func(i, j int) bool { return kept[i].pos < kept[j].pos })
+	for _, f := range kept {
 		switch {
 		case !c.params[f.obj]:
-			c.reportf(f.pos, c.r.p.Leak, f.obj.Name())
-		case released[f.obj]:
-			c.reportf(f.pos, c.r.p.Mixed, f.obj.Name())
+			c.reportf(f.pos, c.p.Leak, f.obj.Name())
+		case gone[f.obj]:
+			c.reportf(f.pos, c.p.Mixed, f.obj.Name())
 		}
 	}
 }
 
+// Messages are formatted only while reporting: reportf, line and clause
+// are no-ops during the fixpoint and in summary mode.
+
 func (c *checker) reportf(pos token.Pos, format string, args ...any) {
 	if c.report {
-		c.r.pass.Reportf(pos, format, args...)
+		c.pass.Reportf(pos, format, args...)
 	}
 }
 
 func (c *checker) line(pos token.Pos) int {
-	return c.r.pass.Fset.Position(pos).Line
+	if !c.report {
+		return 0
+	}
+	return c.pass.Fset.Position(pos).Line
 }
 
 func (c *checker) clause(f fact) string {
-	return c.r.p.Clause(f.verb, c.line(f.pos))
+	if !c.report {
+		return ""
+	}
+	return c.p.Clause(f.verb, c.line(f.pos))
 }
 
 func (c *checker) ident(e ast.Expr) types.Object {
-	return analysis.IdentObject(c.r.pass.Pkg.Info, e)
+	return analysis.IdentObject(c.info, e)
 }
 
 // sliceBase returns the object of the identifier under e when e is a
@@ -594,33 +605,37 @@ func sliceBase(info *types.Info, e ast.Expr) types.Object {
 
 // --- state helpers -------------------------------------------------------
 
-// heldFact and releasedFact return obj's earliest held/discharged fact.
-func heldFact(s state, obj types.Object) (fact, bool)     { return earliest(s, obj, false) }
-func releasedFact(s state, obj types.Object) (fact, bool) { return earliest(s, obj, true) }
+// heldFact and dischargedFact return obj's earliest held/discharged fact.
+func heldFact(s state, obj types.Object) (fact, bool)       { return earliest(s, obj, held) }
+func dischargedFact(s state, obj types.Object) (fact, bool) { return earliest(s, obj, discharged) }
 
-func earliest(s state, obj types.Object, released bool) (fact, bool) {
+func earliest(s state, obj types.Object, st status) (fact, bool) {
 	var best fact
 	found := false
 	for f := range s {
-		if f.obj == obj && f.released == released && (!found || f.pos < best.pos) {
+		if f.obj == obj && f.st == st && (!found || f.pos < best.pos) {
 			best, found = f, true
 		}
 	}
 	return best, found
 }
 
+// hasFacts reports whether obj is tracked: held or discharged on some
+// path.
 func hasFacts(s state, obj types.Object) bool {
 	for f := range s {
-		if f.obj == obj {
+		if f.obj == obj && f.st != escaped {
 			return true
 		}
 	}
 	return false
 }
 
+// dropFacts forgets obj's held and discharged facts; an escaped fact
+// stays.
 func dropFacts(s state, obj types.Object) {
 	for f := range s {
-		if f.obj == obj {
+		if f.obj == obj && f.st != escaped {
 			delete(s, f)
 		}
 	}

@@ -52,7 +52,7 @@ func run(pass *analysis.Pass) error {
 		hh:    hh,
 		info:  types.NewPointer(ai),
 		ch:    pass.NamedType(analysis.LapiPath, "CompletionHandler"),
-		decls: declIndex(pass),
+		decls: pass.FuncIndex(),
 	}
 	seen := make(map[ast.Node]bool)
 	for _, f := range pass.Pkg.Files {
@@ -71,36 +71,7 @@ type checker struct {
 	hh    types.Type // lapi.HeaderHandler
 	info  types.Type // *lapi.AmInfo
 	ch    types.Type // lapi.CompletionHandler
-	decls map[*types.Func]funcDecl
-}
-
-// funcDecl is a named function's declaration with the package whose type
-// info resolves it (named handlers may be declared in another module
-// package than the registration site).
-type funcDecl struct {
-	decl *ast.FuncDecl
-	pkg  *analysis.Package
-}
-
-// declIndex maps every named function in the module to its declaration
-// (FuncIndex keeps only bodies; the handler analysis also needs the
-// parameter list to find the *AmInfo argument).
-func declIndex(pass *analysis.Pass) map[*types.Func]funcDecl {
-	idx := make(map[*types.Func]funcDecl)
-	for _, pkg := range pass.ModulePackages() {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					idx[fn] = funcDecl{decl: fd, pkg: pkg}
-				}
-			}
-		}
-	}
-	return idx
+	decls map[*types.Func]analysis.FuncBody
 }
 
 // checkRoot analyzes one handler-valued expression: a function literal in
@@ -117,15 +88,15 @@ func (c *checker) checkRoot(root ast.Expr, seen map[ast.Node]bool) {
 		if fn == nil {
 			return
 		}
-		if fd, ok := c.decls[fn]; ok && !seen[fd.decl] {
-			seen[fd.decl] = true
-			c.checkHandler(fd.decl.Type, fd.decl.Body, fd.pkg)
+		if fd, ok := c.decls[fn]; ok && !seen[fd.Decl] {
+			seen[fd.Decl] = true
+			c.checkHandler(fd.Decl.Type, fd.Body, fd.Pkg)
 		}
 	}
 }
 
 // state is the may-set of locals aliasing the pooled packet.
-type state map[types.Object]bool
+type state = dataflow.Set[types.Object]
 
 // handlerScope is the per-handler analysis context (everything that is not
 // flow-dependent).
@@ -166,39 +137,13 @@ func (h *handlerScope) analyze(body *ast.BlockStmt, seed state) {
 // problem adapts handlerScope to the dataflow solver; report is off during
 // Solve and on during the Walk replay.
 type problem struct {
+	dataflow.MaySet[types.Object]
 	h      *handlerScope
 	seed   state
 	report bool
 }
 
 func (p *problem) Entry() state { return p.Clone(p.seed) }
-
-func (p *problem) Clone(s state) state {
-	n := make(state, len(s))
-	for o := range s {
-		n[o] = true
-	}
-	return n
-}
-
-func (p *problem) Merge(dst, src state) state {
-	for o := range src {
-		dst[o] = true
-	}
-	return dst
-}
-
-func (p *problem) Equal(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for o := range a {
-		if !b[o] {
-			return false
-		}
-	}
-	return true
-}
 
 func (p *problem) Transfer(n ast.Node, s state) state {
 	p.h.transfer(n, s, p.report)

@@ -1,32 +1,33 @@
 // Package teardownpath enforces gateway invariant 10: the server's
 // outstanding-frame counter (srv.frames, an atomic.Int64 bumped next to
 // every pooled Alloc and Release) stays truthful on every control-flow
-// path, teardown branches included. Server.Close spins until the counter
-// reaches zero before tearing down the endpoints; an Alloc that is never
-// counted lets Close free the pool under a live frame, and a Release
-// that is never discounted (or a double count) wedges Close forever.
+// path, teardown branches included. Server.InflightFrames reports it, and
+// the churn, end-to-end and malformed-input tests poll it to prove that a
+// closed gateway holds no pooled frame. An Alloc that is never counted
+// hides a leaked frame from those checks, and a Release that is never
+// discounted (or a double count) makes a clean gateway look leaky — either
+// way the leak checks stop proving anything.
 //
 // The pass activates only in packages that actually touch a field named
 // frames of type sync/atomic.Int64 via Add (today: internal/gateway) and
 // then checks, per function, a path-sensitive pairing discipline:
 //
-//   - every pooled Alloc (the summary.BufferOps protocol: endpoint Alloc
-//     on a pooled transport) is followed by frames.Add(1) on every path
-//     out of the function;
+//   - every pooled Alloc (the obligation.BufferOps protocol: endpoint
+//     Alloc on a pooled transport) is followed by frames.Add(1) on every
+//     path out of the function;
 //   - every pooled Release is followed by frames.Add(-1) on every path;
 //   - frames.Add(1) without a pending Alloc, and frames.Add(-1) without
 //     a preceding Release, are counted twice by definition;
-//   - channel-aware (the layer the NoChannel baseline lacks): a frame
-//     handed to another goroutine while an Alloc is still uncounted races
-//     the receiver's Release+Add(-1) against this goroutine's Add(1), so
-//     the counter can dip below zero and release Close early.
+//   - a frame handed to another goroutine while an Alloc is still
+//     uncounted races the receiver's Release+Add(-1) against this
+//     goroutine's Add(1), so the counter can dip below zero.
 //
 // The abstraction is a per-path pair of saturating pending counters
 // (allocations not yet counted, releases not yet discounted), merged as
 // a may-set over paths — deliberately not per-frame ownership, which is
 // buflifetime's job. The two passes compose: buflifetime proves each
 // frame is discharged exactly once; teardownpath proves the bookkeeping
-// Close trusts moves in lockstep.
+// the leak checks read moves in lockstep.
 package teardownpath
 
 import (
@@ -38,31 +39,22 @@ import (
 	"golapi/internal/analysis"
 	"golapi/internal/analysis/cfg"
 	"golapi/internal/analysis/dataflow"
-	"golapi/internal/analysis/summary"
+	"golapi/internal/analysis/obligation"
 )
 
-// Analyzer is the teardownpath pass (channel-aware).
+// Analyzer is the teardownpath pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "teardownpath",
 	Doc:  "every pooled Alloc/Release pairs with frames.Add(±1) on every path, and no frame crosses a goroutine uncounted",
-	Run:  func(pass *analysis.Pass) error { return run(pass, true) },
+	Run:  run,
 }
 
-// NoChannel is the comparison baseline without the goroutine-handoff
-// check. Not registered in cmd/lapivet; tests use it to prove which true
-// positives need the channel layer.
-var NoChannel = &analysis.Analyzer{
-	Name: "teardownpath-nochan",
-	Doc:  "teardownpath without the uncounted-handoff check (comparison baseline)",
-	Run:  func(pass *analysis.Pass) error { return run(pass, false) },
-}
-
-func run(pass *analysis.Pass, channelAware bool) error {
-	ops := summary.NewBufferOps(pass)
+func run(pass *analysis.Pass) error {
+	ops := obligation.NewBufferOps(pass)
 	if ops == nil || !usesFrameCounter(pass) {
 		return nil
 	}
-	r := &runner{pass: pass, ops: ops, chanAware: channelAware}
+	r := &runner{pass: pass, ops: ops}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -124,9 +116,8 @@ func frameAddDelta(info *types.Info, call *ast.CallExpr) int {
 }
 
 type runner struct {
-	pass      *analysis.Pass
-	ops       *summary.BufferOps
-	chanAware bool
+	pass *analysis.Pass
+	ops  *obligation.BufferOps
 }
 
 func (r *runner) check(body *ast.BlockStmt) {
@@ -149,7 +140,7 @@ type counts struct {
 	apos, rpos token.Pos
 }
 
-type state map[counts]bool
+type state = dataflow.Set[counts]
 
 type reportKey struct {
 	pos token.Pos
@@ -157,39 +148,13 @@ type reportKey struct {
 }
 
 type checker struct {
+	dataflow.MaySet[counts]
 	r      *runner
 	report bool
 	seen   map[reportKey]bool
 }
 
 func (c *checker) Entry() state { return state{counts{}: true} }
-
-func (c *checker) Clone(s state) state {
-	n := make(state, len(s))
-	for k := range s {
-		n[k] = true
-	}
-	return n
-}
-
-func (c *checker) Merge(dst, src state) state {
-	for k := range src {
-		dst[k] = true
-	}
-	return dst
-}
-
-func (c *checker) Equal(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
 
 // event is one bookkeeping-relevant operation inside a leaf node, in
 // source order.
@@ -229,9 +194,9 @@ func (c *checker) Transfer(n ast.Node, s state) state {
 				return true
 			}
 			switch kind, _ := c.r.ops.Classify(info, m); kind {
-			case summary.OpAcquire:
+			case obligation.OpAcquire:
 				events = append(events, event{evAlloc, m.Pos()})
-			case summary.OpRelease:
+			case obligation.OpRelease:
 				events = append(events, event{evRelease, m.Pos()})
 			}
 		}
@@ -282,7 +247,7 @@ func (c *checker) apply(ev event, s state) state {
 				c.reportf(ev.pos, "frames.Add(-1) without a preceding Release on some path: the outstanding-frame count can go negative")
 			}
 		case evSend:
-			if c.r.chanAware && k.a > 0 {
+			if k.a > 0 {
 				c.reportf(ev.pos, "frame handed to another goroutine while the Alloc at line %d is still uncounted: its Release may be discounted before this goroutine's frames.Add(1)", c.line(k.apos))
 			}
 		}

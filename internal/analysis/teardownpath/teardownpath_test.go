@@ -2,10 +2,8 @@ package teardownpath_test
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"golapi/internal/analysis"
 	"golapi/internal/analysis/analysistest"
 	"golapi/internal/analysis/teardownpath"
 )
@@ -15,30 +13,10 @@ func TestTeardownpath(t *testing.T) {
 }
 
 // TestNoChannelBaselineMissesHandoff proves the sendUncounted finding
-// needs the channel layer: the baseline without the handoff check must
-// miss it while still catching the pairing bugs.
+// needs the channel layer: its message is the handoff text, which no
+// pairing check produces.
 func TestNoChannelBaselineMissesHandoff(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "tp")
-	l, err := analysis.NewLoader(dir)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := l.LoadDir(dir)
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	diags, _, err := analysis.RunPackage(l, pkg, []*analysis.Analyzer{teardownpath.NoChannel})
-	if err != nil {
-		t.Fatalf("RunPackage: %v", err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("baseline reported nothing; expected it to catch the pairing bugs")
-	}
-	for _, d := range diags {
-		if strings.Contains(d.Message, "handed to another goroutine") {
-			pos := l.Fset.Position(d.Pos)
-			t.Errorf("baseline mode unexpectedly caught the handoff at %s:%d: %s",
-				filepath.Base(pos.Filename), pos.Line, d.Message)
-		}
-	}
+	analysistest.CheckLayers(t, filepath.Join("testdata", "src", "tp"), teardownpath.Analyzer, []analysistest.Layer{
+		{Func: "sendUncounted", Substr: "handed to another goroutine"},
+	})
 }

@@ -1,7 +1,7 @@
 // Package tp is the teardownpath golden test: a miniature of the gateway
 // server — a pooled transport, an outstanding-frame counter, and a
 // response channel to a writer goroutine. The sendUncounted case is the
-// channel-aware true positive the NoChannel baseline must miss.
+// channel-aware true positive: the goroutine-handoff check.
 package tp
 
 import (

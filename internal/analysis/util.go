@@ -99,32 +99,36 @@ func IsMethodOf(fn *types.Func, pkgPath, recvName string, names ...string) bool 
 	return false
 }
 
-// FuncBody is a function body found somewhere in the module, together with
+// FuncBody is a function declared somewhere in the module, together with
 // the package whose type info resolves identifiers inside it.
 type FuncBody struct {
+	Decl *ast.FuncDecl
 	Body *ast.BlockStmt
 	Pkg  *Package
 }
 
 // FuncIndex maps every named function and method declared in the loaded
-// module packages to its body, for interprocedural walks. Functions without
-// bodies (assembly stubs) are absent.
+// module packages to its declaration, for interprocedural walks. Functions
+// without bodies (assembly stubs) are absent. The index is built once per
+// load (via Shared); callers must not modify it.
 func (p *Pass) FuncIndex() map[*types.Func]FuncBody {
-	idx := make(map[*types.Func]FuncBody)
-	for _, pkg := range p.ModulePackages() {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					idx[fn] = FuncBody{Body: fd.Body, Pkg: pkg}
+	return p.Shared("funcindex", func() any {
+		idx := make(map[*types.Func]FuncBody)
+		for _, pkg := range p.ModulePackages() {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					fd, ok := decl.(*ast.FuncDecl)
+					if !ok || fd.Body == nil {
+						continue
+					}
+					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+						idx[fn] = FuncBody{Decl: fd, Body: fd.Body, Pkg: pkg}
+					}
 				}
 			}
 		}
-	}
-	return idx
+		return idx
+	}).(map[*types.Func]FuncBody)
 }
 
 // ObjectOf resolves an identifier or selector expression to the object it

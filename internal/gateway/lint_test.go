@@ -11,8 +11,8 @@ import (
 	"golapi/internal/analysis/concurrency"
 	"golapi/internal/analysis/creditflow"
 	"golapi/internal/analysis/goteardown"
+	"golapi/internal/analysis/obligation"
 	"golapi/internal/analysis/racefree"
-	"golapi/internal/analysis/summary"
 	"golapi/internal/analysis/teardownpath"
 )
 
@@ -26,7 +26,7 @@ import (
 // branches in session.go) checked out clean; this test is the regression
 // guard that keeps it that way — a future edit that drops a frame,
 // double-grants a credit, or skips a frames.Add on an error path fails
-// here, not in a wedged Server.Close.
+// here, not as a leak the InflightFrames checks miss or invent.
 //
 // The capture analyzer first proves the result is not vacuous: all three
 // passes gate on protocol inference (pooled-buffer ops, the getReq/putReq
@@ -46,7 +46,7 @@ func TestLintClean(t *testing.T) {
 		Name: "capture",
 		Doc:  "verifies the three passes activate on this package",
 		Run: func(pass *analysis.Pass) error {
-			if summary.NewBufferOps(pass) == nil {
+			if obligation.NewBufferOps(pass) == nil {
 				t.Error("BufferOps inference failed: buflifetime and teardownpath would silently skip this package")
 			}
 			if creditflow.NewRequestOps(pass) == nil {
