@@ -31,6 +31,7 @@ race:
 	$(GO) test -race -run 'TCP|Real' ./internal/collective/ ./internal/mpi/ ./internal/ga/ ./internal/lapi/
 	$(GO) test -race -run 'Sharded' ./internal/switchnet/ ./internal/cluster/
 	$(GO) test -race ./internal/gateway/...
+	$(GO) test -race -count=10 -run TestSessionChurnLargePayloads ./internal/gateway/
 
 # The multicore determinism gate: every virtual-time experiment must emit
 # byte-identical output whether sweep points run serially or across the
@@ -98,7 +99,7 @@ lint-json:
 # simulator's microbenchmarks, and the lint-cost ratio, whose record is
 # BENCH_hotpath.json (fails above 3.5x the load-only time).
 bench:
-	$(GO) test -run 'AllocBudget|DoesNotAllocate' ./internal/sim/ ./internal/switchnet/ ./internal/lapi/ ./internal/tcpnet/ ./internal/gateway/
+	$(GO) test -run 'AllocBudget|DoesNotAllocate' ./internal/sim/ ./internal/switchnet/ ./internal/lapi/ ./internal/ga/ ./internal/tcpnet/ ./internal/gateway/
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/
 	$(GO) run ./cmd/lapibench -exp lintgate > BENCH_hotpath.json
 

@@ -260,8 +260,16 @@ func (c *collector) leaf(leaf ast.Node, locks LockSet, rangeBind map[*ast.Assign
 		switch x := n.(type) {
 		case *ast.FuncLit:
 			// Root literals are their own units; inline literals are
-			// attributed to this unit (they run, approximately, here).
-			return !c.m.rootLit[x]
+			// attributed to this unit (they run, approximately, here),
+			// holding ⟨serialized⟩ when their signature says so.
+			if c.m.rootLit[x] {
+				return false
+			}
+			if c.m.serializedLit(c.info, x) && !locks.Has(SerializedLock) {
+				c.leaf(x.Body, locks.with(SerializedLock), rangeBind)
+				return false
+			}
+			return true
 		case *ast.AssignStmt:
 			if op, ok := rangeBind[x]; ok {
 				// Synthesized range binding: ranging over a channel is a

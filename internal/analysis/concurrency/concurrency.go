@@ -1080,18 +1080,35 @@ func (m *Model) contractualLocks(u *Unit) LockSet {
 		ls.add(SerializedLock)
 		return ls
 	}
-	sig := u.signature()
-	if sig == nil {
-		return ls
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		t := sig.Params().At(i).Type()
-		if isSerializedCtxType(t, m.execPkg, m.simPkg) {
-			ls.add(SerializedLock)
-			return ls
-		}
+	if m.takesSerializedCtx(u.signature()) {
+		ls.add(SerializedLock)
 	}
 	return ls
+}
+
+// serializedLit reports whether an inline function literal takes an
+// exec.Context or *sim.Proc. Like a declared function with such a
+// parameter (contractualLocks), it only ever runs on a serialized
+// activity, whatever the function that builds it holds: a workload body
+// returned by a constructor is called by the runtime, not by the
+// constructor.
+func (m *Model) serializedLit(info *types.Info, lit *ast.FuncLit) bool {
+	sig, _ := info.TypeOf(lit).(*types.Signature)
+	return m.takesSerializedCtx(sig)
+}
+
+// takesSerializedCtx reports whether sig has an exec.Context or *sim.Proc
+// parameter.
+func (m *Model) takesSerializedCtx(sig *types.Signature) bool {
+	if sig == nil {
+		return false
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		if isSerializedCtxType(sig.Params().At(i).Type(), m.execPkg, m.simPkg) {
+			return true
+		}
+	}
+	return false
 }
 
 func (u *Unit) signature() *types.Signature {

@@ -170,3 +170,16 @@ func TestLocksetJoin(t *testing.T) {
 		}
 	}
 }
+
+// TestContextLiteralHoldsSerialized: an inline literal that takes an
+// exec.Context holds ⟨serialized⟩ whatever its enclosing function holds,
+// and the grant reaches the end of an eight-call chain below it.
+func TestContextLiteralHoldsSerialized(t *testing.T) {
+	m := loadModel(t)
+	if ls := lockNamesAt(t, named(t, m, "workload"), "bodyHits"); !ls.Has(SerializedLock) {
+		t.Errorf("workload body: bodyHits lockset = %v, want ⟨serialized⟩", ls)
+	}
+	if d := named(t, m, "depth8"); !d.Entry.Has(SerializedLock) {
+		t.Errorf("depth8 entry = %v, want ⟨serialized⟩", d.Entry)
+	}
+}

@@ -30,6 +30,13 @@ func (ls LockSet) add(o types.Object)      { ls[o] = struct{}{} }
 func (ls LockSet) remove(o types.Object)   { delete(ls, o) }
 func (ls LockSet) Has(o types.Object) bool { _, ok := ls[o]; return ok }
 
+// with returns a copy of ls that also holds o.
+func (ls LockSet) with(o types.Object) LockSet {
+	out := ls.clone()
+	out.add(o)
+	return out
+}
+
 // Intersects reports whether two locksets share a lock.
 func (ls LockSet) Intersects(other LockSet) bool {
 	a, b := ls, other
@@ -198,10 +205,11 @@ func (u *Unit) graphOf() *cfg.Graph {
 	return u.graph
 }
 
-// resolveLocksets runs the interprocedural entry-lockset fixpoint. Entry
-// locksets only shrink (intersection over call sites) from an initial ⊤,
-// so the rounds terminate; the round cap is a safety net for pathological
-// call graphs, erring toward larger locksets (fewer reports).
+// resolveLocksets runs the interprocedural entry-lockset fixpoint: an
+// entry is the intersection of the locksets at its call sites. Round 0
+// runs every unit from its contractual floor, so a later round can also
+// raise an entry, as a caller's ⟨serialized⟩ reaches it one call level per
+// round; the rounds stop when no entry changes.
 func (m *Model) resolveLocksets() {
 	// Seed roots. A unit may be both spawned and called; seeds intersect.
 	for _, s := range m.Spawns {
@@ -243,7 +251,11 @@ func (m *Model) resolveLocksets() {
 	contribCache := make(map[*Unit][]siteContrib)
 	cacheEntry := make(map[*Unit]LockSet)
 
-	for round := 0; round < 6; round++ {
+	// The cap is a safety net for pathological call graphs. It must
+	// exceed the deepest chain ⟨serialized⟩ travels: lapi's arena lookups
+	// sit seven calls below a workload body.
+	const maxEntryRounds = 16
+	for round := 0; round < maxEntryRounds; round++ {
 		contrib := make(map[*Unit]LockSet)
 		meet := func(v *Unit, ls LockSet) {
 			if cur, ok := contrib[v]; ok {
@@ -335,17 +347,27 @@ func (m *Model) callSiteLocks(u *Unit, entry LockSet, meet func(*Unit, LockSet))
 		}
 		s := in.clone()
 		for _, leaf := range blk.Nodes {
-			// Call sites nested in this leaf observe the leaf's in-state.
-			ast.Inspect(leaf, func(n ast.Node) bool {
-				for _, e := range siteEdges[n] {
-					ls := s.clone()
-					if e.serialized {
-						ls.add(SerializedLock)
+			// Call sites nested in this leaf observe the leaf's in-state,
+			// plus ⟨serialized⟩ inside an inline literal that holds it by
+			// contract.
+			var visit func(n ast.Node, s LockSet)
+			visit = func(n ast.Node, s LockSet) {
+				ast.Inspect(n, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.FuncLit); ok && !s.Has(SerializedLock) && m.serializedLit(u.Pkg.Info, lit) {
+						visit(lit.Body, s.with(SerializedLock))
+						return false
 					}
-					meet(e.to, ls)
-				}
-				return true
-			})
+					for _, e := range siteEdges[n] {
+						ls := s.clone()
+						if e.serialized {
+							ls.add(SerializedLock)
+						}
+						meet(e.to, ls)
+					}
+					return true
+				})
+			}
+			visit(leaf, s)
 			s = p.Transfer(leaf, s)
 		}
 	}

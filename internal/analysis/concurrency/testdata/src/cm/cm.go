@@ -19,6 +19,7 @@ func main() {
 	postArg(exec.NewRealRuntime(), 7)
 	branchLock(longLived, true)
 	bothLock(longLived)
+	_ = workload()
 }
 
 var (
@@ -109,3 +110,25 @@ func bothLock(c *cell) {
 	c.val2++
 	c.mu.Unlock()
 }
+
+var bodyHits, deepHits int
+
+// workload returns a body for the runtime to run: the constructor itself
+// runs on the main goroutine, holding nothing, but the literal takes an
+// exec.Context, so its code and every call below it hold ⟨serialized⟩ —
+// eight calls deep, which takes the entry fixpoint more than six rounds.
+func workload() func(ctx exec.Context) {
+	return func(ctx exec.Context) {
+		bodyHits++
+		depth1()
+	}
+}
+
+func depth1() { depth2() }
+func depth2() { depth3() }
+func depth3() { depth4() }
+func depth4() { depth5() }
+func depth5() { depth6() }
+func depth6() { depth7() }
+func depth7() { depth8() }
+func depth8() { deepHits++ }

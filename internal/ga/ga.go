@@ -249,11 +249,11 @@ type subRequest struct {
 	sub   Patch
 }
 
-// decompose splits a patch into per-owner subpatches. With a block
-// distribution a rectangular patch intersects each owner in at most one
-// rectangle.
-func (a *Array) decompose(p Patch) []subRequest {
-	var subs []subRequest
+// decompose appends the per-owner subpatches of a patch to subs. With a
+// block distribution a rectangular patch intersects each owner in at most
+// one rectangle. Callers pass a small stack array, so a request touching
+// few owners allocates nothing.
+func (a *Array) decompose(p Patch, subs []subRequest) []subRequest {
 	for gr := p.RLo / a.blockR; gr <= p.RHi/a.blockR && gr < a.gridR; gr++ {
 		for gc := p.CLo / a.blockC; gc <= p.CHi/a.blockC && gc < a.gridC; gc++ {
 			owner := gr*a.gridC + gc
@@ -280,7 +280,8 @@ func (a *Array) Put(ctx exec.Context, p Patch, buf []float64, ld int) error {
 		return err
 	}
 	a.w.chargeRequest(ctx)
-	for _, s := range a.decompose(p) {
+	var subs [4]subRequest
+	for _, s := range a.decompose(p, subs[:0]) {
 		if err := a.w.b.put(ctx, a, s.owner, s.sub, buf, ld, bufOffset(p, s.sub, ld)); err != nil {
 			return err
 		}
@@ -295,7 +296,8 @@ func (a *Array) Get(ctx exec.Context, p Patch, buf []float64, ld int) error {
 		return err
 	}
 	a.w.chargeRequest(ctx)
-	for _, s := range a.decompose(p) {
+	var subs [4]subRequest
+	for _, s := range a.decompose(p, subs[:0]) {
 		if err := a.w.b.get(ctx, a, s.owner, s.sub, buf, ld, bufOffset(p, s.sub, ld)); err != nil {
 			return err
 		}
@@ -311,7 +313,8 @@ func (a *Array) Acc(ctx exec.Context, p Patch, buf []float64, ld int, alpha floa
 		return err
 	}
 	a.w.chargeRequest(ctx)
-	for _, s := range a.decompose(p) {
+	var subs [4]subRequest
+	for _, s := range a.decompose(p, subs[:0]) {
 		if err := a.w.b.acc(ctx, a, s.owner, s.sub, buf, ld, bufOffset(p, s.sub, ld), alpha); err != nil {
 			return err
 		}

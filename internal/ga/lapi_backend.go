@@ -36,9 +36,11 @@ type gaHdr struct {
 
 const gaHdrSize = 40
 
-func (h *gaHdr) encode() []byte {
-	b := make([]byte, gaHdrSize)
+// encode writes h into the first gaHdrSize bytes of b and returns them.
+func (h *gaHdr) encode(b []byte) []byte {
+	b = b[:gaHdrSize]
 	b[0] = h.op
+	b[1] = 0
 	binary.BigEndian.PutUint16(b[2:], h.handle)
 	binary.BigEndian.PutUint32(b[4:], uint32(h.sub.RLo))
 	binary.BigEndian.PutUint32(b[8:], uint32(h.sub.RHi))
@@ -109,6 +111,9 @@ type lapiBackend struct {
 
 	// Counter free-list: blocking calls borrow a counter and return it.
 	cntrPool []*lapi.Counter
+
+	// Per-operation byte buffers, borrowed and given back like counters.
+	scratch scratch
 
 	// accMu serializes accumulate application against other completion
 	// handlers (§5.3.3's Pthread-mutex role).
@@ -259,13 +264,14 @@ func (b *lapiBackend) stride(a *Array, owner int, sub Patch) (lapi.Addr, lapi.St
 func (b *lapiBackend) vectorPut(ctx exec.Context, a *Array, owner int, sub Patch, buf []float64, ld, off int) error {
 	org := b.borrowCntr()
 	defer b.returnCntr(org)
-	data := make([]byte, sub.Elems()*8)
+	data := b.scratch.borrow(sub.Elems() * 8)
 	packPatch(data, buf, ld, off, sub.Rows(), sub.Cols())
 	base, st := b.stride(a, owner, sub)
 	if err := b.t.PutStrided(ctx, owner, base, st, data, lapi.NoCounter, org, b.track(owner, gaPut)); err != nil {
 		return err
 	}
 	b.t.Waitcntr(ctx, org, 1)
+	b.scratch.give(data)
 	return nil
 }
 
@@ -273,13 +279,14 @@ func (b *lapiBackend) vectorPut(ctx exec.Context, a *Array, owner int, sub Patch
 func (b *lapiBackend) vectorGet(ctx exec.Context, a *Array, owner int, sub Patch, buf []float64, ld, off int) error {
 	org := b.borrowCntr()
 	defer b.returnCntr(org)
-	scratch := make([]byte, sub.Elems()*8)
+	land := b.scratch.borrow(sub.Elems() * 8)
 	base, st := b.stride(a, owner, sub)
-	if err := b.t.GetStrided(ctx, owner, base, st, scratch, lapi.NoCounter, org); err != nil {
+	if err := b.t.GetStrided(ctx, owner, base, st, land, lapi.NoCounter, org); err != nil {
 		return err
 	}
 	b.t.Waitcntr(ctx, org, 1)
-	unpackPatch(buf, ld, off, scratch, sub.Rows(), sub.Cols())
+	unpackPatch(buf, ld, off, land, sub.Rows(), sub.Cols())
+	b.scratch.give(land)
 	return nil
 }
 
@@ -289,23 +296,27 @@ func (b *lapiBackend) directPutRows(ctx exec.Context, a *Array, owner int, sub P
 	org := b.borrowCntr()
 	defer b.returnCntr(org)
 	rows, cols := sub.Rows(), sub.Cols()
+	wire := b.scratch.borrow(rows * cols * 8)
 	for r := 0; r < rows; r++ {
 		// The row encode below stands in for the adapter's DMA read
 		// of user memory: it is not one of the paper's "extra
 		// copies" and carries no modelled cost.
-		wire := make([]byte, cols*8)
-		packRow(wire, buf, off+r*ld, cols)
+		row := wire[r*cols*8 : (r+1)*cols*8]
+		packRow(row, buf, off+r*ld, cols)
 		addr := b.remoteAddr(a, owner, sub.RLo+r, sub.CLo)
-		if err := b.t.Put(ctx, owner, addr, wire, lapi.NoCounter, org, b.track(owner, gaPut)); err != nil {
+		if err := b.t.Put(ctx, owner, addr, row, lapi.NoCounter, org, b.track(owner, gaPut)); err != nil {
 			return err
 		}
 	}
+	// A rendezvous Put reads its row until the origin counter fires.
 	b.t.Waitcntr(ctx, org, rows)
+	b.scratch.give(wire)
 	return nil
 }
 
 // amPutAcc ships a put or accumulate through the AM protocol: pack (charged
-// copy), pipelined Amsends, no waiting — the pack buffers are internal.
+// copy), pipelined Amsends, no waiting — Amsend copies each message into
+// packets, so one pack buffer serves every chunk.
 func (b *lapiBackend) amPutAcc(ctx exec.Context, op byte, a *Array, owner int, sub Patch, buf []float64, ld, off int, alpha float64) error {
 	cols := sub.Cols()
 	rowBytes := cols * 8
@@ -313,10 +324,11 @@ func (b *lapiBackend) amPutAcc(ctx exec.Context, op byte, a *Array, owner int, s
 	if rowsPer < 1 {
 		rowsPer = 1
 	}
+	msg := b.scratch.borrow(gaHdrSize + min(rowsPer, sub.Rows())*rowBytes)
 	for r0 := 0; r0 < sub.Rows(); r0 += rowsPer {
 		r1 := min(r0+rowsPer, sub.Rows())
 		chunk := Patch{RLo: sub.RLo + r0, RHi: sub.RLo + r1 - 1, CLo: sub.CLo, CHi: sub.CHi}
-		data := make([]byte, chunk.Elems()*8)
+		data := msg[gaHdrSize : gaHdrSize+chunk.Elems()*8]
 		// The pack copy is one of the AM protocol's two extra copies
 		// (§5.3): charge it.
 		if c := b.cfg.copyCost(len(data)); c > 0 {
@@ -324,10 +336,11 @@ func (b *lapiBackend) amPutAcc(ctx exec.Context, op byte, a *Array, owner int, s
 		}
 		packPatch(data, buf, ld, off+r0*ld, chunk.Rows(), chunk.Cols())
 		h := gaHdr{op: op, handle: uint16(a.handle), sub: chunk, alpha: alpha}
-		if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(), data, lapi.NoCounter, nil, b.track(owner, op)); err != nil {
+		if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(msg), data, lapi.NoCounter, nil, b.track(owner, op)); err != nil {
 			return err
 		}
 	}
+	b.scratch.give(msg)
 	return nil
 }
 
@@ -355,17 +368,18 @@ func (b *lapiBackend) directGetRows(ctx exec.Context, a *Array, owner int, sub P
 	org := b.borrowCntr()
 	defer b.returnCntr(org)
 	rows, cols := sub.Rows(), sub.Cols()
-	scratch := make([]byte, rows*cols*8)
+	land := b.scratch.borrow(rows * cols * 8)
 	for r := 0; r < rows; r++ {
 		addr := b.remoteAddr(a, owner, sub.RLo+r, sub.CLo)
-		if err := b.t.Get(ctx, owner, addr, scratch[r*cols*8:(r+1)*cols*8], lapi.NoCounter, org); err != nil {
+		if err := b.t.Get(ctx, owner, addr, land[r*cols*8:(r+1)*cols*8], lapi.NoCounter, org); err != nil {
 			return err
 		}
 	}
 	b.t.Waitcntr(ctx, org, rows)
 	for r := 0; r < rows; r++ {
-		unpackRow(buf, off+r*ld, scratch[r*cols*8:], cols)
+		unpackRow(buf, off+r*ld, land[r*cols*8:], cols)
 	}
+	b.scratch.give(land)
 	return nil
 }
 
@@ -379,10 +393,12 @@ func (b *lapiBackend) amGet(ctx exec.Context, a *Array, owner int, sub Patch, bu
 	id := b.nextID
 	b.pending[id] = &pendingGet{buf: buf, ld: ld, off: off, sub: sub, done: done}
 	h := gaHdr{op: gaGetReq, handle: uint16(a.handle), sub: sub, id: id, cntr: uint32(done.ID())}
-	if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(), nil, lapi.NoCounter, nil, nil); err != nil {
+	hdr := h.encode(b.scratch.borrow(gaHdrSize))
+	if err := b.t.Amsend(ctx, owner, b.reqH, hdr, nil, lapi.NoCounter, nil, nil); err != nil {
 		delete(b.pending, id)
 		return err
 	}
+	b.scratch.give(hdr)
 	b.t.Waitcntr(ctx, done, 1)
 	return nil
 }
@@ -397,7 +413,8 @@ func (b *lapiBackend) acc(ctx exec.Context, a *Array, owner int, sub Patch, buf 
 
 func (b *lapiBackend) scatter(ctx exec.Context, a *Array, owner int, idx []int32, vals []float64) error {
 	n := len(vals)
-	data := make([]byte, n*16)
+	msg := b.scratch.borrow(gaHdrSize + n*16)
+	data := msg[gaHdrSize:]
 	if c := b.cfg.copyCost(len(data)); c > 0 {
 		ctx.Sleep(c)
 	}
@@ -407,14 +424,19 @@ func (b *lapiBackend) scatter(ctx exec.Context, a *Array, owner int, idx []int32
 		putF64(data[k*16+8:], vals[k])
 	}
 	h := gaHdr{op: gaScatter, handle: uint16(a.handle), count: uint32(n)}
-	return b.t.Amsend(ctx, owner, b.reqH, h.encode(), data, lapi.NoCounter, nil, b.track(owner, gaScatter))
+	if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(msg), data, lapi.NoCounter, nil, b.track(owner, gaScatter)); err != nil {
+		return err
+	}
+	b.scratch.give(msg)
+	return nil
 }
 
 func (b *lapiBackend) gather(ctx exec.Context, a *Array, owner int, idx []int32, out []float64) error {
 	done := b.borrowCntr()
 	defer b.returnCntr(done)
 	n := len(out)
-	data := make([]byte, n*8)
+	msg := b.scratch.borrow(gaHdrSize + n*8)
+	data := msg[gaHdrSize:]
 	for k := 0; k < n; k++ {
 		binary.BigEndian.PutUint32(data[k*8:], uint32(idx[2*k]))
 		binary.BigEndian.PutUint32(data[k*8+4:], uint32(idx[2*k+1]))
@@ -423,10 +445,11 @@ func (b *lapiBackend) gather(ctx exec.Context, a *Array, owner int, idx []int32,
 	id := b.nextID
 	b.pending[id] = &pendingGet{vals: out, done: done}
 	h := gaHdr{op: gaGatherReq, handle: uint16(a.handle), id: id, cntr: uint32(done.ID()), count: uint32(n)}
-	if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(), data, lapi.NoCounter, nil, nil); err != nil {
+	if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(msg), data, lapi.NoCounter, nil, nil); err != nil {
 		delete(b.pending, id)
 		return err
 	}
+	b.scratch.give(msg)
 	b.t.Waitcntr(ctx, done, 1)
 	return nil
 }
@@ -551,13 +574,13 @@ func (b *lapiBackend) localWrite(a *Array, i, j int, v float64) {
 // --- target-side handlers ----------------------------------------------------
 
 // handleRequest is the GA request header handler (runs in the LAPI
-// dispatcher; must not block). It allocates the AM buffer and defers all
-// work to the completion handler.
+// dispatcher; must not block). It allocates the AM buffer (unzeroed:
+// delivery fills it) and defers all work to the completion handler.
 func (b *lapiBackend) handleRequest(t *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
 	h := decodeGaHdr(info.UHdr)
 	var buf lapi.Addr
 	if info.DataLen > 0 {
-		buf = t.Alloc(info.DataLen)
+		buf = t.AllocAM(info.DataLen)
 	}
 	src := info.Src
 	n := info.DataLen
@@ -590,15 +613,17 @@ func (b *lapiBackend) completeRequest(ctx exec.Context, t *lapi.Task, src int, h
 		accumulateInto(block, in.local, h.sub, data, h.alpha)
 		b.accMu.unlock()
 	case gaGetReq:
-		reply := make([]byte, h.sub.Elems()*8)
+		msg := b.scratch.borrow(gaHdrSize + h.sub.Elems()*8)
+		reply := msg[gaHdrSize:]
 		if c := b.cfg.copyCost(len(reply)); c > 0 {
 			ctx.Sleep(c)
 		}
 		loadFrom(reply, block, in.local, h.sub)
 		rh := gaHdr{op: gaGetRep, sub: h.sub, id: h.id, cntr: h.cntr}
-		if err := t.Amsend(ctx, src, b.repH, rh.encode(), reply, lapi.RemoteCounter(h.cntr), nil, b.track(src, gaGetRep)); err != nil {
+		if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), reply, lapi.RemoteCounter(h.cntr), nil, b.track(src, gaGetRep)); err != nil {
 			panic(fmt.Sprintf("ga: rank %d: get reply: %v", t.Self(), err))
 		}
+		b.scratch.give(msg)
 	case gaScatter:
 		if c := b.cfg.copyCost(n); c > 0 {
 			ctx.Sleep(c)
@@ -610,7 +635,8 @@ func (b *lapiBackend) completeRequest(ctx exec.Context, t *lapi.Task, src int, h
 			putF64(block[blockIndex(in.local, i, j):], v)
 		}
 	case gaGatherReq:
-		reply := make([]byte, int(h.count)*8)
+		msg := b.scratch.borrow(gaHdrSize + int(h.count)*8)
+		reply := msg[gaHdrSize:]
 		if c := b.cfg.copyCost(len(reply)); c > 0 {
 			ctx.Sleep(c)
 		}
@@ -620,9 +646,10 @@ func (b *lapiBackend) completeRequest(ctx exec.Context, t *lapi.Task, src int, h
 			copy(reply[k*8:], block[blockIndex(in.local, i, j):blockIndex(in.local, i, j)+8])
 		}
 		rh := gaHdr{op: gaGatherRep, id: h.id, cntr: h.cntr, count: h.count}
-		if err := t.Amsend(ctx, src, b.repH, rh.encode(), reply, lapi.RemoteCounter(h.cntr), nil, b.track(src, gaGatherRep)); err != nil {
+		if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), reply, lapi.RemoteCounter(h.cntr), nil, b.track(src, gaGatherRep)); err != nil {
 			panic(fmt.Sprintf("ga: rank %d: gather reply: %v", t.Self(), err))
 		}
+		b.scratch.give(msg)
 	default:
 		panic(fmt.Sprintf("ga: rank %d: bad request op %d", t.Self(), h.op))
 	}
@@ -631,7 +658,7 @@ func (b *lapiBackend) completeRequest(ctx exec.Context, t *lapi.Task, src int, h
 // handleReply is the header handler for get/gather replies at the origin.
 func (b *lapiBackend) handleReply(t *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
 	h := decodeGaHdr(info.UHdr)
-	buf := t.Alloc(info.DataLen)
+	buf := t.AllocAM(info.DataLen)
 	n := info.DataLen
 	return buf, func(ctx exec.Context, t2 *lapi.Task) {
 		p := b.pending[h.id]

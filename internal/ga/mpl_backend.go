@@ -60,6 +60,12 @@ type mplBackend struct {
 	// touched[r] records requests sent to r since the last fence; fence
 	// flushes them with a ping, relying on MPL's in-order delivery.
 	touched []bool
+
+	// Request messages and reply buffers, borrowed per operation. Send
+	// and Recv are blocking, so each goes back as soon as its call
+	// returns; the request server's replies can share the list because
+	// serve runs one request at a time.
+	scratch scratch
 }
 
 // serveBufs is a bounded free list of request-server receive buffers.
@@ -147,18 +153,43 @@ func (b *mplBackend) createArray(ctx exec.Context, a *Array) error {
 	return b.t.Barrier(ctx)
 }
 
-// request sends one GA request message (header and data packed together —
-// the copy MPL's progress rules make unavoidable, §5.4) and marks the
-// destination for fencing.
-func (b *mplBackend) request(ctx exec.Context, owner int, h gaHdr, data []byte) error {
-	msg := make([]byte, gaHdrSize+len(data))
+// newRequest borrows a request message: h encoded, then n bytes for the
+// caller to pack its data into.
+func (b *mplBackend) newRequest(h gaHdr, n int) []byte {
+	msg := b.scratch.borrow(gaHdrSize + n)
+	h.encode(msg)
+	return msg
+}
+
+// send ships one GA request message and marks the destination for
+// fencing. Header and data travel packed together, the copy MPL's progress
+// rules make unavoidable (§5.4): it is charged here, although the data was
+// packed straight into msg.
+func (b *mplBackend) send(ctx exec.Context, owner int, msg []byte) error {
 	if c := b.cfg.copyCost(len(msg)); c > 0 {
 		ctx.Sleep(c)
 	}
-	copy(msg, h.encode())
-	copy(msg[gaHdrSize:], data)
 	b.touched[owner] = true
-	return b.t.Send(ctx, owner, tagGAReq, msg)
+	if err := b.t.Send(ctx, owner, tagGAReq, msg); err != nil {
+		return err
+	}
+	b.scratch.give(msg)
+	return nil
+}
+
+// request sends a request that carries no data.
+func (b *mplBackend) request(ctx exec.Context, owner int, h gaHdr) error {
+	return b.send(ctx, owner, b.newRequest(h, 0))
+}
+
+// recvReply receives an n-byte reply from src into a borrowed buffer; the
+// caller gives it back.
+func (b *mplBackend) recvReply(ctx exec.Context, src, n int) ([]byte, error) {
+	reply := b.scratch.borrow(n)
+	if _, err := b.t.Recv(ctx, src, tagGARep, reply); err != nil {
+		return nil, err
+	}
+	return reply, nil
 }
 
 // maxDataBytes is the largest data payload one request message may carry.
@@ -190,10 +221,10 @@ func (b *mplBackend) sendPatches(ctx exec.Context, op byte, a *Array, owner int,
 					RLo: sub.RLo + r, RHi: sub.RLo + r,
 					CLo: sub.CLo + c0, CHi: sub.CLo + c1 - 1,
 				}
-				data := make([]byte, chunk.Elems()*8)
-				packRow(data, buf, off+r*ld+c0, chunk.Cols())
 				h := gaHdr{op: op, handle: uint16(a.handle), sub: chunk, alpha: alpha}
-				if err := b.request(ctx, owner, h, data); err != nil {
+				msg := b.newRequest(h, chunk.Elems()*8)
+				packRow(msg[gaHdrSize:], buf, off+r*ld+c0, chunk.Cols())
+				if err := b.send(ctx, owner, msg); err != nil {
 					return err
 				}
 			}
@@ -204,10 +235,10 @@ func (b *mplBackend) sendPatches(ctx exec.Context, op byte, a *Array, owner int,
 	for r0 := 0; r0 < sub.Rows(); r0 += rowsPer {
 		r1 := min(r0+rowsPer, sub.Rows())
 		chunk := Patch{RLo: sub.RLo + r0, RHi: sub.RLo + r1 - 1, CLo: sub.CLo, CHi: sub.CHi}
-		data := make([]byte, chunk.Elems()*8)
-		packPatch(data, buf, ld, off+r0*ld, chunk.Rows(), chunk.Cols())
 		h := gaHdr{op: op, handle: uint16(a.handle), sub: chunk, alpha: alpha}
-		if err := b.request(ctx, owner, h, data); err != nil {
+		msg := b.newRequest(h, chunk.Elems()*8)
+		packPatch(msg[gaHdrSize:], buf, ld, off+r0*ld, chunk.Rows(), chunk.Cols())
+		if err := b.send(ctx, owner, msg); err != nil {
 			return err
 		}
 	}
@@ -218,23 +249,24 @@ func (b *mplBackend) sendPatches(ctx exec.Context, op byte, a *Array, owner int,
 
 func (b *mplBackend) get(ctx exec.Context, a *Array, owner int, sub Patch, buf []float64, ld, off int) error {
 	h := gaHdr{op: gaGetReq, handle: uint16(a.handle), sub: sub}
-	if err := b.request(ctx, owner, h, nil); err != nil {
+	if err := b.request(ctx, owner, h); err != nil {
 		return err
 	}
-	reply := make([]byte, sub.Elems()*8)
-	if _, err := b.t.Recv(ctx, owner, tagGARep, reply); err != nil {
+	reply, err := b.recvReply(ctx, owner, sub.Elems()*8)
+	if err != nil {
 		return err
 	}
 	if sub.Contiguous() {
 		// 1-D: decode straight into the user buffer — "the MPL
 		// implementation is able to avoid one memory copy" (§5.4).
 		unpackRow(buf, off, reply, sub.Cols())
-		return nil
+	} else {
+		if c := b.cfg.copyCost(len(reply)); c > 0 {
+			ctx.Sleep(c)
+		}
+		unpackPatch(buf, ld, off, reply, sub.Rows(), sub.Cols())
 	}
-	if c := b.cfg.copyCost(len(reply)); c > 0 {
-		ctx.Sleep(c)
-	}
-	unpackPatch(buf, ld, off, reply, sub.Rows(), sub.Cols())
+	b.scratch.give(reply)
 	return nil
 }
 
@@ -242,29 +274,29 @@ func (b *mplBackend) get(ctx exec.Context, a *Array, owner int, sub Patch, buf [
 
 func (b *mplBackend) scatter(ctx exec.Context, a *Array, owner int, idx []int32, vals []float64) error {
 	n := len(vals)
-	data := make([]byte, n*16)
+	msg := b.newRequest(gaHdr{op: gaScatter, handle: uint16(a.handle), count: uint32(n)}, n*16)
+	data := msg[gaHdrSize:]
 	for k := 0; k < n; k++ {
 		binary.BigEndian.PutUint32(data[k*16:], uint32(idx[2*k]))
 		binary.BigEndian.PutUint32(data[k*16+4:], uint32(idx[2*k+1]))
 		putF64(data[k*16+8:], vals[k])
 	}
-	h := gaHdr{op: gaScatter, handle: uint16(a.handle), count: uint32(n)}
-	return b.request(ctx, owner, h, data)
+	return b.send(ctx, owner, msg)
 }
 
 func (b *mplBackend) gather(ctx exec.Context, a *Array, owner int, idx []int32, out []float64) error {
 	n := len(out)
-	data := make([]byte, n*8)
+	msg := b.newRequest(gaHdr{op: gaGatherReq, handle: uint16(a.handle), count: uint32(n)}, n*8)
+	data := msg[gaHdrSize:]
 	for k := 0; k < n; k++ {
 		binary.BigEndian.PutUint32(data[k*8:], uint32(idx[2*k]))
 		binary.BigEndian.PutUint32(data[k*8+4:], uint32(idx[2*k+1]))
 	}
-	h := gaHdr{op: gaGatherReq, handle: uint16(a.handle), count: uint32(n)}
-	if err := b.request(ctx, owner, h, data); err != nil {
+	if err := b.send(ctx, owner, msg); err != nil {
 		return err
 	}
-	reply := make([]byte, n*8)
-	if _, err := b.t.Recv(ctx, owner, tagGARep, reply); err != nil {
+	reply, err := b.recvReply(ctx, owner, n*8)
+	if err != nil {
 		return err
 	}
 	if c := b.cfg.copyCost(len(reply)); c > 0 {
@@ -273,6 +305,7 @@ func (b *mplBackend) gather(ctx exec.Context, a *Array, owner int, idx []int32, 
 	for k := range out {
 		out[k] = getF64(reply[k*8:])
 	}
+	b.scratch.give(reply)
 	return nil
 }
 
@@ -288,14 +321,16 @@ func (b *mplBackend) readInc(ctx exec.Context, c *SharedCounter, inc int64) (int
 	h := gaHdr{op: gaReadInc, handle: uint16(c.id)}
 	h.sub.RLo = int(int32(inc >> 32))
 	h.sub.RHi = int(int32(inc))
-	if err := b.request(ctx, c.owner, h, nil); err != nil {
+	if err := b.request(ctx, c.owner, h); err != nil {
 		return 0, err
 	}
-	reply := make([]byte, 8)
-	if _, err := b.t.Recv(ctx, c.owner, tagGARep, reply); err != nil {
+	reply, err := b.recvReply(ctx, c.owner, 8)
+	if err != nil {
 		return 0, err
 	}
-	return int64(binary.BigEndian.Uint64(reply)), nil
+	v := int64(binary.BigEndian.Uint64(reply))
+	b.scratch.give(reply)
+	return v, nil
 }
 
 func (b *mplBackend) newMutexes(ctx exec.Context, m *MutexSet) error {
@@ -304,19 +339,22 @@ func (b *mplBackend) newMutexes(ctx exec.Context, m *MutexSet) error {
 
 func (b *mplBackend) lock(ctx exec.Context, m *MutexSet, i int) error {
 	h := gaHdr{op: gaLock, handle: uint16(m.id), count: uint32(i)}
-	if err := b.request(ctx, m.mutexOwner(i), h, nil); err != nil {
+	if err := b.request(ctx, m.mutexOwner(i), h); err != nil {
 		return err
 	}
 	// The grant arrives when the server hands us the mutex (immediately,
 	// or after the current holder's unlock).
-	grant := make([]byte, 1)
-	_, err := b.t.Recv(ctx, m.mutexOwner(i), tagGARep, grant)
-	return err
+	grant, err := b.recvReply(ctx, m.mutexOwner(i), 1)
+	if err != nil {
+		return err
+	}
+	b.scratch.give(grant)
+	return nil
 }
 
 func (b *mplBackend) unlock(ctx exec.Context, m *MutexSet, i int) error {
 	h := gaHdr{op: gaUnlock, handle: uint16(m.id), count: uint32(i)}
-	return b.request(ctx, m.mutexOwner(i), h, nil)
+	return b.request(ctx, m.mutexOwner(i), h)
 }
 
 // --- fence / barrier / local --------------------------------------------------------
@@ -329,14 +367,14 @@ func (b *mplBackend) fence(ctx exec.Context) error {
 		if !b.touched[r] {
 			continue
 		}
-		h := gaHdr{op: gaFencePing}
-		if err := b.request(ctx, r, h, nil); err != nil {
+		if err := b.request(ctx, r, gaHdr{op: gaFencePing}); err != nil {
 			return err
 		}
-		pong := make([]byte, 1)
-		if _, err := b.t.Recv(ctx, r, tagGARep, pong); err != nil {
+		pong, err := b.recvReply(ctx, r, 1)
+		if err != nil {
 			return err
 		}
+		b.scratch.give(pong)
 		b.touched[r] = false
 	}
 	return nil
@@ -386,7 +424,7 @@ func (b *mplBackend) serve(ctx exec.Context, st mpi.Status) {
 
 	case gaGetReq:
 		in := b.info(int(h.handle))
-		reply := make([]byte, h.sub.Elems()*8)
+		reply := b.scratch.borrow(h.sub.Elems() * 8)
 		// Copy into the reply message buffer (§5.2: "copied data from
 		// the local memory ... to another message buffer").
 		if c := b.cfg.copyCost(len(reply)); c > 0 {
@@ -408,7 +446,7 @@ func (b *mplBackend) serve(ctx exec.Context, st mpi.Status) {
 
 	case gaGatherReq:
 		in := b.info(int(h.handle))
-		reply := make([]byte, int(h.count)*8)
+		reply := b.scratch.borrow(int(h.count) * 8)
 		if c := b.cfg.copyCost(len(reply)); c > 0 {
 			ctx.Sleep(c)
 		}
@@ -428,7 +466,7 @@ func (b *mplBackend) serve(ctx exec.Context, st mpi.Status) {
 		inc := int64(h.sub.RLo)<<32 | int64(uint32(int32(h.sub.RHi)))
 		old := *b.counters[id]
 		*b.counters[id] += inc
-		reply := make([]byte, 8)
+		reply := b.scratch.borrow(8)
 		binary.BigEndian.PutUint64(reply, uint64(old))
 		b.reply(ctx, src, reply)
 
@@ -441,7 +479,7 @@ func (b *mplBackend) serve(ctx exec.Context, st mpi.Status) {
 		}
 		if !ms.held {
 			ms.held = true
-			b.reply(ctx, src, []byte{1})
+			b.grant(ctx, src)
 		} else {
 			ms.queue = append(ms.queue, src)
 		}
@@ -455,13 +493,13 @@ func (b *mplBackend) serve(ctx exec.Context, st mpi.Status) {
 		if len(ms.queue) > 0 {
 			next := ms.queue[0]
 			ms.queue = ms.queue[1:]
-			b.reply(ctx, next, []byte{1})
+			b.grant(ctx, next)
 		} else {
 			ms.held = false
 		}
 
 	case gaFencePing:
-		b.reply(ctx, src, []byte{1})
+		b.grant(ctx, src)
 
 	default:
 		panic(fmt.Sprintf("ga: rank %d: bad MPL request op %d", b.self(), h.op))
@@ -474,8 +512,17 @@ func (b *mplBackend) serve(ctx exec.Context, st mpi.Status) {
 	}
 }
 
+// reply sends a reply built in a borrowed buffer and gives the buffer back.
 func (b *mplBackend) reply(ctx exec.Context, dst int, data []byte) {
 	if err := b.t.Send(ctx, dst, tagGARep, data); err != nil {
 		panic(fmt.Sprintf("ga: rank %d: reply to %d: %v", b.self(), dst, err))
 	}
+	b.scratch.give(data)
+}
+
+// grant sends the one-byte reply of a lock grant or a fence ping.
+func (b *mplBackend) grant(ctx exec.Context, dst int) {
+	one := b.scratch.borrow(1)
+	one[0] = 1
+	b.reply(ctx, dst, one)
 }

@@ -65,7 +65,7 @@ func rudeClient(t *testing.T, addr string, ah, ch uint32, burst int) {
 // hangup — possibly mid-frame. Large requests ride the RTS/CTS direct
 // lane between ranks, so this exercises session teardown with zero-copy
 // transfers still in flight.
-func rudeLargeClient(t *testing.T, addr string, ah uint32, burst int) {
+func rudeLargeClient(t *testing.T, addr string, ah uint32, seg0, burst int) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -80,7 +80,11 @@ func rudeLargeClient(t *testing.T, addr string, ah uint32, burst int) {
 		return
 	}
 	for i := 0; i < burst; i++ {
-		h = proto.ReqHeader{Seq: uint32(i + 2), Handle: ah, Row: uint32(i % 8), Col: uint32(i%2) * count, Count: count}
+		// Request i owns segment seg0+i, two to a row: no two requests
+		// of any session touch the same bytes, since concurrent Puts to
+		// overlapping ranges are undefined (DESIGN.md §11).
+		seg := seg0 + i
+		h = proto.ReqHeader{Seq: uint32(i + 2), Handle: ah, Row: uint32(seg / 2), Col: uint32(seg%2) * count, Count: count}
 		if i%2 == 0 {
 			h.Op = proto.OpPut
 			h.Plen = count * 8
@@ -179,20 +183,23 @@ func TestSessionChurnLargePayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ah, st, err := ctl.CreateArray("churn.B", 8, 8192)
+	const waves, perWave, burst = 3, 6, 8
+	// One 4096-element segment per request of every (wave, client), two
+	// segments to a row.
+	ah, st, err := ctl.CreateArray("churn.B", waves*perWave*burst/2, 8192)
 	if err != nil || st != proto.StatusOK {
 		t.Fatalf("create: %v %v", st, err)
 	}
 	ctl.Close()
 
 	baseline := runtime.NumGoroutine()
-	const waves, perWave, burst = 3, 6, 8
 	for w := 0; w < waves; w++ {
 		done := make(chan struct{}, perWave)
 		for i := 0; i < perWave; i++ {
+			seg0 := (w*perWave + i) * burst
 			go func() {
 				defer func() { done <- struct{}{} }()
-				rudeLargeClient(t, srv.Addr(), ah, burst)
+				rudeLargeClient(t, srv.Addr(), ah, seg0, burst)
 			}()
 		}
 		for i := 0; i < perWave; i++ {

@@ -64,14 +64,13 @@ type rankState struct {
 	served atomic.Int64
 
 	// serialized state:
-	cond      exec.Cond
-	cmds      []ctlCmd
-	cmdHead   int
-	w         *ga.World
-	comm      *collective.Comm
-	accH      lapi.HandlerID
-	cntrFree  []*lapi.Counter
-	stageFree []lapi.Addr
+	cond     exec.Cond
+	cmds     []ctlCmd
+	cmdHead  int
+	w        *ga.World
+	comm     *collective.Comm
+	accH     lapi.HandlerID
+	cntrFree []*lapi.Counter
 }
 
 func newRankState(srv *Server, idx int, rt *exec.RealRuntime, ep *tcpnet.Endpoint, t *lapi.Task) *rankState {
@@ -170,26 +169,12 @@ func (rs *rankState) returnCounter(c *lapi.Counter) {
 	rs.cntrFree = append(rs.cntrFree, c)
 }
 
-// borrowStage pops a staging region for an incoming accumulate payload.
-// Runs in the AM header handler: serialized, must not block.
-func (rs *rankState) borrowStage() lapi.Addr {
-	if n := len(rs.stageFree); n > 0 {
-		a := rs.stageFree[n-1]
-		rs.stageFree = rs.stageFree[:n-1]
-		return a
-	}
-	return rs.t.Alloc(proto.MaxPayload)
-}
-
-func (rs *rankState) returnStage(a lapi.Addr) {
-	rs.stageFree = append(rs.stageFree, a)
-}
-
 // accHandler is the target-side header handler of the gateway accumulate
 // AM (GA-style acc: dst += alpha*src, applied atomically at the owner
 // because completion handlers are serialized with everything else on the
-// rank). The uhdr routes the piece; the payload lands in a staging region
-// and the completion handler folds it into the local block.
+// rank). The uhdr routes the piece; the payload lands in an arena block
+// (AllocAM: unzeroed, recycled by size class) and the completion handler
+// folds it into the local block and frees it.
 func (rs *rankState) accHandler(t *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
 	if len(info.UHdr) < accUhdrSize {
 		return 0, nil // malformed: drop (cannot happen from our own origin)
@@ -204,11 +189,10 @@ func (rs *rankState) accHandler(t *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lap
 	if obj == nil || obj.kind != proto.KindArray || count*8 != info.DataLen {
 		return 0, nil
 	}
-	stage := rs.borrowStage()
+	stage := t.AllocAM(count * 8)
 	return stage, func(ctx exec.Context, t *lapi.Task) {
-		src := t.MustBytes(stage, count*8)
-		obj.accLocal(rs.idx, row, col, alpha, src)
-		rs.returnStage(stage)
+		obj.accLocal(rs.idx, row, col, alpha, t.MustBytes(stage, count*8))
+		t.Free(stage)
 	}
 }
 

@@ -44,7 +44,7 @@ func (t *Task) NewCounter() *Counter {
 		task: t,
 	}
 	c.fn = c.incr
-	t.counters = append(t.counters, c) //lapivet:ignore racefree every caller runs on the task's serialization domain; the entry-lockset meet loses it across the ambient NewCounter surface
+	t.counters = append(t.counters, c)
 	return c
 }
 

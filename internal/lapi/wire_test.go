@@ -76,7 +76,7 @@ func TestPropArena(t *testing.T) {
 		}
 		addrs := make([]Addr, len(sizes))
 		for i, sz := range sizes {
-			addrs[i] = m.alloc(int(sz % 1024))
+			addrs[i] = m.alloc(int(sz%1024), true)
 		}
 		// Write a distinct pattern to each block, then verify none
 		// clobbered another.
@@ -130,7 +130,7 @@ func TestPropArena(t *testing.T) {
 
 func TestFreeErrors(t *testing.T) {
 	var m arena
-	a := m.alloc(16)
+	a := m.alloc(16, true)
 	if err := m.free(a + 4); err == nil {
 		t.Error("freeing interior address succeeded")
 	}
