@@ -75,8 +75,7 @@ func main() {
 		fmt.Printf("rate:     %.0f req/s\n", res.ReqPs)
 	case "smoke":
 		// CI gate: a small mesh, modest fleet, strict outcome checks. Every
-		// session pipelines at exactly the granted window, the edge where a
-		// credit returned late kills a compliant client.
+		// session pipelines at exactly the granted window.
 		gcfg.Ranks = 2
 		lcfg.Sessions, lcfg.Requests, lcfg.Pipeline = 64, 32000, gcfg.Window
 		lcfg.Rows, lcfg.Cols, lcfg.Seg = 32, 64, 8

@@ -327,10 +327,10 @@ func (c *collector) call(call *ast.CallExpr, locks LockSet, consumed map[ast.Nod
 		return false
 	}
 	if c.m.isPost(fn) {
-		// Post/PostArg publish their argument into the serialization
-		// domain under the runtime lock: everything written before the
-		// post happens-before any access made holding ⟨serialized⟩ — the
-		// reader→dispatcher request handoff idiom.
+		// Post/PostArg/Do publish into the serialization domain under the
+		// runtime lock: everything written before the call happens-before
+		// any access made holding ⟨serialized⟩ — a session reading a
+		// request, then running it under Do.
 		pos := call.Pos()
 		if c.syncPos != token.NoPos {
 			pos = c.syncPos

@@ -10,7 +10,7 @@
 //     function's class set is every class that can be executing it,
 //     propagated over the static call graph (interface method calls are
 //     resolved to every module implementation, and dynamic calls through
-//     function-typed fields — the gateway's s.enqueueFn PostArg handoff —
+//     function-typed fields — the gateway's s.runFn Do callback —
 //     through a binding map of every function value stored into them).
 //
 //   - Locksets: a must-hold forward dataflow over each function's CFG
@@ -21,9 +21,10 @@
 //     Mutex identity is the mutex variable or field, instance-blind.
 //
 //   - The serialization domains of this codebase are modeled as one
-//     pseudo-lock ⟨serialized⟩: code spawned via exec.Runtime.Go or posted
-//     via Post/PostArg/PostPacket/PostDone/After runs under the runtime's
-//     big lock (internal/exec contract); sim.Engine processes are
+//     pseudo-lock ⟨serialized⟩: code spawned via exec.Runtime.Go, posted
+//     via Post/PostArg/PostPacket/PostDone/After, or run on the caller's
+//     goroutine via RealRuntime.Do runs under the runtime's big lock
+//     (internal/exec contract); sim.Engine processes are
 //     coroutines that the engine's hub resumes one at a time (a process
 //     runs only between the hub's next and its own yield); parallel.Hooks
 //     barrier callbacks (Barrier, OnQuiesce, TakeOutbox) run with every
@@ -696,9 +697,9 @@ func (m *Model) collectEdges(u *Unit) {
 		}
 		if fn := analysis.Callee(info, call); fn != nil {
 			if m.isPost(fn) && len(call.Args) >= 1 {
-				// Post/PostArg/PostPacket/PostDone run the posted function
-				// synchronously on the caller's goroutine, under the
-				// runtime lock (internal/exec contract).
+				// Post/PostArg/PostPacket/PostDone/Do run the posted
+				// function synchronously on the caller's goroutine, under
+				// the runtime lock (internal/exec contract).
 				if tgt := m.postTarget(u, call.Args[0]); tgt != nil {
 					for _, t := range tgt {
 						u.edges = append(u.edges, &edge{site: call, to: t, serialized: true})
@@ -1017,7 +1018,7 @@ func (m *Model) isPost(fn *types.Func) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "Post", "PostArg", "PostPacket", "PostDone":
+	case "Post", "PostArg", "PostPacket", "PostDone", "Do":
 		return true
 	}
 	return false

@@ -183,3 +183,60 @@ func TestContextLiteralHoldsSerialized(t *testing.T) {
 		t.Errorf("depth8 entry = %v, want ⟨serialized⟩", d.Entry)
 	}
 }
+
+// accessesTo returns every access to the location named objName.
+func accessesTo(m *Model, objName string) []*Access {
+	var out []*Access
+	for _, u := range m.Units {
+		for _, a := range u.Accesses {
+			if a.Obj.Name() == objName {
+				out = append(out, a)
+			}
+		}
+	}
+	return out
+}
+
+// anyConcurrent reports whether some pair of accesses to objName, one of
+// them a write, is concurrent in the model — racefree's verdict.
+func anyConcurrent(t *testing.T, m *Model, objName string) bool {
+	t.Helper()
+	accs := accessesTo(m, objName)
+	if len(accs) < 2 {
+		t.Fatalf("%s: %d accesses, want at least 2", objName, len(accs))
+	}
+	for i, a := range accs {
+		for _, b := range accs[i+1:] {
+			if a.Write || b.Write {
+				if racy, _ := m.Concurrent(a, b); racy {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestDoDomain: RealRuntime.Do runs its callback on the serialization
+// domain like a Post, and publishes what the caller wrote before it. A
+// field written in a Do callback and in a Post callback is clean, as is a
+// write before the Do; the same write after the Do, outside both, races.
+func TestDoDomain(t *testing.T) {
+	m := loadModel(t)
+	if !named(t, m, "doRun").Entry.Has(SerializedLock) {
+		t.Errorf("doRun entry = %v, want ⟨serialized⟩", named(t, m, "doRun").Entry)
+	}
+	root, _ := spawnRootOf(t, m, "doSession")
+	if !hasSync(root, SyncRelease, SerializedLock.Name()) {
+		t.Error("doSession goroutine: Do call did not record a ⟨serialized⟩ release")
+	}
+	if anyConcurrent(t, m, "inDo") {
+		t.Error("inDo: Do-callback and Post-callback writes reported concurrent")
+	}
+	if anyConcurrent(t, m, "published") {
+		t.Error("published: the write before Do is not ordered before the Post callback's read")
+	}
+	if !anyConcurrent(t, m, "outside") {
+		t.Error("outside: the write outside Do and Post is not reported concurrent with the Post callback")
+	}
+}

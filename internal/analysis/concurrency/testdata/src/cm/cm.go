@@ -1,5 +1,5 @@
 // Package main is the concurrency-model unit-test fixture: small functions
-// whose happens-before edges (channel, WaitGroup, barrier hook, PostArg)
+// whose happens-before edges (channel, WaitGroup, barrier hook, PostArg, Do)
 // and lockset joins the white-box tests in the parent package assert on
 // directly. It is a real program (package main) so main-goroutine context
 // is genuine.
@@ -17,6 +17,7 @@ func main() {
 	wgJoin()
 	_ = barrierHook()
 	postArg(exec.NewRealRuntime(), 7)
+	doSession(exec.NewRealRuntime())
 	branchLock(longLived, true)
 	bothLock(longLived)
 	_ = workload()
@@ -79,6 +80,39 @@ func handle(arg any) {
 // the matching acquire.
 func postArg(rt *exec.RealRuntime, v int) {
 	rt.PostArg(handle, v)
+}
+
+// sess is shared by a session-style goroutine and a Post callback.
+type sess struct {
+	inDo      int // written in the Do callback and in the Post callback
+	published int // written before Do, read in the Post callback
+	outside   int // written after Do, read in the Post callback
+}
+
+var session = new(sess)
+
+// doSession: the goroutine fills a request, runs it under Do, then writes
+// outside both domains. The Do callback and the Post callback each hold
+// ⟨serialized⟩, so inDo is clean; Do publishes the write before it, so
+// published is clean; outside is a race, which the model test asserts on
+// the pair directly.
+func doSession(rt *exec.RealRuntime) {
+	go func() {
+		session.published = 1
+		rt.Do(doRun)
+		session.outside = 1 //lapivet:ignore racefree the race TestDoDomain asserts
+	}()
+	rt.Post(func() {
+		session.inDo++
+		_ = session.published
+		_ = session.outside
+	})
+}
+
+// doRun is the Do callback: it runs on the runtime's serialization domain,
+// on the calling goroutine.
+func doRun(ctx exec.Context) {
+	session.inDo++
 }
 
 // longLived keeps the cell non-fresh at the call sites: a &cell{} argument

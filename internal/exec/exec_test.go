@@ -130,3 +130,25 @@ func TestSimContextFromProc(t *testing.T) {
 		t.Fatalf("now = %v", now)
 	}
 }
+
+func TestRealRuntimeDo(t *testing.T) {
+	// Do runs on the caller's goroutine and returns when fn does; its
+	// Wait releases the lock so an activity spawned from inside can run.
+	rt := NewRealRuntime()
+	ready := rt.NewCond()
+	state := 0
+	rt.Do(func(ctx Context) {
+		rt.Go("peer", func(Context) {
+			state = 1
+			ready.Broadcast()
+		})
+		for state == 0 {
+			ctx.Wait(ready)
+		}
+		state = 2
+	})
+	if state != 2 {
+		t.Fatalf("state = %d after Do, want 2", state)
+	}
+	rt.Drain()
+}

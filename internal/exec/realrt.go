@@ -14,11 +14,14 @@ type RealRuntime struct {
 	mu    sync.Mutex
 	start time.Time
 	wg    sync.WaitGroup
+	ctx   realContext // stateless past rt: one serves every activity
 }
 
 // NewRealRuntime returns a runtime whose clock starts now.
 func NewRealRuntime() *RealRuntime {
-	return &RealRuntime{start: time.Now()}
+	r := &RealRuntime{start: time.Now()}
+	r.ctx.rt = r
+	return r
 }
 
 // Now implements Runtime.
@@ -75,6 +78,18 @@ func (r *RealRuntime) PostArg(fn func(arg any), arg any) {
 	fn(arg)
 }
 
+// Do runs fn serialized on the caller's goroutine, as a blocking-capable
+// activity: fn's Context may Wait and Sleep, releasing the runtime lock
+// meanwhile exactly as a Go activity's does. It returns when fn does. A
+// goroutine outside the runtime (a server's connection reader) uses it to
+// run an operation to completion on its own stack instead of handing it to
+// a spawned activity; a call allocates nothing.
+func (r *RealRuntime) Do(fn func(Context)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fn(&r.ctx)
+}
+
 // Go implements Runtime.
 func (r *RealRuntime) Go(name string, fn func(Context)) {
 	r.wg.Add(1)
@@ -82,7 +97,7 @@ func (r *RealRuntime) Go(name string, fn func(Context)) {
 		defer r.wg.Done()
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		fn(&realContext{rt: r})
+		fn(&r.ctx)
 	}()
 }
 

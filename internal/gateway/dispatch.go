@@ -24,8 +24,10 @@ func (s *session) exec(ctx exec.Context, req *request, org, cmpl *lapi.Counter) 
 		s.respond(req, proto.StatusProtocol, 0, nil)
 		return
 	}
-	if req.status != proto.StatusOK {
-		s.respond(req, req.status, 0, nil) // reader pre-flagged (bad shape)
+	if !proto.Plans[req.h.Op].Check(&req.h) {
+		// Well-framed but the wrong shape for the opcode. The payload was
+		// read in full, so the stream stays in sync.
+		s.respond(req, proto.StatusBadRequest, 0, nil)
 		return
 	}
 	switch req.h.Op {
@@ -50,7 +52,7 @@ func (s *session) exec(ctx exec.Context, req *request, org, cmpl *lapi.Counter) 
 	case proto.OpReadInc:
 		s.execReadInc(ctx, req, org)
 	default:
-		// Unreachable: the reader rejects unknown opcodes.
+		// Unreachable: read marks unknown opcodes protoErr.
 		s.respond(req, proto.StatusProtocol, 0, nil)
 	}
 }

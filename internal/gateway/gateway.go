@@ -14,13 +14,14 @@
 //
 // Concurrency model. The mesh is a cluster.TCPJob: one exec.RealRuntime
 // (serialization domain) per rank. Everything that touches rank state —
-// session dispatchers, the per-rank control activity, AM handlers — runs
+// session requests, the per-rank control activity, AM handlers — runs
 // serialized on that rank's runtime, so protocol code keeps the
-// single-threaded view LAPI guarantees. The pieces around the mesh (TCP
-// readers/writers, the accept loop, the registry goroutine) are plain
-// goroutines that communicate inward only via Runtime.Post/PostArg and
-// outward only via buffered channels sized so serialized code never blocks
-// on them.
+// single-threaded view LAPI guarantees. The pieces around the mesh (one
+// goroutine per client session, the accept loop, the registry goroutine)
+// are plain goroutines that enter a rank's domain only via
+// RealRuntime.Do/Post — a session runs each request to completion on its
+// own goroutine under the rank lock — and are reached from it only via
+// buffered channels sized so serialized code never blocks on them.
 //
 // Frame buffers on the hot path come from the mesh endpoints' pooled
 // Alloc/Release (the fabric.Transport contract), so a steady-state request
@@ -48,8 +49,11 @@ type Config struct {
 	// Addr is the TCP listen address ("127.0.0.1:0" for an ephemeral port).
 	Addr string
 	// Window is the per-session credit window: the number of requests a
-	// client may have outstanding. Granted in the Hello response and
-	// enforced — exceeding it is a protocol violation.
+	// client may pipeline, sent before their responses are read. It is
+	// granted in every response header. The server holds one request per
+	// session at a time and reads the next after answering it, so requests
+	// beyond the window are not an error: they wait in the socket, and
+	// TCP flow control stops the client.
 	Window int
 	// MaxArrayElems bounds rows*cols of a single created array.
 	MaxArrayElems int
@@ -88,7 +92,7 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	sessWG sync.WaitGroup // session readers and writers
+	sessWG sync.WaitGroup // session goroutines
 	srvWG  sync.WaitGroup // accept loop + registry
 
 	// meshServed is the collective allreduce of per-rank served counts,
@@ -232,8 +236,9 @@ func (srv *Server) Close() error {
 		c.Close()
 	}
 	srv.connMu.Unlock()
-	// Readers fail, dispatchers drain, writers exit. When sessWG clears,
-	// no dispatcher can be waiting on the registry anymore.
+	// Each session answers the request in hand, then its next read (or
+	// write) fails and it exits. When sessWG clears, no session can be
+	// waiting on the registry anymore.
 	srv.sessWG.Wait()
 	close(srv.createCh)
 	srv.srvWG.Wait()

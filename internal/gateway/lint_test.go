@@ -9,29 +9,30 @@ import (
 	"golapi/internal/analysis/atomicmix"
 	"golapi/internal/analysis/buflifetime"
 	"golapi/internal/analysis/concurrency"
-	"golapi/internal/analysis/creditflow"
 	"golapi/internal/analysis/goteardown"
 	"golapi/internal/analysis/obligation"
 	"golapi/internal/analysis/racefree"
 	"golapi/internal/analysis/teardownpath"
 )
 
-// TestLintClean locks in the lapivet v3 result on this package: the
-// summary-backed buflifetime pass and the two gateway invariants
-// (creditflow, invariant 9; teardownpath, invariant 10) report zero
-// unsuppressed findings on the reader/dispatcher/writer pipeline. The
-// passes were run over this package while they were built and every
-// frame/credit path they model (respond's consume-on-all-paths contract,
-// the PostArg handoffs in readLoop, the writeLoop drain, the teardown
-// branches in session.go) checked out clean; this test is the regression
-// guard that keeps it that way — a future edit that drops a frame,
-// double-grants a credit, or skips a frames.Add on an error path fails
-// here, not as a leak the InflightFrames checks miss or invent.
+// TestLintClean locks in the lapivet result on this package: the
+// summary-backed buflifetime pass and the teardown invariant
+// (teardownpath, invariant 10) report zero unsuppressed findings on the
+// session loop. The passes were run over this package while they were
+// built and every frame path they model (respond's consume-on-all-paths
+// contract, execGet's error path, the teardown branches in session.go)
+// checked out clean; this test is the regression guard that keeps it that
+// way — a future edit that drops a frame or skips a frames.Add on an
+// error path fails here, not as a leak the InflightFrames checks miss or
+// invent. The response frame reaches serve through the s.frame field,
+// which buflifetime treats as an escape: serve's release of it is checked
+// by teardownpath (frames.Add(-1) must follow a Release) and by the
+// InflightFrames checks, not by buflifetime.
 //
-// The capture analyzer first proves the result is not vacuous: all three
-// passes gate on protocol inference (pooled-buffer ops, the getReq/putReq
-// freelist pair, the frames counter), and a refactor that silently broke
-// the inference would otherwise turn this into a test of nothing.
+// The capture analyzer first proves the result is not vacuous: both
+// passes gate on protocol inference (pooled-buffer ops, the frames
+// counter), and a refactor that silently broke the inference would
+// otherwise turn this into a test of nothing.
 func TestLintClean(t *testing.T) {
 	l, err := analysis.NewLoader(".")
 	if err != nil {
@@ -44,13 +45,10 @@ func TestLintClean(t *testing.T) {
 
 	capture := &analysis.Analyzer{
 		Name: "capture",
-		Doc:  "verifies the three passes activate on this package",
+		Doc:  "verifies the two passes activate on this package",
 		Run: func(pass *analysis.Pass) error {
 			if obligation.NewBufferOps(pass) == nil {
 				t.Error("BufferOps inference failed: buflifetime and teardownpath would silently skip this package")
-			}
-			if creditflow.NewRequestOps(pass) == nil {
-				t.Error("RequestOps inference failed: creditflow no longer recognizes the getReq/putReq freelist pair")
 			}
 			counter := false
 			for _, f := range pass.Pkg.Files {
@@ -73,7 +71,7 @@ func TestLintClean(t *testing.T) {
 		t.Fatalf("RunPackage(capture): %v", err)
 	}
 
-	passes := []*analysis.Analyzer{buflifetime.Analyzer, creditflow.Analyzer, teardownpath.Analyzer}
+	passes := []*analysis.Analyzer{buflifetime.Analyzer, teardownpath.Analyzer}
 	diags, _, err := analysis.RunPackage(l, pkg, passes)
 	if err != nil {
 		t.Fatalf("RunPackage: %v", err)
@@ -88,14 +86,16 @@ func TestLintClean(t *testing.T) {
 	}
 }
 
-// TestConcurrencyClean locks in the lapivet v4 result: the reader →
-// dispatcher → writer pipeline carries zero unsuppressed racefree,
-// atomicmix and goteardown findings. The probe first proves the result is
-// non-vacuous — the concurrency model actually sees this package's
-// goroutines (the readLoop/writeLoop spawns), recognizes at least one of
-// them as serialized (the PostArg dispatcher domain), and resolves
-// lock-guarded accesses — so a refactor that silently broke goroutine or
-// lockset inference cannot turn this into a test of nothing.
+// TestConcurrencyClean locks in the lapivet v4 result: the session
+// goroutines, the registry and the rank activities carry zero unsuppressed
+// racefree, atomicmix and goteardown findings. The probe first proves the
+// result is non-vacuous — the concurrency model sees the per-session
+// serve goroutine, recognizes RealRuntime.Do as entry into the rank's
+// serialized domain (a release at serve's Do call, run holding
+// ⟨serialized⟩), still sees a serialized spawn (the rank control
+// activity), and resolves lock-guarded accesses — so a refactor that
+// silently broke goroutine, Do or lockset inference cannot turn this into
+// a test of nothing.
 func TestConcurrencyClean(t *testing.T) {
 	l, err := analysis.NewLoader(".")
 	if err != nil {
@@ -111,21 +111,45 @@ func TestConcurrencyClean(t *testing.T) {
 		Doc:  "verifies the concurrency model activates on this package",
 		Run: func(pass *analysis.Pass) error {
 			m := concurrency.Get(pass)
-			spawns, serialized := 0, 0
-			for _, s := range m.Spawns {
-				if s.Parent.Pkg != pass.Pkg {
+			serve, serialized := false, 0
+			for _, sp := range m.Spawns {
+				if sp.Parent.Pkg != pass.Pkg {
 					continue
 				}
-				spawns++
-				if s.Serialized {
+				if sp.Kind == concurrency.SpawnGo && sp.Root.Fn != nil && sp.Root.Fn.Name() == "serve" {
+					serve = true
+				}
+				if sp.Serialized {
 					serialized++
 				}
 			}
-			if spawns == 0 {
-				t.Error("model sees no spawns in this package: the session goroutines are invisible")
+			if !serve {
+				t.Error("model sees no serve goroutine: the session goroutines are invisible")
 			}
 			if serialized == 0 {
-				t.Error("model sees no serialized spawn: the dispatcher domain is no longer recognized")
+				t.Error("model sees no serialized spawn: the rank control activity is no longer recognized")
+			}
+			doRelease, runSerialized := false, false
+			for _, u := range m.Units {
+				if u.Pkg != pass.Pkg || u.Fn == nil {
+					continue
+				}
+				switch u.Fn.Name() {
+				case "serve":
+					for _, op := range u.Syncs {
+						if op.Obj == concurrency.SerializedLock && op.Kind == concurrency.SyncRelease {
+							doRelease = true
+						}
+					}
+				case "run":
+					runSerialized = u.Entry.Has(concurrency.SerializedLock)
+				}
+			}
+			if !doRelease {
+				t.Error("serve records no ⟨serialized⟩ release: RealRuntime.Do is no longer recognized as entry into the rank domain")
+			}
+			if !runSerialized {
+				t.Error("session.run does not hold ⟨serialized⟩: the Do domain is no longer recognized")
 			}
 			locked := false
 			for _, u := range m.Units {

@@ -59,7 +59,7 @@ type rankState struct {
 	ep  *tcpnet.Endpoint
 	t   *lapi.Task
 
-	// served counts requests answered by this rank's dispatchers; bumped
+	// served counts requests answered by this rank's sessions; bumped
 	// from serialized code, read by Stats and the shutdown allreduce.
 	served atomic.Int64
 
@@ -152,7 +152,7 @@ func (rs *rankState) control(ctx exec.Context, initWG *sync.WaitGroup, initErr *
 }
 
 // borrowCounter pops a counter from the rank freelist, creating one if
-// empty. Must run serialized (dispatcher activities call it directly).
+// empty. Must run serialized (session.run calls it under the rank lock).
 // Returning counters to the freelist bounds counter-table growth under
 // session churn; counters always return at value zero because every op
 // waits for exactly the completions it issued.
@@ -197,7 +197,7 @@ func (rs *rankState) accHandler(t *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lap
 }
 
 // catalog is the immutable name→object table, published copy-on-write by
-// the registry so dispatchers and AM handlers read it lock-free.
+// the registry so sessions and AM handlers read it lock-free.
 type catalog struct {
 	byName map[string]uint32
 	objs   []*object // handle = index+1
@@ -341,7 +341,7 @@ func (srv *Server) handleCreate(cr *createReq) {
 }
 
 // answerCreate posts the result back into the session's rank domain and
-// wakes its dispatcher.
+// wakes the session, which waits for it inside its Do.
 func (srv *Server) answerCreate(cr *createReq, st proto.Status, val uint64) {
 	sess, req := cr.sess, cr.req
 	sess.rs.rt.Post(func() {
