@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint lint-json bench determinism gatesmoke
+.PHONY: check fmt vet build test race lint lint-json bench determinism gatesmoke loc
 
 check: fmt vet build test race lint determinism gatesmoke
 
@@ -108,3 +108,8 @@ bench:
 # errors, mesh count cross-checked).
 gatesmoke:
 	$(GO) run ./cmd/lapigate -mode smoke
+
+# Code size: non-test Go lines in cmd/, internal/ and examples/, testdata
+# excluded — the figure a simplification is judged by.
+loc:
+	@find cmd internal examples -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l

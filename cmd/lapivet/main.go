@@ -4,18 +4,14 @@
 //
 // Usage:
 //
-//	lapivet [-only pass[,pass]] [-json] [-strict-ignores] [-baseline file] [packages]
+//	lapivet [-only pass[,pass]] [-json] [-strict-ignores] [packages]
 //
 // Packages default to ./... relative to the enclosing module. The exit
 // status is 1 when any diagnostic is reported, so `make lint` gates CI.
 // -json emits machine-readable diagnostics (one JSON array of objects with
 // file, line, col, pass, message; file paths are module-relative and the
 // ordering is deterministic). -strict-ignores additionally fails the run
-// when a //lapivet:ignore comment suppresses nothing. -baseline reads a
-// committed -json output and fails only on findings not present in it
-// (matched by file, pass, and message — line numbers drift with edits),
-// so a new pass can land before every legacy finding is fixed; baselined
-// findings are still printed, marked as such.
+// when a //lapivet:ignore comment suppresses nothing.
 //
 // Per-line suppression: //lapivet:ignore pass[,pass] <reason>
 // (on the offending line or the line above).
@@ -46,37 +42,13 @@ type diagJSON struct {
 	Message string `json:"message"`
 }
 
-// baselineKey identifies a finding across line drift: same file, same
-// pass, same message.
-type baselineKey struct {
-	file, pass, message string
-}
-
-// loadBaseline reads a committed -json output into the suppression set.
-func loadBaseline(path string) (map[baselineKey]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rows []diagJSON
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	set := make(map[baselineKey]bool, len(rows))
-	for _, r := range rows {
-		set[baselineKey{r.File, r.Pass, r.Message}] = true
-	}
-	return set, nil
-}
-
 func main() {
 	only := flag.String("only", "", "comma-separated subset of passes to run")
 	list := flag.Bool("list", false, "list the available passes and exit")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	strictIgnores := flag.Bool("strict-ignores", false, "fail when a lapivet:ignore comment suppresses nothing")
-	baselinePath := flag.String("baseline", "", "committed -json output; fail only on findings not in it")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: lapivet [-only pass[,pass]] [-json] [-strict-ignores] [-baseline file] [packages]\n\npasses:\n")
+		fmt.Fprintf(os.Stderr, "usage: lapivet [-only pass[,pass]] [-json] [-strict-ignores] [packages]\n\npasses:\n")
 		for _, a := range suite {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
@@ -107,16 +79,6 @@ func main() {
 		}
 	}
 
-	var baseline map[baselineKey]bool
-	if *baselinePath != "" {
-		var err error
-		baseline, err = loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lapivet: -baseline: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -135,24 +97,7 @@ func main() {
 		return filepath.ToSlash(abs)
 	}
 
-	baselined := func(d analysis.Diagnostic) bool {
-		if baseline == nil {
-			return false
-		}
-		pos := res.Fset.Position(d.Pos)
-		return baseline[baselineKey{relFile(pos.Filename), d.Analyzer, d.Message}]
-	}
-
-	fresh := 0
-	for _, d := range res.Diags {
-		if !baselined(d) {
-			fresh++
-		}
-	}
-
 	if *jsonOut {
-		// -json always reports everything: the output is what -baseline
-		// consumes, so baselining must not be able to erase findings from it.
 		rows := make([]diagJSON, 0, len(res.Diags))
 		for _, d := range res.Diags {
 			pos := res.Fset.Position(d.Pos)
@@ -188,21 +133,13 @@ func main() {
 		}
 	} else {
 		for _, d := range res.Diags {
-			mark := ""
-			if baselined(d) {
-				mark = " (baselined)"
-			}
-			fmt.Printf("%s: %s [%s]%s\n", res.Fset.Position(d.Pos), d.Message, d.Analyzer, mark)
+			fmt.Printf("%s: %s [%s]\n", res.Fset.Position(d.Pos), d.Message, d.Analyzer)
 		}
 	}
 
-	failed := fresh > 0
+	failed := len(res.Diags) > 0
 	if failed {
-		if baseline != nil {
-			fmt.Fprintf(os.Stderr, "lapivet: %d diagnostic(s), %d not in baseline\n", len(res.Diags), fresh)
-		} else {
-			fmt.Fprintf(os.Stderr, "lapivet: %d diagnostic(s)\n", len(res.Diags))
-		}
+		fmt.Fprintf(os.Stderr, "lapivet: %d diagnostic(s)\n", len(res.Diags))
 	}
 	if *strictIgnores && len(res.Stale) > 0 {
 		for _, ig := range res.Stale {

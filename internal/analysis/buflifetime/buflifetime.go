@@ -1,11 +1,11 @@
-// Package buflifetime statically enforces the fabric.Contract buffer
-// ownership protocol for pooled transports: a buffer obtained from
-// Transport.Alloc (or tcpnet's internal pool) must, on every path, be
-// handed back — to the pool via Release, or to another owner via Send, a
-// channel send, or a consuming callee — and must not be touched or
-// released again afterwards. On a pooled transport a leaked buffer is a
-// permanent hole in the pool and a use-after-Release is a data race with
-// whatever frame the pool backs next; neither is detectable at runtime.
+// Package buflifetime statically enforces fabric.Transport's buffer
+// ownership protocol: a buffer obtained from Transport.Alloc (or tcpnet's
+// internal pool) must, on every path, be handed back — to the pool via
+// Release, or to another owner via Send, a channel send, or a consuming
+// callee — and must not be touched or released again afterwards. Every
+// transport pools, so a leaked buffer is a permanent hole in the pool and
+// a use-after-Release is a data race with whatever frame the pool backs
+// next; neither is detectable at runtime.
 //
 // The pass is a protocol for the obligation engine
 // (internal/analysis/obligation) over obligation.BufferOps. Through the
@@ -29,9 +29,9 @@
 //     a buffer already released, sent, or consumed by a callee.
 //
 // Calls into io and encoding/binary and the fabric framing helpers only
-// borrow. Transports whose Contract() does not set PooledSend are exempt:
-// their Alloc is plain make and Release a no-op. Both of the module's
-// transports, tcpnet and the simulated switch, pool.
+// borrow. Every fabric.Transport implementer's Alloc and Release are
+// tracked: both of the module's transports, tcpnet and the simulated
+// switch, pool, and the interface admits no other ownership rule.
 package buflifetime
 
 import (

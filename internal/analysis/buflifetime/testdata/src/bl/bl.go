@@ -1,6 +1,6 @@
 // Package bl is the buflifetime golden test: pooled transport buffers
 // must be released or sent on every path, exactly once, and never touched
-// afterwards. Transports without PooledSend are exempt.
+// afterwards. Every transport pools, so every one is checked.
 package bl
 
 import (
@@ -180,23 +180,9 @@ func aliasBorrowLeak(tr fabric.Transport, bad bool) {
 	tr.Release(b)
 }
 
-// switchLeak: the simulated switch pools its buffers (PooledSend), so a
+// switchLeak: the simulated switch pools its buffers like tcpnet, so a
 // dropped one is a leak there too.
 func switchLeak(a *switchnet.Adapter) {
 	b := a.Alloc(64) // want `pooled transport buffer b may leak`
-	b[0] = 1
-}
-
-// unpooled is a transport whose Contract sets no PooledSend: its Alloc is
-// plain make and its Release a no-op.
-type unpooled struct{ fabric.Transport }
-
-func (unpooled) Alloc(n int) []byte { return make([]byte, n) }
-
-func (unpooled) Contract() fabric.Contract { return fabric.Contract{} }
-
-// unpooledExempt: dropping an unpooled transport's buffer is fine.
-func unpooledExempt(a unpooled) {
-	b := a.Alloc(64)
 	b[0] = 1
 }

@@ -1,4 +1,4 @@
-// BufferOps: the pooled-transport buffer protocol (fabric.Transport
+// BufferOps: the transport buffer protocol (fabric.Transport
 // Alloc/Release/Send plus tcpnet's internal bufPool) expressed as an Ops,
 // so the summaries, buflifetime, and the gateway accounting pass
 // (teardownpath) all agree on what acquires, releases, and transfers a
@@ -16,9 +16,7 @@ import (
 // BufferOps classifies calls against the fabric buffer-ownership
 // contract. Zero value is unusable; construct with NewBufferOps.
 type BufferOps struct {
-	pass   *analysis.Pass
-	iface  *types.Interface
-	pooled map[*types.TypeName]bool // Contract() sets PooledSend, by receiver type
+	iface *types.Interface
 }
 
 // NewBufferOps returns the buffer protocol for pass's package, or nil when
@@ -28,11 +26,7 @@ func NewBufferOps(pass *analysis.Pass) *BufferOps {
 	if iface == nil {
 		return nil
 	}
-	return &BufferOps{
-		pass:   pass,
-		iface:  iface.Underlying().(*types.Interface),
-		pooled: map[*types.TypeName]bool{},
-	}
+	return &BufferOps{iface: iface.Underlying().(*types.Interface)}
 }
 
 func (o *BufferOps) Name() string { return "buffer" }
@@ -59,11 +53,11 @@ func (o *BufferOps) Classify(info *types.Info, call *ast.CallExpr) (Kind, int) {
 		recv := sig.Recv().Type()
 		switch fn.Name() {
 		case "Alloc":
-			if o.implementsTransport(recv) && o.pooledSend(recv) && len(call.Args) == 1 {
+			if o.implementsTransport(recv) && len(call.Args) == 1 {
 				return OpAcquire, 0
 			}
 		case "Release":
-			if o.implementsTransport(recv) && o.pooledSend(recv) && len(call.Args) == 1 {
+			if o.implementsTransport(recv) && len(call.Args) == 1 {
 				return OpRelease, 0
 			}
 		case "Send":
@@ -96,49 +90,4 @@ func (o *BufferOps) implementsTransport(recv types.Type) bool {
 		return types.Implements(recv, o.iface) || types.Identical(recv.Underlying(), o.iface)
 	}
 	return types.Implements(recv, o.iface)
-}
-
-// pooledSend reports whether buffers from recv's Alloc are pool-backed.
-// Interface receivers are assumed pooled (the honest default: the Contract
-// documents Release as mandatory on pooled transports and a no-op
-// otherwise). For a concrete type the Contract method body is inspected
-// for a PooledSend: true composite-literal field; a transport whose
-// Contract leaves it unset is exempt (both of the module's transports,
-// tcpnet's Endpoint and switchnet's Adapter, set it).
-func (o *BufferOps) pooledSend(recv types.Type) bool {
-	if types.IsInterface(recv) {
-		return true
-	}
-	t := recv
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return true
-	}
-	if v, ok := o.pooled[named.Obj()]; ok {
-		return v
-	}
-	pooled := true
-	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), "Contract")
-	if fn, ok := obj.(*types.Func); ok {
-		if fb, ok := o.pass.FuncIndex()[fn]; ok {
-			pooled = false
-			ast.Inspect(fb.Body, func(n ast.Node) bool {
-				kv, ok := n.(*ast.KeyValueExpr)
-				if !ok {
-					return true
-				}
-				if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "PooledSend" {
-					if v, ok := kv.Value.(*ast.Ident); ok && v.Name == "true" {
-						pooled = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	o.pooled[named.Obj()] = pooled
-	return pooled
 }

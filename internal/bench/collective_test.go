@@ -52,9 +52,7 @@ func TestCollectiveStatsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccfg := collective.DefaultConfig()
-	ccfg.CentralBarrier = true
-	err = cluster.RunWithComm(j, ccfg, func(ctx exec.Context, tk *lapi.Task, c *collective.Comm) {
+	err = cluster.RunWithComm(j, collective.DefaultConfig(), func(ctx exec.Context, tk *lapi.Task, c *collective.Comm) {
 		buf := make([]byte, 1024)
 		if err := c.AllreduceAlg(ctx, buf, collective.OpSumU8, collective.AlgRing); err != nil {
 			t.Error(err)
@@ -90,8 +88,10 @@ func TestCollectiveStatsSmoke(t *testing.T) {
 		if v := got.Get(stats.CollRDBytes); v != 2*1024 {
 			t.Errorf("rank %d: coll_rd_bytes = %d, want %d", c.Rank(), v, 2*1024)
 		}
-		if v := got.Get(stats.CollRmwOps); v != 1 {
-			t.Errorf("rank %d: coll_rmw_ops = %d, want 1", c.Rank(), v)
+		// log2(4) = 2 dissemination rounds each in Bcast's consumption
+		// fence and in the Barrier.
+		if v := got.Get(stats.CollBarrierSteps); v != 4 {
+			t.Errorf("rank %d: coll_barrier_steps = %d, want 4", c.Rank(), v)
 		}
 		if v := got.Get(stats.CollTreeSteps); v == 0 {
 			t.Errorf("rank %d: coll_tree_steps did not advance", c.Rank())

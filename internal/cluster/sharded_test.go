@@ -36,9 +36,13 @@ func meshWorkload(rounds, size int) func(ctx exec.Context, t *lapi.Task) {
 	}
 }
 
+// plainJob, passed as the shard count, runs the workload on the plain
+// single-engine Job — the serial reference — instead of a ShardedJob.
+const plainJob = 0
+
 // runMeshTrace executes the workload on n ranks split across shards
-// (shards == 1 uses the plain single-engine Job — the serial reference)
-// and returns the canonical merged trace of per-rank tracers.
+// (plainJob: the serial reference) and returns the canonical merged trace
+// of per-rank tracers.
 func runMeshTrace(t *testing.T, shards, n int) []trace.Event {
 	return runMeshTraceCfg(t, shards, n, switchnet.DefaultConfig(), 0)
 }
@@ -64,7 +68,7 @@ func runMeshTraceCfg(t *testing.T, shards, n int, scfg switchnet.Config, stagger
 		}
 		inner(ctx, tk)
 	}
-	if shards == 1 {
+	if shards == plainJob {
 		rank := 0
 		j, err := NewJob(n, scfg, func(rt exec.Runtime, tr fabric.Transport) (*lapi.Task, error) {
 			r := rank
@@ -95,7 +99,7 @@ func runMeshTraceCfg(t *testing.T, shards, n int, scfg switchnet.Config, stagger
 // least) the first 10k events.
 func TestShardedTraceMatchesSerial(t *testing.T) {
 	const n = 8
-	serial := runMeshTrace(t, 1, n)
+	serial := runMeshTrace(t, plainJob, n)
 	if len(serial) == 0 {
 		t.Fatal("serial run produced no trace events")
 	}
@@ -122,6 +126,9 @@ func TestShardedTraceMatchesSerial(t *testing.T) {
 // zero wire latency (micro-epochs). The full protocol stack rides the
 // barrier-arbitrated interior here — acks, retransmission timers, fences —
 // and the merged trace must still match the serial engine byte for byte.
+// One shard is in the list too: a single engine driven in epochs, where
+// the switch's instant resolver and the epoch barrier both call
+// ResolveSpine, must trace exactly like the plain Job.
 func TestShardedContendedTraceMatchesSerial(t *testing.T) {
 	cases := []struct {
 		name string
@@ -142,11 +149,11 @@ func TestShardedContendedTraceMatchesSerial(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			scfg := switchnet.DefaultConfig()
 			tc.mut(&scfg)
-			serial := runMeshTraceCfg(t, 1, n, scfg, 0)
+			serial := runMeshTraceCfg(t, plainJob, n, scfg, 0)
 			if len(serial) == 0 {
 				t.Fatal("serial run produced no trace events")
 			}
-			for _, shards := range []int{2, 4, 8} {
+			for _, shards := range []int{1, 2, 4, 8} {
 				got := runMeshTraceCfg(t, shards, n, scfg, 0)
 				if len(got) != len(serial) {
 					t.Errorf("shards=%d: %d trace events, serial has %d", shards, len(got), len(serial))

@@ -6,26 +6,16 @@ import (
 	"golapi/internal/stats"
 )
 
-// Barrier blocks until every rank has entered it. The default schedule is
+// Barrier blocks until every rank has entered it. The schedule is
 // dissemination: ceil(log2 N) rounds in which each rank signals the peer
 // 2^k ahead on the ring (a zero-byte Put that only rings the round's
-// counter) and waits for the symmetric signal from behind. With
-// Config.CentralBarrier the Rmw-based centralized schedule is used
-// instead: every rank FetchAndAdds rank 0's arrival word; the last arriver
-// of the epoch releases everyone.
+// counter) and waits for the symmetric signal from behind.
 func (c *Comm) Barrier(ctx exec.Context) error {
-	alg := "dissemination"
-	if c.cfg.CentralBarrier {
-		alg = "central-rmw"
-	}
-	if err := c.begin("barrier", alg, 0); err != nil {
+	if err := c.begin("barrier", "dissemination", 0); err != nil {
 		return err
 	}
 	if c.n == 1 {
 		return nil
-	}
-	if c.cfg.CentralBarrier {
-		return c.centralBarrier(ctx)
 	}
 	return c.sync(ctx, 0)
 }
@@ -48,34 +38,5 @@ func (c *Comm) sync(ctx exec.Context, baseStep int) error {
 		c.t.Counters.Add(stats.CollBarrierSteps, 1)
 		c.tracef("sync round %d signal %d", k, peer)
 	}
-	return nil
-}
-
-// centralBarrier: arrival by atomic FetchAndAdd on rank 0's control word
-// (the paper's §3 primitive), release by zero-byte Puts from the last
-// arriver. The arrival word is monotonic, so prev mod N identifies the
-// epoch's last arriver without ever resetting it.
-func (c *Comm) centralBarrier(ctx exec.Context) error {
-	prev, err := c.t.RmwSync(ctx, lapi.RmwFetchAndAdd, 0, c.ctlAddrs[0], 1, 0)
-	if err != nil {
-		return err
-	}
-	c.t.Counters.Add(stats.CollRmwOps, 1)
-	if mod(int(prev), c.n) == c.n-1 {
-		// Last arriver: everyone else is in the barrier; release them.
-		c.tracef("barrier central release (arrival %d)", prev)
-		for r := 0; r < c.n; r++ {
-			if r == c.rank {
-				continue
-			}
-			if err := c.t.Put(ctx, r, lapi.AddrNil, nil, c.remoteCntr(0), nil, nil); err != nil {
-				return err
-			}
-			c.t.Counters.Add(stats.CollBarrierSteps, 1)
-		}
-		return nil
-	}
-	c.wait(ctx, 0)
-	c.t.Counters.Add(stats.CollBarrierSteps, 1)
 	return nil
 }

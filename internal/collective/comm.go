@@ -77,10 +77,6 @@ type Config struct {
 	// this many bytes use the ring schedule, smaller ones recursive
 	// doubling. The analogue of MP_EAGER_LIMIT for algorithm choice.
 	RingThreshold int
-	// CentralBarrier selects the Rmw-based centralized barrier (every
-	// rank FetchAndAdds an arrival word on rank 0; the last arriver
-	// releases everyone) instead of the default dissemination barrier.
-	CentralBarrier bool
 }
 
 // DefaultConfig supports 1 MB collectives with a 64 KB ring crossover —
@@ -108,9 +104,8 @@ type Comm struct {
 	slots int
 	steps int
 
-	mbBase   lapi.Addr   // local mailbox base
-	mbAddrs  []lapi.Addr // every rank's mailbox base
-	ctlAddrs []lapi.Addr // every rank's barrier arrival word
+	mbBase  lapi.Addr   // local mailbox base
+	mbAddrs []lapi.Addr // every rank's mailbox base
 
 	// cntrs[step*2+parity]: arrival counters, created in identical
 	// order on every rank so IDs align (the SPMD counter convention).
@@ -163,12 +158,8 @@ func New(ctx exec.Context, t *lapi.Task, cfg Config) (*Comm, error) {
 	}
 	c.orgCntr = t.NewCounter() // after the arrival counters, same order on every rank
 	c.mbBase = t.Alloc(2 * c.slots * cfg.MaxBytes)
-	ctl := t.Alloc(8)
 	var err error
 	if c.mbAddrs, err = t.AddressInit(ctx, c.mbBase); err != nil {
-		return nil, err
-	}
-	if c.ctlAddrs, err = t.AddressInit(ctx, ctl); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -1,7 +1,9 @@
 // Package fabric defines the transport abstraction the communication
 // libraries (LAPI, MPI) are written against, plus small helpers for packet
 // framing. Implementations: the simulated SP switch (internal/switchnet)
-// and a real TCP transport (internal/tcpnet).
+// and a real TCP transport (internal/tcpnet). Both keep the one buffer
+// ownership contract stated on Transport: every packet buffer comes from
+// and returns to the transport's pool.
 package fabric
 
 import (
@@ -11,25 +13,6 @@ import (
 	"golapi/internal/exec"
 )
 
-// Contract describes a transport's buffer-ownership behaviour. Protocol
-// layers consult it to skip defensive copies and recycle packet memory on
-// the hot path; the zero value (nothing pooled) is always safe to assume.
-type Contract struct {
-	// PooledDelivery means the slice handed to the deliver upcall is drawn
-	// from the transport's buffer pool: it is exclusively the receiver's
-	// until the receiver calls Release, after which the memory may back a
-	// future frame. Receivers that need the bytes longer must copy before
-	// releasing. When false, delivered slices are immutable history the
-	// transport may still alias (say, for retransmission) — never write to
-	// or recycle them, but retaining references is safe. Both transports
-	// here (tcpnet and the simulated switch) pool delivery.
-	PooledDelivery bool
-	// PooledSend means buffers obtained from Alloc are recycled by the
-	// transport once written to the wire, so a steady-state sender
-	// allocates nothing. Send always takes ownership either way.
-	PooledSend bool
-}
-
 // Transport is one task's endpoint on the interconnect.
 //
 // Delivery is reliable but NOT necessarily ordered: packets between the same
@@ -38,9 +21,9 @@ type Contract struct {
 //
 // Buffer ownership: a packet buffer is the producer's until handed over.
 // Senders build a packet (ideally in a buffer from Alloc), pass it to Send,
-// and must not touch it again. Receivers own a delivered slice for the
-// duration described by Contract: until Release on pooled transports,
-// forever (read-only) otherwise.
+// and must not touch it again. Receivers own a delivered slice until they
+// Release it, and must not touch it afterwards: the transport's pool may
+// back a future frame with the same memory.
 type Transport interface {
 	// Self returns this endpoint's task id in [0, N).
 	Self() int
@@ -60,23 +43,20 @@ type Transport interface {
 	Send(ctx exec.Context, dst int, data []byte, sent func())
 	// SetDeliver installs the upcall invoked, serialized on the
 	// endpoint's runtime, for each arriving packet. Must be set before
-	// the first packet can arrive. Ownership of data follows Contract:
-	// with PooledDelivery the receiver must Release it (and not touch it
-	// after); without, the slice is retained history and must not be
-	// written.
+	// the first packet can arrive. The receiver owns data until it
+	// calls Release; a receiver that needs the bytes longer copies them
+	// first.
 	SetDeliver(fn func(src int, data []byte))
 	// Alloc returns a packet buffer of length n for building an outbound
-	// packet, drawn from the transport's pool when it has one (see
-	// Contract.PooledSend). Contents are unspecified — callers overwrite
-	// every byte they send.
+	// packet, drawn from the transport's pool, which recycles it once it
+	// has been written to the wire. Contents are unspecified — callers
+	// overwrite every byte they send.
 	Alloc(n int) []byte
-	// Release returns a delivered packet to the transport's pool. It is a
-	// no-op on unpooled transports; on pooled ones the caller must not
-	// touch pkt afterwards. Call it from the delivery path (serialized on
-	// the endpoint's runtime) once the packet has been consumed.
+	// Release returns a delivered packet to the transport's pool; the
+	// caller must not touch pkt afterwards. Call it from the delivery path
+	// (serialized on the endpoint's runtime) once the packet has been
+	// consumed.
 	Release(pkt []byte)
-	// Contract reports the transport's buffer-ownership behaviour.
-	Contract() Contract
 
 	// The three methods below form the zero-copy lane used by the
 	// rendezvous (RTS/CTS) protocol for large messages: payload bytes move

@@ -1,10 +1,10 @@
 // Package parallel is the multicore execution layer for the simulated
 // experiments. It has two tiers:
 //
-//   - Tier A (executor.go): a work-stealing sweep executor that runs
-//     independent sweep points — each owning its private sim.Engine and
-//     simulated mesh — across worker goroutines, committing results in
-//     input order. Because every point is self-contained and results are
+//   - Tier A (executor.go): a sweep executor that runs independent
+//     sweep points — each owning its private sim.Engine and simulated
+//     mesh — across worker goroutines, committing results in input
+//     order. Because every point is self-contained and results are
 //     ordered by input index, sweep output is byte-identical to a serial
 //     run; parallelism only changes wall-clock time.
 //
@@ -23,6 +23,7 @@ package parallel
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Executor runs independent jobs across a fixed pool of workers. The zero
@@ -63,11 +64,9 @@ func (x *Executor) Workers() int {
 // failures are exceptional, so the wasted work does not matter) — and the
 // results must not be used.
 //
-// The index space is split into contiguous per-worker blocks; each worker
-// pops from the front of its own block and, when empty, steals from the
-// back of the fullest remaining block. Contiguous ownership keeps
-// neighbouring sweep points (which tend to have similar cost) on one
-// worker; stealing rebalances mixed-size sweeps.
+// Workers claim indices from one shared atomic cursor in increasing
+// order, so a worker that finishes a cheap job takes the next index at
+// once and a mixed-size sweep balances itself.
 func Map[T any](x *Executor, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -89,15 +88,15 @@ func Map[T any](x *Executor, n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 
 	errs := make([]error, n)
-	q := newStealQueues(n, w)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for wk := 0; wk < w; wk++ {
-		go func(wk int) {
+		go func() {
 			defer wg.Done()
 			for {
-				i, ok := q.next(wk)
-				if !ok {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
 				r, err := fn(i)
@@ -107,7 +106,7 @@ func Map[T any](x *Executor, n int, fn func(i int) (T, error)) ([]T, error) {
 				}
 				results[i] = r
 			}
-		}(wk)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -124,44 +123,4 @@ func ForEach(x *Executor, n int, fn func(i int) error) error {
 		return struct{}{}, fn(i)
 	})
 	return err
-}
-
-// stealQueues is the work-stealing index pool: one contiguous [lo, hi)
-// block per worker. Owners take from the front (lo), thieves from the back
-// (hi), so a stolen run stays contiguous too.
-type stealQueues struct {
-	mu     sync.Mutex
-	lo, hi []int
-}
-
-func newStealQueues(n, workers int) *stealQueues {
-	q := &stealQueues{lo: make([]int, workers), hi: make([]int, workers)}
-	for wk := 0; wk < workers; wk++ {
-		q.lo[wk] = wk * n / workers
-		q.hi[wk] = (wk + 1) * n / workers
-	}
-	return q
-}
-
-// next returns the next index for worker wk: its own front, or a steal
-// from the back of the fullest other queue.
-func (q *stealQueues) next(wk int) (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.lo[wk] < q.hi[wk] {
-		i := q.lo[wk]
-		q.lo[wk]++
-		return i, true
-	}
-	victim, best := -1, 0
-	for v := range q.lo {
-		if remain := q.hi[v] - q.lo[v]; remain > best {
-			victim, best = v, remain
-		}
-	}
-	if victim < 0 {
-		return 0, false
-	}
-	q.hi[victim]--
-	return q.hi[victim], true
 }

@@ -20,7 +20,7 @@ func TestMapHammer(t *testing.T) {
 	want := make([]string, n)
 	for i := 0; i < n; i++ {
 		// Mixed sizes: point i drains 100*(i%7+1) simulated events, so
-		// blocks finish at very different times and stealing must kick in.
+		// points finish at very different times.
 		want[i] = fmt.Sprintf("point-%d:events-%d", i, 100*(i%7+1))
 	}
 	got, err := Map(x, n, func(i int) (string, error) {
@@ -114,26 +114,54 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-// TestStealQueues exercises the index pool directly: every index handed
-// out exactly once, across owners and thieves.
-func TestStealQueues(t *testing.T) {
-	const n, w = 37, 5
-	q := newStealQueues(n, w)
-	seen := make(map[int]int)
-	// Worker 0 drains everything: first its own block, then steals.
-	for {
-		i, ok := q.next(0)
-		if !ok {
-			break
+// TestMapContention drives Map's shared index cursor with 8 workers
+// racing over 37 jobs of uneven cost: every index must run exactly once,
+// results must come back in index order, and with failures at 5 and 30
+// the index-5 error must win even though its job is the slowest, so
+// index 30 fails first.
+func TestMapContention(t *testing.T) {
+	const n, workers = 37, 8
+	cost := func(i int) time.Duration {
+		if i == 5 {
+			return 2 * time.Millisecond
 		}
-		seen[i]++
+		return time.Duration(i%4) * 100 * time.Microsecond
 	}
-	if len(seen) != n {
-		t.Fatalf("drained %d distinct indices, want %d", len(seen), n)
+	run := func(fail map[int]error) ([]int, []int32, error) {
+		runs := make([]int32, n)
+		got, err := Map(New(workers), n, func(i int) (int, error) {
+			atomic.AddInt32(&runs[i], 1)
+			time.Sleep(cost(i))
+			if e := fail[i]; e != nil {
+				return 0, e
+			}
+			return 3*i + 1, nil
+		})
+		return got, runs, err
 	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Errorf("index %d handed out %d times", i, c)
+	checkOnce := func(runs []int32) {
+		t.Helper()
+		for i, c := range runs {
+			if c != 1 {
+				t.Errorf("index %d ran %d times, want 1", i, c)
+			}
 		}
 	}
+
+	got, runs, err := run(nil)
+	if err != nil {
+		t.Fatalf("Map: %v", err)
+	}
+	checkOnce(runs)
+	for i, r := range got {
+		if r != 3*i+1 {
+			t.Errorf("result[%d] = %d, want %d", i, r, 3*i+1)
+		}
+	}
+
+	err5, err30 := errors.New("fail 5"), errors.New("fail 30")
+	if _, runs, err = run(map[int]error{5: err5, 30: err30}); !errors.Is(err, err5) {
+		t.Errorf("err = %v, want the index-5 error", err)
+	}
+	checkOnce(runs)
 }

@@ -635,6 +635,3 @@ func (c *Cond) Broadcast() {
 	}
 	c.waiters = c.waiters[:0]
 }
-
-// NumWaiters reports how many processes are parked on c (useful in tests).
-func (c *Cond) NumWaiters() int { return len(c.waiters) }

@@ -23,7 +23,7 @@ type script struct {
 	e      *Engine
 	log    []string
 	conds  []*Cond
-	queues []*Queue
+	queues []*fifo
 	procs  []*Proc // by id, in spawn order
 	live   int
 	budget int // processes that may still be spawned
@@ -72,8 +72,8 @@ func (s *script) step(p *Proc, id int, seed int64, rng *rand.Rand) {
 		s.queues[q].Push(id)
 	case 6:
 		q := rng.Intn(len(s.queues))
-		v, ok := s.queues[q].Pop(p)
-		s.logf("p%d pop q%d = %v %v", id, q, v, ok)
+		v := s.queues[q].Pop(p)
+		s.logf("p%d pop q%d = %v", id, q, v)
 	case 7:
 		if id > 0 { // only ever an earlier process: no join cycles
 			j := rng.Intn(id)
@@ -107,6 +107,30 @@ func (s *script) step(p *Proc, id int, seed int64, rng *rand.Rand) {
 	}
 }
 
+// fifo is an unbounded queue between simulated processes, built over
+// Cond: Push never blocks and wakes every waiter; Pop parks until an item
+// is there.
+type fifo struct {
+	items []interface{}
+	avail *Cond
+}
+
+func newFIFO(e *Engine) *fifo { return &fifo{avail: NewCond(e)} }
+
+func (q *fifo) Push(v interface{}) {
+	q.items = append(q.items, v)
+	q.avail.Broadcast()
+}
+
+func (q *fifo) Pop(p *Proc) interface{} {
+	for len(q.items) == 0 {
+		p.WaitCond(q.avail)
+	}
+	v := q.items[0]
+	q.items = q.items[1:]
+	return v
+}
+
 // newScript builds the program for seed on a fresh engine. With rescue, a
 // callback chain keeps broadcasting every condition and feeding every
 // queue for as long as any process is unfinished, so the program runs to
@@ -116,7 +140,7 @@ func newScript(seed int64, rescue bool) *script {
 	s := &script{e: NewEngine(), budget: 12}
 	for i := 0; i < 2; i++ {
 		s.conds = append(s.conds, NewCond(s.e))
-		s.queues = append(s.queues, NewQueue(s.e))
+		s.queues = append(s.queues, newFIFO(s.e))
 	}
 	for i := 0; i < 5; i++ {
 		s.spawn(seed, 20)
@@ -243,7 +267,7 @@ func TestDeadlockLeavesNothingSuspended(t *testing.T) {
 		t.Error("stuck-a was resumed")
 	})
 	e.Go("stuck-b", func(p *Proc) {
-		NewQueue(e).Pop(p)
+		newFIFO(e).Pop(p)
 		t.Error("stuck-b was resumed")
 	})
 	e.Go("fine", func(p *Proc) { p.Sleep(3) })

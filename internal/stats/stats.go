@@ -137,8 +137,8 @@ const (
 	SpineRequests       // interior-occupancy requests arbitrated at barriers
 	SpineReqHighWater   // deepest single-barrier arbitration queue (Max)
 
-	// Collective-layer counters (package collective): per-algorithm step,
-	// byte and atomic-op accounting, so the cost attribution of the
+	// Collective-layer counters (package collective): per-algorithm step
+	// and byte accounting, so the cost attribution of the
 	// Figure-2-style collective comparison is observable per task.
 	CollCalls        // collective operations entered
 	CollRingSteps    // ring put+wait steps executed
@@ -147,8 +147,7 @@ const (
 	CollRDBytes      // bytes moved by recursive doubling
 	CollTreeSteps    // binomial-tree edges traversed
 	CollTreeBytes    // bytes moved along tree edges
-	CollBarrierSteps // barrier rounds (dissemination) or releases
-	CollRmwOps       // FetchAndAdd ops issued (central barrier)
+	CollBarrierSteps // dissemination barrier rounds
 
 	numFixed
 )
@@ -186,7 +185,6 @@ var names = [numFixed]string{
 	CollTreeSteps:       "coll_tree_steps",
 	CollTreeBytes:       "coll_tree_bytes",
 	CollBarrierSteps:    "coll_barrier_steps",
-	CollRmwOps:          "coll_rmw_ops",
 }
 
 // ShardEpochs names shard i's active-epoch counter: epochs in which the

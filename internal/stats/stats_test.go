@@ -48,8 +48,8 @@ func TestFixedNames(t *testing.T) {
 			t.Errorf("fixed name %d has no report name", int(n))
 		}
 	}
-	if PacketsSent.String() != "packets_sent" || Matches.String() != "matches" || CollRmwOps.String() != "coll_rmw_ops" {
-		t.Errorf("names = %v %v %v", PacketsSent, Matches, CollRmwOps)
+	if PacketsSent.String() != "packets_sent" || Matches.String() != "matches" || CollBarrierSteps.String() != "coll_barrier_steps" {
+		t.Errorf("names = %v %v %v", PacketsSent, Matches, CollBarrierSteps)
 	}
 }
 

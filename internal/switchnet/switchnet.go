@@ -174,22 +174,18 @@ type Switch struct {
 	// the epoch coordinator (zero on a single-engine switch whose config
 	// admits none — then there is no coordinator to promise it to).
 	lookahead sim.Time
-	// spineMode is set when the switch is partitioned AND has a shared
-	// interior (spine or fat tree): interior occupancies are then
-	// speculatively recorded per shard and arbitrated at the epoch
-	// barrier (ResolveSpine) instead of claimed inline.
-	spineMode bool
-	// instReqs and resolverArmed implement the single-engine interior:
-	// claims made at one virtual instant are deferred to a
-	// due-FIFO resolver at the same instant, so same-instant ties are
-	// arbitrated by source rank — the same order the sharded barrier
-	// uses — instead of by incidental event-creation order.
-	instReqs      []spineReq
+	// resolverArmed is set while a single-engine switch has an
+	// instantResolver queued: interior claims made at one virtual instant
+	// wait in shards[0].spineReqs for a due-FIFO ResolveSpine at that
+	// same instant, so same-instant ties are arbitrated by source rank —
+	// the order the sharded barrier uses — instead of by incidental
+	// event-creation order.
 	resolverArmed bool
-	// reqScratch is the barrier arbitration's reusable merge buffer.
+	// reqScratch is the sharded barrier arbitration's reusable merge
+	// buffer.
 	reqScratch []spineReq
 	// pool recycles packet buffers between every adapter's Alloc and
-	// Release (Contract: PooledSend, PooledDelivery).
+	// Release.
 	pool bufPool
 }
 
@@ -242,9 +238,9 @@ type shardSlot struct {
 	eng    *sim.Engine
 	outbox []parallel.Export
 	// spineReqs accumulates the shard's would-be interior occupancies
-	// (spineMode): transmits record their claims here in execution
-	// order, and the barrier arbitrates them against the shared
-	// occupancy clocks in global (timestamp, shard, order) order.
+	// (SpineLinks or FatTreeLevels): transmits record their claims here
+	// in execution order, and ResolveSpine arbitrates them against the
+	// shared occupancy clocks in global (timestamp, source, order) order.
 	spineReqs []spineReq
 }
 
@@ -307,7 +303,6 @@ func NewSharded(engines []*sim.Engine, n int, cfg Config) (*Switch, error) {
 			return nil, laErr
 		}
 		s.lookahead = lookahead
-		s.spineMode = cfg.SpineLinks > 0 || len(cfg.FatTreeLevels) > 0
 	} else if laErr == nil {
 		s.lookahead = lookahead // single-engine: advisory only
 	}
@@ -417,10 +412,10 @@ func (s *Switch) interiorOccupy(src, dst int, ready, wire sim.Time) (sim.Time, i
 // its own execution order, so the full key is (timestamp, source,
 // per-source sequence) — then resolve against the authoritative
 // occupancy clocks and schedule each arrival on its destination engine.
-// Serial (instant-deferred) and sharded (barrier-deferred) interiors
-// both funnel through here, which is what makes their virtual times
-// identical: the arbitration key never mentions shards or engine event
-// order.
+// ResolveSpine is its only caller, from a single-engine switch's
+// instantResolver and a sharded switch's epoch barrier alike, which is
+// what makes their virtual times identical: the arbitration key never
+// mentions shards or engine event order.
 func (s *Switch) resolveReqs(reqs []spineReq) {
 	sort.SliceStable(reqs, func(i, j int) bool {
 		if reqs[i].at != reqs[j].at {
@@ -438,50 +433,44 @@ func (s *Switch) resolveReqs(reqs []spineReq) {
 	s.Counters.Max(stats.SpineReqHighWater, int64(len(reqs)))
 }
 
-// resolveInstant drains the single-engine interior's same-instant claim
-// batch (armed by transmit via a due-FIFO event at the claim's own
-// virtual instant).
-func (s *Switch) resolveInstant() {
-	s.resolverArmed = false
-	reqs := s.instReqs
-	s.instReqs = s.instReqs[:0]
-	s.resolveReqs(reqs)
-	for i := range reqs {
-		reqs[i] = spineReq{} // drop packet references
-	}
-}
-
-// instantResolver is the single-engine interior's same-instant resolver
-// as an event.
+// instantResolver is the single-engine interior's same-instant
+// resolver as an event: transmit arms it at the instant of the first
+// claim, and it resolves every claim made at that instant.
 type instantResolver Switch
 
-func (r *instantResolver) Fire() { (*Switch)(r).resolveInstant() }
+func (r *instantResolver) Fire() {
+	s := (*Switch)(r)
+	s.resolverArmed = false
+	s.ResolveSpine()
+}
 
-// ResolveSpine is the epoch-barrier arbitration hook
-// (parallel.Hooks.Barrier) for a sharded switch with a shared interior.
-// During the epoch each shard recorded its would-be interior occupancies
-// speculatively (transmit appends to shardSlot.spineReqs instead of
-// touching the shared clocks); here, with every engine parked, the
-// requests of all shards are merged and resolved in the global
-// (timestamp, source, per-source sequence) order (resolveReqs),
-// scheduling each delayed arrival on its destination engine. On a switch
-// without spineMode it is a cheap no-op, so callers may pass it
-// unconditionally.
+// ResolveSpine arbitrates the interior claims recorded since the last
+// call (transmit appends them to shardSlot.spineReqs instead of touching
+// the shared occupancy clocks) in the global (timestamp, source,
+// per-source sequence) order (resolveReqs), scheduling each delayed
+// arrival on its destination engine. A single-engine switch calls it from
+// its instantResolver; a sharded one is resolved at every epoch barrier
+// (it is parallel.Hooks.Barrier), where with every engine parked the
+// requests of all shards are merged first. On a switch without a shared
+// interior it is a cheap no-op, so callers may pass it unconditionally.
 func (s *Switch) ResolveSpine() {
-	reqs := s.reqScratch[:0]
-	for i := range s.shards {
-		reqs = append(reqs, s.shards[i].spineReqs...)
-		s.shards[i].spineReqs = s.shards[i].spineReqs[:0]
+	reqs := s.shards[0].spineReqs
+	if len(s.shards) > 1 {
+		reqs = s.reqScratch[:0]
+		for i := range s.shards {
+			reqs = append(reqs, s.shards[i].spineReqs...)
+			s.shards[i].spineReqs = s.shards[i].spineReqs[:0]
+		}
+		s.reqScratch = reqs[:0]
 	}
 	if len(reqs) == 0 {
-		s.reqScratch = reqs
 		return
 	}
 	s.resolveReqs(reqs)
-	for i := range reqs {
-		reqs[i] = spineReq{} // drop packet references
+	clear(reqs) // drop packet references
+	if len(s.shards) == 1 {
+		s.shards[0].spineReqs = reqs[:0]
 	}
-	s.reqScratch = reqs[:0]
 }
 
 // TakeOutbox drains and returns shard's accumulated cross-shard events in
@@ -654,13 +643,6 @@ func (a *Adapter) Release(pkt []byte) {
 	}
 }
 
-// Contract implements fabric.Transport: both directions are pooled. The
-// receiver owns a delivered packet until it calls Release; direct-lane
-// fragments bypass the pool and alias the caller's payload.
-func (a *Adapter) Contract() fabric.Contract {
-	return fabric.Contract{PooledDelivery: true, PooledSend: true}
-}
-
 // SetDirectDone implements fabric.Transport.
 func (a *Adapter) SetDirectDone(fn func(src int, token uint64)) { a.directDone = fn } //lapivet:ignore racefree registration precedes wire-up: no direct send can complete before the callback is installed
 
@@ -821,26 +803,17 @@ func (a *Adapter) transmit(p *txPacket, isRetry bool, sent func()) {
 		dstAd := p.to
 		h := (*arrival)(p)
 		switch {
-		case a.sw.spineMode:
-			// Partitioned switch, shared interior: don't touch the
-			// occupancy clocks from inside an epoch. Record the claim;
-			// the barrier arbitrates it (ResolveSpine) and schedules the
-			// arrival.
+		case a.sw.spineFree != nil || a.sw.treeFree != nil:
+			// Shared interior: don't touch the occupancy clocks here.
+			// Record the claim; ResolveSpine arbitrates it and schedules
+			// the arrival — at the epoch barrier on a sharded switch, at
+			// this same virtual instant (due-FIFO) on a single engine.
 			sl := &a.sw.shards[a.shard]
 			sl.spineReqs = append(sl.spineReqs, spineReq{
 				at: eng.Now(), src: a.rank, dst: dstAd,
 				ready: ready, wire: sim.Time(wire), extra: sim.Time(extra), h: h,
 			})
-		case a.sw.spineFree != nil || a.sw.treeFree != nil:
-			// Single-engine interior: defer the claim to a resolver at
-			// this same virtual instant (due-FIFO), so same-instant ties
-			// are arbitrated by source rank — matching the sharded
-			// barrier — not by event-creation order.
-			a.sw.instReqs = append(a.sw.instReqs, spineReq{
-				at: eng.Now(), src: a.rank, dst: dstAd,
-				ready: ready, wire: sim.Time(wire), extra: sim.Time(extra), h: h,
-			})
-			if !a.sw.resolverArmed {
+			if len(a.sw.shards) == 1 && !a.sw.resolverArmed {
 				a.sw.resolverArmed = true
 				eng.ScheduleHandlerAt(eng.Now(), (*instantResolver)(a.sw))
 			}

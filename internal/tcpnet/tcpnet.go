@@ -384,11 +384,6 @@ func (e *Endpoint) Alloc(n int) []byte { return pool.get(n) }
 // pool. The caller must not touch pkt afterwards.
 func (e *Endpoint) Release(pkt []byte) { pool.put(pkt) }
 
-// Contract implements fabric.Transport: both directions are pooled.
-func (e *Endpoint) Contract() fabric.Contract {
-	return fabric.Contract{PooledDelivery: true, PooledSend: true}
-}
-
 // SetDirectDone implements fabric.Transport.
 func (e *Endpoint) SetDirectDone(fn func(src int, token uint64)) {
 	e.mu.Lock()
@@ -604,7 +599,7 @@ func (e *Endpoint) readLoop(peer int, cn *conn) {
 			pool.put(data)
 			return
 		}
-		// The receiver owns data until it calls Release (Contract).
+		// The receiver owns data until it calls Release (fabric.Transport).
 		e.rt.PostPacket(e.dispatchFn, peer, data)
 	}
 }
