@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint lint-json bench determinism gatesmoke loc
+.PHONY: check fmt vet build test race lint lint-json bench fuzz determinism gatesmoke loc
 
 check: fmt vet build test race lint determinism gatesmoke
 
@@ -102,6 +102,21 @@ bench:
 	$(GO) test -run 'AllocBudget|DoesNotAllocate' ./internal/sim/ ./internal/switchnet/ ./internal/lapi/ ./internal/ga/ ./internal/tcpnet/ ./internal/gateway/
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/
 	$(GO) run ./cmd/lapibench -exp lintgate > BENCH_hotpath.json
+
+# Fuzzing, outside `make check` like `bench`, so a newly found random crash
+# cannot flake the gate: every Fuzz* target of the packages that decode
+# untrusted bytes runs for FUZZTIME. A crash leaves its input under the
+# package's testdata/fuzz/, where it becomes a regression seed.
+FUZZTIME ?= 10s
+FUZZPKGS = ./internal/lapi/ ./internal/mpi/ ./internal/gateway/proto/
+
+fuzz:
+	@for pkg in $(FUZZPKGS); do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz: $$pkg $$f ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
 
 # Gateway CI gate: a 2-rank mesh, 64 sessions each pipelining at exactly
 # the granted window, strict outcome checks (every request answered, zero

@@ -339,7 +339,7 @@ func (a *Array) checkRequest(p Patch, buf []float64, ld int) error {
 // Scatter writes vals[k] to element (rows[k], cols[k]) for every k —
 // irregular one-sided updates (§5.1).
 func (a *Array) Scatter(ctx exec.Context, rows, cols []int, vals []float64) error {
-	groups, err := a.groupSubscripts(rows, cols, vals != nil && len(vals) == len(rows))
+	groups, err := a.groupSubscripts(rows, cols)
 	if err != nil {
 		return err
 	}
@@ -361,7 +361,7 @@ func (a *Array) Scatter(ctx exec.Context, rows, cols []int, vals []float64) erro
 // Gather reads element (rows[k], cols[k]) into out[k] for every k.
 // Blocking, like Get.
 func (a *Array) Gather(ctx exec.Context, rows, cols []int, out []float64) error {
-	groups, err := a.groupSubscripts(rows, cols, true)
+	groups, err := a.groupSubscripts(rows, cols)
 	if err != nil {
 		return err
 	}
@@ -385,7 +385,7 @@ type subscriptGroup struct {
 	ks  []int   // positions in the caller's arrays
 }
 
-func (a *Array) groupSubscripts(rows, cols []int, _ bool) (map[int]*subscriptGroup, error) {
+func (a *Array) groupSubscripts(rows, cols []int) (map[int]*subscriptGroup, error) {
 	if len(rows) != len(cols) {
 		return nil, fmt.Errorf("ga: %d row subscripts vs %d col subscripts", len(rows), len(cols))
 	}
@@ -522,17 +522,3 @@ func (m *MutexSet) Unlock(ctx exec.Context, i int) error {
 
 // mutexOwner returns the rank hosting mutex i of set m.
 func (m *MutexSet) mutexOwner(i int) int { return (m.id + i) % m.w.N() }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

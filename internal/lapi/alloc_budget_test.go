@@ -26,7 +26,44 @@ import (
 // value: a new allocation on this path should be a decision, not drift.
 const simPutAllocBudget = 2.0
 
+// simGetStridedAllocBudget bounds a 4-block GetStrided plus its Waitcntr:
+// the same 2 as a contiguous Get, now that the target gathers the vector
+// straight into its reply packets instead of packing it into a buffer it
+// allocated per request (3 before).
+const simGetStridedAllocBudget = 2.0
+
 func TestSimPutAllocBudget(t *testing.T) {
+	src := []byte{1, 2, 3, 4}
+	avg := simAllocsPerOp(t, func(ctx exec.Context, lt *lapi.Task, tgt lapi.Addr) {
+		lt.PutSync(ctx, 1, tgt, src, lapi.NoCounter)
+	})
+	if avg > simPutAllocBudget {
+		t.Errorf("sim 4-byte PutSync: %.1f allocs/op, budget %.1f — pooled hot path regressed", avg, simPutAllocBudget)
+	}
+	t.Logf("sim 4-byte PutSync: %.1f allocs/op (budget %.1f)", avg, simPutAllocBudget)
+}
+
+func TestSimGetStridedAllocBudget(t *testing.T) {
+	st := lapi.Stride{Blocks: 4, BlockBytes: 4, StrideBytes: 16}
+	buf := make([]byte, st.Total())
+	var org *lapi.Counter
+	avg := simAllocsPerOp(t, func(ctx exec.Context, lt *lapi.Task, tgt lapi.Addr) {
+		if org == nil {
+			org = lt.NewCounter()
+		}
+		lt.GetStrided(ctx, 1, tgt, st, buf, lapi.NoCounter, org)
+		lt.Waitcntr(ctx, org, 1)
+	})
+	if avg > simGetStridedAllocBudget {
+		t.Errorf("sim 4-block GetStrided: %.1f allocs/op, budget %.1f — strided reply path regressed", avg, simGetStridedAllocBudget)
+	}
+	t.Logf("sim 4-block GetStrided: %.1f allocs/op (budget %.1f)", avg, simGetStridedAllocBudget)
+}
+
+// simAllocsPerOp runs op from task 0 against a 64-byte block of task 1 on
+// a two-task simulated switch, warms pools, free lists and message maps
+// with 32 calls, and returns the average allocations of 200 more.
+func simAllocsPerOp(t *testing.T, op func(ctx exec.Context, lt *lapi.Task, tgt lapi.Addr)) float64 {
 	j, err := cluster.NewSimDefault(2)
 	if err != nil {
 		t.Fatal(err)
@@ -40,21 +77,15 @@ func TestSimPutAllocBudget(t *testing.T) {
 			return
 		}
 		if lt.Self() == 0 {
-			src := []byte{1, 2, 3, 4}
-			for i := 0; i < 32; i++ { // warm pools, free lists, message maps
-				lt.PutSync(ctx, 1, addrs[1], src, lapi.NoCounter)
+			for i := 0; i < 32; i++ {
+				op(ctx, lt, addrs[1])
 			}
-			avg = testing.AllocsPerRun(200, func() {
-				lt.PutSync(ctx, 1, addrs[1], src, lapi.NoCounter)
-			})
+			avg = testing.AllocsPerRun(200, func() { op(ctx, lt, addrs[1]) })
 		}
 		lt.Gfence(ctx)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg > simPutAllocBudget {
-		t.Errorf("sim 4-byte PutSync: %.1f allocs/op, budget %.1f — pooled hot path regressed", avg, simPutAllocBudget)
-	}
-	t.Logf("sim 4-byte PutSync: %.1f allocs/op (budget %.1f)", avg, simPutAllocBudget)
+	return avg
 }

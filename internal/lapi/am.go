@@ -82,93 +82,28 @@ func (t *Task) Amsend(ctx exec.Context, tgt int, hdl HandlerID, uhdr, udata []by
 		ctx.Sleep(t.cfg.OpOverhead)
 	}
 
-	t.msgSeq++
-	id := t.msgSeq
+	id, om := t.begin(ptAmHdr, tgt, org)
+	om.cmplCntr, om.wantCmpl = cmpl, cmpl != nil
 	t.tracef(trace.KindOp, "amsend hdl=%d uhdr=%dB data=%dB -> %d (msg %d)", hdl, len(uhdr), len(udata), tgt, id)
-	om := t.newOutMsg()
-	om.kind, om.dst, om.orgCntr, om.cmplCntr, om.wantCmpl = ptAmHdr, tgt, org, cmpl, cmpl != nil
-	t.outMsgs[id] = om
-	t.outstanding++
 
-	p := t.maxPayload()
-	total := len(udata)
-
-	// The whole message (uhdr + udata) is copied into internal buffers
-	// when small, as in sendChunked.
-	internal := total+len(uhdr) <= t.cfg.InternalBufferLimit
-	if internal {
-		if c := t.cfg.copyCost(total + len(uhdr)); c > 0 {
-			ctx.Sleep(c)
-		}
-		t.Counters.Add(stats.CopiesBytes, int64(total+len(uhdr)))
-	}
-
-	var aux uint64 = uint64(len(uhdr))
+	aux := uint64(len(uhdr))
 	if om.wantCmpl {
 		aux |= auxWantCmpl
 	}
-
-	// First packet: uhdr plus as much udata as fits.
-	firstData := p - len(uhdr)
-	if firstData > total {
-		firstData = total
-	}
-	if t.cfg.SendOverhead > 0 {
-		ctx.Sleep(t.cfg.SendOverhead)
-	}
-
-	// Count packets for the zero-copy origin-counter callback.
-	npkts := 1
-	for off := firstData; off < total; off += p {
-		npkts++
-	}
-	var onWire func()
-	if !internal && om.orgCntr != nil {
-		// Capture the counter, not om: om may be recycled by an early ack
-		// before the transport reports the last packet drained. remaining
-		// lives inside the branch so the buffered path never pays its heap
-		// move (see sendChunked).
-		org := om.orgCntr
-		remaining := npkts
-		onWire = func() {
-			remaining--
-			if remaining == 0 {
-				org.incr()
-			}
-		}
-	}
-
-	hh := header{
+	// The whole message (uhdr + udata) is one chunked send: the first
+	// packet carries the handler and uhdr, the rest only udata.
+	t.sendChunked(ctx, tgt, om, header{
 		typ:      ptAmHdr,
 		handler:  uint16(hdl),
 		msgID:    id,
-		totalLen: uint32(total),
+		totalLen: uint32(len(udata)),
 		cntrA:    uint32(tgtCntr),
 		aux:      aux,
-	}
-	// uhdr and the first udata chunk gather directly into the wire buffer.
-	t.tr.Send(ctx, tgt, t.buildPacket2(&hh, uhdr, udata[:firstData]), onWire)
-
-	dh := header{
+	}, header{
 		typ:      ptAmData,
 		msgID:    id,
-		totalLen: uint32(total),
-	}
-	for off := firstData; off < total; off += p {
-		end := off + p
-		if end > total {
-			end = total
-		}
-		if t.cfg.SendOverhead > 0 {
-			ctx.Sleep(t.cfg.SendOverhead)
-		}
-		dh.offset = uint32(off)
-		t.tr.Send(ctx, tgt, t.buildPacket(&dh, udata[off:end]), onWire)
-	}
-
-	if internal && om.orgCntr != nil {
-		om.orgCntr.incr()
-	}
+		totalLen: uint32(len(udata)),
+	}, uhdr, udata)
 	return nil
 }
 
@@ -180,7 +115,7 @@ func (t *Task) handleAm(src int, h header, payload []byte) {
 	im := t.inMsgs[key]
 	if im == nil {
 		im = t.newInMsg()
-		im.kind, im.total = ptAmHdr, int(h.totalLen)
+		im.total = int(h.totalLen)
 		t.inMsgs[key] = im
 	}
 

@@ -32,26 +32,34 @@ func FuzzDecodeHeader(f *testing.F) {
 	})
 }
 
-// FuzzStrideGeometry: arbitrary stride parameters must never make
-// stridedLoc write outside the vector span.
+// FuzzStrideGeometry starts from the raw header fields a Put or Get
+// carries (addr2, aux, totalLen): whenever decodeStride accepts them, every
+// linear offset of the message maps, with the piece of its block that
+// region.at would hand out, inside the extent the target bounds-checks.
 func FuzzStrideGeometry(f *testing.F) {
-	f.Add(4, 8, 16, 3)
-	f.Add(1, 1, 1, 0)
-	f.Fuzz(func(t *testing.T, blocks, blockB, stride, lin int) {
-		s := Stride{Blocks: blocks, BlockBytes: blockB, StrideBytes: stride}
-		if s.validate() != nil {
+	seed := func(s Stride, totalLen, lin uint32) {
+		a2, aux := packStride(s)
+		f.Add(a2, aux, totalLen, lin)
+	}
+	seed(Stride{Blocks: 4, BlockBytes: 8, StrideBytes: 16}, 32, 3)
+	seed(Stride{Blocks: 1, BlockBytes: 1, StrideBytes: 1}, 1, 0)
+	seed(Stride{}, 100, 99)
+	seed(Stride{Blocks: 4, BlockBytes: 0, StrideBytes: 16}, 8, 5)
+	seed(Stride{Blocks: 1 << 20, BlockBytes: 1, StrideBytes: 1 << 20}, 1<<20, 7)
+	f.Fuzz(func(t *testing.T, addr2, aux uint64, totalLen, lin uint32) {
+		s, err := decodeStride(addr2, aux, totalLen)
+		if err != nil || lin >= totalLen {
 			return
 		}
-		if s.Blocks <= 0 || s.BlockBytes <= 0 {
-			return
+		span := s.Span()
+		if span < int(totalLen) || span > maxBlockBytes {
+			t.Fatalf("stride %+v: extent %d for a %d-byte message", s, span, totalLen)
 		}
-		total := s.Total()
-		if total <= 0 || lin < 0 || lin >= total {
-			return
-		}
-		loc := s.stridedLoc(lin)
-		if loc < 0 || loc >= s.Span() {
-			t.Fatalf("stride %+v maps linear %d to %d outside span %d", s, lin, loc, s.Span())
+		off := int(lin)
+		loc := s.stridedLoc(off)
+		n := min(int(totalLen)-off, s.BlockBytes-off%s.BlockBytes)
+		if loc < 0 || n <= 0 || loc+n > span {
+			t.Fatalf("stride %+v maps linear %d to [%d, %d) outside extent %d", s, lin, loc, loc+n, span)
 		}
 	})
 }

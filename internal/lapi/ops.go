@@ -29,38 +29,41 @@ const (
 //     landed there;
 //   - cmpl fires at the origin when the data has landed at the target.
 func (t *Task) Put(ctx exec.Context, tgt int, tgtAddr Addr, data []byte, tgtCntr RemoteCounter, org, cmpl *Counter) error {
+	return t.put(ctx, "Put", tgt, tgtAddr, Stride{}, data, tgtCntr, org, cmpl)
+}
+
+// put is Put and PutStrided: st is the target layout, the zero Stride (and
+// op "Put") a contiguous region. Only a contiguous Put may take the
+// rendezvous path.
+func (t *Task) put(ctx exec.Context, op string, tgt int, tgtAddr Addr, st Stride, data []byte, tgtCntr RemoteCounter, org, cmpl *Counter) error {
 	t.poll(ctx)
-	if err := t.checkTarget(tgt); err != nil {
+	if err := t.checkOp(op, tgt, tgtAddr, st, len(data)); err != nil {
 		return err
-	}
-	if tgtAddr == AddrNil && len(data) > 0 {
-		return fmt.Errorf("lapi: Put: nil target address")
 	}
 	if t.cfg.OpOverhead > 0 {
 		ctx.Sleep(t.cfg.OpOverhead)
 	}
 
-	t.msgSeq++
-	id := t.msgSeq
+	id, om := t.begin(ptPutData, tgt, org)
+	om.cmplCntr = cmpl
 	if t.cfg.Tracer != nil {
 		t.tracef(trace.KindOp, "put %dB -> %d (msg %d)", len(data), tgt, id)
 	}
-	om := t.newOutMsg()
-	om.kind, om.dst, om.orgCntr, om.cmplCntr = ptPutData, tgt, org, cmpl
-	t.outMsgs[id] = om
-	t.outstanding++
-
-	if t.rndvEligible(len(data)) {
+	if st == (Stride{}) && t.rndvEligible(len(data)) {
 		t.putRndv(ctx, tgt, tgtAddr, data, tgtCntr, om, id)
 		return nil
 	}
-	t.sendChunked(ctx, tgt, data, om, header{
+	addr2, aux := packStride(st)
+	h := header{
 		typ:      ptPutData,
 		msgID:    id,
 		totalLen: uint32(len(data)),
 		addr:     uint64(tgtAddr),
+		addr2:    addr2,
 		cntrA:    uint32(tgtCntr),
-	})
+		aux:      aux,
+	}
+	t.sendChunked(ctx, tgt, om, h, h, nil, data)
 	return nil
 }
 
@@ -70,29 +73,26 @@ func (t *Task) Put(ctx exec.Context, tgt int, tgtAddr Addr, data []byte, tgtCntr
 // the target incremented once the data has been copied out of the target's
 // memory (§2.3).
 func (t *Task) Get(ctx exec.Context, tgt int, tgtAddr Addr, buf []byte, tgtCntr RemoteCounter, org *Counter) error {
+	return t.get(ctx, "Get", tgt, tgtAddr, Stride{}, buf, tgtCntr, org)
+}
+
+// get is Get and GetStrided, as put is Put and PutStrided.
+func (t *Task) get(ctx exec.Context, op string, tgt int, tgtAddr Addr, st Stride, buf []byte, tgtCntr RemoteCounter, org *Counter) error {
 	t.poll(ctx)
-	if err := t.checkTarget(tgt); err != nil {
+	if err := t.checkOp(op, tgt, tgtAddr, st, len(buf)); err != nil {
 		return err
-	}
-	if tgtAddr == AddrNil && len(buf) > 0 {
-		return fmt.Errorf("lapi: Get: nil target address")
 	}
 	if t.cfg.OpOverhead > 0 {
 		ctx.Sleep(t.cfg.OpOverhead + t.cfg.GetExtra)
 	}
 
-	t.msgSeq++
-	id := t.msgSeq
+	id, om := t.begin(ptGetReq, tgt, org)
+	om.getBuf = buf
 	if t.cfg.Tracer != nil {
 		t.tracef(trace.KindOp, "get %dB <- %d (msg %d)", len(buf), tgt, id)
 	}
-	om := t.newOutMsg()
-	om.kind, om.dst, om.orgCntr, om.getBuf = ptGetReq, tgt, org, buf
-	t.outMsgs[id] = om
-	t.outstanding++
-
-	var aux uint64
-	if t.rndvEligible(len(buf)) {
+	addr2, aux := packStride(st)
+	if st == (Stride{}) && t.rndvEligible(len(buf)) {
 		// Pre-post the landing region before the request leaves: by the
 		// time the target serves it, direct placement is already armed.
 		t.getRndv(tgt, buf, om, id)
@@ -103,9 +103,31 @@ func (t *Task) Get(ctx exec.Context, tgt int, tgtAddr Addr, buf []byte, tgtCntr 
 		msgID:    id,
 		totalLen: uint32(len(buf)),
 		addr:     uint64(tgtAddr),
+		addr2:    addr2,
 		cntrA:    uint32(tgtCntr),
 		aux:      aux,
 	})
+	return nil
+}
+
+// checkOp validates the arguments of a Put or Get (op names the public
+// call): the target rank, and for a strided call a valid vector of exactly
+// n bytes; a region that moves bytes needs an address.
+func (t *Task) checkOp(op string, tgt int, tgtAddr Addr, st Stride, n int) error {
+	if err := t.checkTarget(tgt); err != nil {
+		return err
+	}
+	if op == "PutStrided" || op == "GetStrided" {
+		if err := st.validate(); err != nil {
+			return err
+		}
+		if n != st.Total() {
+			return fmt.Errorf("lapi: %s: %d bytes for a %d-byte vector", op, n, st.Total())
+		}
+	}
+	if tgtAddr == AddrNil && n > 0 {
+		return fmt.Errorf("lapi: %s: nil target address", op)
+	}
 	return nil
 }
 
@@ -117,35 +139,47 @@ func (t *Task) checkTarget(tgt int) error {
 	return nil
 }
 
-// sendChunked splits data into packets of maxPayload bytes, charging
-// injection costs, and wires up origin-counter semantics: small messages
-// are copied into internal buffers (origin counter fires immediately,
-// §5.3.1); large ones are zero-copy (origin counter fires when the adapter
-// drains the last packet).
-// The header template h is taken by value and stamped with each chunk's
-// offset, so no per-packet header (or header-building closure) is
-// allocated.
-func (t *Task) sendChunked(ctx exec.Context, tgt int, data []byte, om *outMsg, h header) {
-	p := t.maxPayload()
-	total := len(data)
+// begin opens the origin record of a new operation: the next message id,
+// an outMsg of the given kind bound for tgt with origin counter org, and
+// one more operation for Fence to wait out.
+func (t *Task) begin(kind byte, tgt int, org *Counter) (uint32, *outMsg) {
+	t.msgSeq++
+	om := t.newOutMsg()
+	om.kind, om.dst, om.orgCntr = kind, tgt, org
+	t.outMsgs[t.msgSeq] = om
+	t.outstanding++
+	return t.msgSeq, om
+}
 
-	internal := total <= t.cfg.InternalBufferLimit
+// sendChunked sends one message of a Put or an Amsend: uhdr (Amsend's user
+// header, nil for Put) and then data, in packets of at most maxPayload
+// bytes. The first packet carries header first, uhdr and as much data as
+// fits after it; the rest carry header rest. Each header is taken by value
+// and stamped with its packet's data offset, so no per-packet header (or
+// header-building closure) is allocated. It charges injection costs and
+// wires up origin-counter semantics: small messages are copied into
+// internal buffers (origin counter fires immediately, §5.3.1); large ones
+// are zero-copy (origin counter fires when the adapter drains the last
+// packet).
+func (t *Task) sendChunked(ctx exec.Context, tgt int, om *outMsg, first, rest header, uhdr, data []byte) {
+	p, total := t.maxPayload(), len(data)
+
+	msgBytes := len(uhdr) + total
+	internal := msgBytes <= t.cfg.InternalBufferLimit
 	if internal {
 		// Model the copy into LAPI's retransmit buffers. The physical
-		// copy happens inside buildPacket either way; only the cost is
+		// copy into the packets happens either way; only the cost is
 		// conditional.
-		if c := t.cfg.copyCost(total); c > 0 {
+		if c := t.cfg.copyCost(msgBytes); c > 0 {
 			ctx.Sleep(c)
 		}
-		t.Counters.Add(stats.CopiesBytes, int64(total))
+		t.Counters.Add(stats.CopiesBytes, int64(msgBytes))
 	}
 
-	// Number of packets: at least one even for empty messages (the header
-	// must reach the target to fire counters and acks).
-	npkts := (total + p - 1) / p
-	if npkts == 0 {
-		npkts = 1
-	}
+	// At least one packet even for an empty message: the header must reach
+	// the target to fire counters and acks.
+	end := min(p-len(uhdr), total)
+	npkts := 1 + (total-end+p-1)/p
 
 	var onWire func()
 	if !internal && om.orgCntr != nil {
@@ -163,17 +197,21 @@ func (t *Task) sendChunked(ctx exec.Context, tgt int, data []byte, om *outMsg, h
 		}
 	}
 
-	for i := 0; i < npkts; i++ {
-		off := i * p
-		end := off + p
-		if end > total {
-			end = total
-		}
+	h, off := first, 0
+	for {
 		if t.cfg.SendOverhead > 0 {
 			ctx.Sleep(t.cfg.SendOverhead)
 		}
 		h.offset = uint32(off)
-		t.tr.Send(ctx, tgt, t.buildPacket(&h, data[off:end]), onWire)
+		pkt := t.newPacket(&h, len(uhdr)+end-off)
+		n := copy(pkt[t.cfg.HeaderBytes:], uhdr)
+		copy(pkt[t.cfg.HeaderBytes+n:], data[off:end])
+		t.tr.Send(ctx, tgt, pkt, onWire)
+		if end == total {
+			break
+		}
+		h, uhdr, off = rest, nil, end
+		end = min(off+p, total)
 	}
 
 	if internal && om.orgCntr != nil {
@@ -183,26 +221,31 @@ func (t *Task) sendChunked(ctx exec.Context, tgt int, data []byte, om *outMsg, h
 
 // handlePutData lands one Put packet directly in target memory — the
 // zero-copy remote-memory-copy path ("no user handlers are executed or
-// intermediate buffering is required", §5.3).
+// intermediate buffering is required", §5.3). Each packet is
+// self-describing (linear offset + layout), so out-of-order arrival needs
+// no reassembly buffer: the bytes go straight into place, cut at block
+// ends when the layout is strided.
 func (t *Task) handlePutData(src int, h header, payload []byte) {
+	r, err := t.targetRegion(h)
+	if err == nil && uint64(h.offset)+uint64(len(payload)) > uint64(h.totalLen) {
+		err = fmt.Errorf("%d bytes at offset %d overrun a %d-byte message", len(payload), h.offset, h.totalLen)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("lapi: task %d: Put from %d: %v", t.Self(), src, err))
+	}
 	key := inKey{src: src, msgID: h.msgID}
 	im := t.inMsgs[key]
 	if im == nil {
 		im = t.newInMsg()
-		im.kind = ptPutData
 		im.total = int(h.totalLen)
-		im.tgtAddr = Addr(h.addr)
 		im.tgtCntr = t.counterByID(RemoteCounter(h.cntrA))
 		t.inMsgs[key] = im
 	}
-	if len(payload) > 0 {
-		dst, err := t.mem.bytes(Addr(h.addr)+Addr(h.offset), len(payload))
-		if err != nil {
-			panic(fmt.Sprintf("lapi: task %d: Put from %d: %v", t.Self(), src, err))
-		}
-		copy(dst, payload)
-		im.recvd += len(payload)
+	for off, b := int(h.offset), payload; len(b) > 0; {
+		n := copy(r.at(off, len(b)), b)
+		off, b = off+n, b[n:]
 	}
+	im.recvd += len(payload)
 	if im.recvd >= im.total {
 		delete(t.inMsgs, key)
 		im.tgtCntr.incr()
@@ -213,44 +256,36 @@ func (t *Task) handlePutData(src int, h header, payload []byte) {
 	}
 }
 
-// handleGetReq serves a Get at the target: read memory, stream it back.
-// Injection costs are charged to the dispatcher (target CPU), which is part
-// of why Get latency exceeds Put latency.
+// handleGetReq serves a Get at the target: read memory, stream it back,
+// gathering each packet's share of the region straight into its wire
+// buffer. Injection costs are charged to the dispatcher (target CPU), which
+// is part of why Get latency exceeds Put latency.
 func (t *Task) handleGetReq(ctx exec.Context, src int, h header) {
 	if h.aux&auxRndvGet != 0 {
 		t.handleGetReqRndv(ctx, src, h)
 		return
 	}
-	n := int(h.totalLen)
-	var data []byte
-	if n > 0 {
-		var err error
-		data, err = t.mem.bytes(Addr(h.addr), n)
-		if err != nil {
-			panic(fmt.Sprintf("lapi: task %d: Get from %d: %v", t.Self(), src, err))
-		}
+	r, err := t.targetRegion(h)
+	if err != nil {
+		panic(fmt.Sprintf("lapi: task %d: Get from %d: %v", t.Self(), src, err))
 	}
-	p := t.maxPayload()
-	npkts := (n + p - 1) / p
-	if npkts == 0 {
-		npkts = 1
-	}
-	for i := 0; i < npkts; i++ {
-		off := i * p
-		end := off + p
-		if end > n {
-			end = n
-		}
+	n, p := int(h.totalLen), t.maxPayload()
+	gh := header{typ: ptGetData, msgID: h.msgID, totalLen: h.totalLen}
+	for off := 0; ; off += p {
+		end := min(off+p, n)
 		if t.cfg.SendOverhead > 0 {
 			ctx.Sleep(t.cfg.SendOverhead)
 		}
-		gh := header{
-			typ:      ptGetData,
-			msgID:    h.msgID,
-			offset:   uint32(off),
-			totalLen: uint32(n),
+		gh.offset = uint32(off)
+		pkt := t.newPacket(&gh, end-off)
+		for o, b := off, pkt[t.cfg.HeaderBytes:]; len(b) > 0; {
+			k := copy(b, r.at(o, len(b)))
+			o, b = o+k, b[k:]
 		}
-		t.tr.Send(ctx, src, t.buildPacket(&gh, data[off:end]), nil)
+		t.tr.Send(ctx, src, pkt, nil)
+		if end == n {
+			break
+		}
 	}
 	// Data copied out of target memory: fire the target-side counter.
 	t.counterByID(RemoteCounter(h.cntrA)).incr()
@@ -374,15 +409,11 @@ func (t *Task) Rmw(ctx exec.Context, op RmwOp, tgt int, tgtVar Addr, inVal, comp
 		ctx.Sleep(t.cfg.OpOverhead)
 	}
 
-	t.msgSeq++
-	id := t.msgSeq
+	id, om := t.begin(ptRmwReq, tgt, org)
+	om.rmwPrev = prev
 	if t.cfg.Tracer != nil {
 		t.tracef(trace.KindOp, "rmw %v -> %d (msg %d)", op, tgt, id)
 	}
-	om := t.newOutMsg()
-	om.kind, om.dst, om.orgCntr, om.rmwPrev = ptRmwReq, tgt, org, prev
-	t.outMsgs[id] = om
-	t.outstanding++
 
 	t.sendControl(ctx, tgt, header{
 		typ:     ptRmwReq,

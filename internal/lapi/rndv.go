@@ -116,9 +116,8 @@ func (t *Task) handleRts(ctx exec.Context, src int, h header) {
 		panic(fmt.Sprintf("lapi: task %d: RTS from %d: %v", t.Self(), src, err))
 	}
 	im := t.newInMsg()
-	im.kind, im.rndv = ptPutData, true
+	im.rndv = true
 	im.total = n
-	im.tgtAddr = Addr(h.addr)
 	im.tgtCntr = t.counterByID(RemoteCounter(h.cntrA))
 	t.inMsgs[key] = im
 	t.registerRegion(ctx, Addr(h.addr), n)

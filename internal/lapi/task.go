@@ -110,12 +110,9 @@ type inKey struct {
 
 // inMsg tracks an arriving multi-packet message at the target.
 type inMsg struct {
-	kind    byte
 	total   int
 	recvd   int
 	tgtCntr *Counter
-	// Put: data lands directly at tgtAddr.
-	tgtAddr Addr
 	// Active message state.
 	hdrSeen  bool
 	buf      []byte // user buffer returned by the header handler
@@ -338,10 +335,6 @@ func (t *Task) handle(ctx exec.Context, src int, pkt []byte) {
 		t.handlePutData(src, h, payload)
 	case ptGetReq:
 		t.handleGetReq(ctx, src, h)
-	case ptPutvData:
-		t.handlePutvData(src, h, payload)
-	case ptGetvReq:
-		t.handleGetvReq(ctx, src, h)
 	case ptGetData:
 		t.handleGetData(h, payload)
 	case ptAmHdr, ptAmData:

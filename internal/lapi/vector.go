@@ -17,7 +17,10 @@ import (
 // apart. The origin side is always contiguous (packed); the adapter's
 // scatter/gather engine — not the CPU — maps between the two layouts, so
 // no copy cost is charged on either side, and the whole vector travels as
-// ONE message (one operation overhead, full packets, one ack).
+// ONE message (one operation overhead, full packets, one ack). On the wire
+// a strided transfer is an ordinary Put or Get whose header carries the
+// stride; only the target-side layout differs, and only a contiguous
+// transfer may take the rendezvous path.
 
 // Stride describes the target-side layout of a strided transfer.
 type Stride struct {
@@ -75,162 +78,68 @@ func (s Stride) stridedLoc(linear int) int {
 // PutStrided copies the packed data into target memory laid out as the
 // given stride vector starting at tgtAddr: block k of BlockBytes lands at
 // tgtAddr + k*StrideBytes. len(data) must equal st.Total(). Counters
-// behave exactly as in Put. The transfer is a single LAPI message.
+// behave exactly as in Put. The transfer is a single LAPI message: a Put
+// whose header carries the stride.
 func (t *Task) PutStrided(ctx exec.Context, tgt int, tgtAddr Addr, st Stride, data []byte, tgtCntr RemoteCounter, org, cmpl *Counter) error {
-	t.poll(ctx)
-	if err := t.checkTarget(tgt); err != nil {
-		return err
-	}
-	if err := st.validate(); err != nil {
-		return err
-	}
-	if len(data) != st.Total() {
-		return fmt.Errorf("lapi: PutStrided: %d bytes for a %d-byte vector", len(data), st.Total())
-	}
-	if tgtAddr == AddrNil && len(data) > 0 {
-		return fmt.Errorf("lapi: PutStrided: nil target address")
-	}
-	if t.cfg.OpOverhead > 0 {
-		ctx.Sleep(t.cfg.OpOverhead)
-	}
-
-	t.msgSeq++
-	id := t.msgSeq
-	om := t.newOutMsg()
-	om.kind, om.dst, om.orgCntr, om.cmplCntr = ptPutData, tgt, org, cmpl
-	t.outMsgs[id] = om
-	t.outstanding++
-
-	addr2, aux := packStride(st)
-	t.sendChunked(ctx, tgt, data, om, header{
-		typ:      ptPutvData,
-		msgID:    id,
-		totalLen: uint32(len(data)),
-		addr:     uint64(tgtAddr),
-		addr2:    addr2,
-		cntrA:    uint32(tgtCntr),
-		aux:      aux,
-	})
-	return nil
-}
-
-// handlePutvData lands one strided-put packet. Each packet is
-// self-describing (linear offset + stride geometry), so out-of-order
-// arrival needs no reassembly buffer: bytes scatter directly into place.
-func (t *Task) handlePutvData(src int, h header, payload []byte) {
-	st := unpackStride(h.addr2, h.aux)
-	key := inKey{src: src, msgID: h.msgID}
-	im := t.inMsgs[key]
-	if im == nil {
-		im = t.newInMsg()
-		im.kind = ptPutData
-		im.total = int(h.totalLen)
-		im.tgtAddr = Addr(h.addr)
-		im.tgtCntr = t.counterByID(RemoteCounter(h.cntrA))
-		t.inMsgs[key] = im
-	}
-	// Scatter the payload into the strided region, splitting at block
-	// boundaries.
-	linear := int(h.offset)
-	data := payload
-	for len(data) > 0 {
-		within := linear % st.BlockBytes
-		n := st.BlockBytes - within
-		if n > len(data) {
-			n = len(data)
-		}
-		dst, err := t.mem.bytes(Addr(h.addr)+Addr(st.stridedLoc(linear)), n)
-		if err != nil {
-			panic(fmt.Sprintf("lapi: task %d: PutStrided from %d: %v", t.Self(), src, err))
-		}
-		copy(dst, data[:n])
-		linear += n
-		data = data[n:]
-	}
-	im.recvd += len(payload)
-	if im.recvd >= im.total {
-		delete(t.inMsgs, key)
-		im.tgtCntr.incr()
-		t.freeInMsg(im)
-		t.sendAckPacket(src, ptDataAck, h.msgID)
-	}
+	return t.put(ctx, "PutStrided", tgt, tgtAddr, st, data, tgtCntr, org, cmpl)
 }
 
 // GetStrided pulls a stride vector from target memory at tgtAddr into the
 // packed buffer buf (len(buf) must equal st.Total()). org fires when all
-// data has arrived, as in Get. One LAPI message each way.
+// data has arrived, as in Get. One LAPI message each way: a Get request
+// carrying the stride, answered by ordinary ptGetData packets.
 func (t *Task) GetStrided(ctx exec.Context, tgt int, tgtAddr Addr, st Stride, buf []byte, tgtCntr RemoteCounter, org *Counter) error {
-	t.poll(ctx)
-	if err := t.checkTarget(tgt); err != nil {
-		return err
-	}
-	if err := st.validate(); err != nil {
-		return err
-	}
-	if len(buf) != st.Total() {
-		return fmt.Errorf("lapi: GetStrided: %d-byte buffer for a %d-byte vector", len(buf), st.Total())
-	}
-	if tgtAddr == AddrNil && len(buf) > 0 {
-		return fmt.Errorf("lapi: GetStrided: nil target address")
-	}
-	if t.cfg.OpOverhead > 0 {
-		ctx.Sleep(t.cfg.OpOverhead + t.cfg.GetExtra)
-	}
-
-	t.msgSeq++
-	id := t.msgSeq
-	om := t.newOutMsg()
-	om.kind, om.dst, om.orgCntr, om.getBuf = ptGetReq, tgt, org, buf
-	t.outMsgs[id] = om
-	t.outstanding++
-
-	addr2, aux := packStride(st)
-	t.sendControl(ctx, tgt, header{
-		typ:      ptGetvReq,
-		msgID:    id,
-		totalLen: uint32(len(buf)),
-		addr:     uint64(tgtAddr),
-		addr2:    addr2,
-		cntrA:    uint32(tgtCntr),
-		aux:      aux,
-	})
-	return nil
+	return t.get(ctx, "GetStrided", tgt, tgtAddr, st, buf, tgtCntr, org)
 }
 
-// handleGetvReq serves a strided get: gather the vector from target memory
-// (adapter scatter/gather — no CPU copy charged) and stream it back as
-// ordinary ptGetData packets, which the origin's existing Get machinery
-// lands in the packed buffer.
-func (t *Task) handleGetvReq(ctx exec.Context, src int, h header) {
-	st := unpackStride(h.addr2, h.aux)
-	n := int(h.totalLen)
-	if n != st.Total() {
-		panic(fmt.Sprintf("lapi: task %d: GetStrided length %d != vector %d", t.Self(), n, st.Total()))
+// decodeStride checks the layout a Put or Get header carries before any
+// memory is touched: the zero stride is one contiguous block of totalLen
+// bytes; any other must be a valid vector of exactly totalLen bytes whose
+// extent fits a block of task memory. A packet is untrusted input, so a
+// bad geometry is an error here, never a division by zero or an
+// out-of-range slice later.
+func decodeStride(addr2, aux uint64, totalLen uint32) (Stride, error) {
+	st := unpackStride(addr2, aux)
+	if st == (Stride{}) {
+		return Stride{Blocks: 1, BlockBytes: int(totalLen), StrideBytes: int(totalLen)}, nil
 	}
-	packed := make([]byte, n)
-	for b := 0; b < st.Blocks; b++ {
-		srcBytes, err := t.mem.bytes(Addr(h.addr)+Addr(b*st.StrideBytes), st.BlockBytes)
-		if err != nil {
-			panic(fmt.Sprintf("lapi: task %d: GetStrided from %d: %v", t.Self(), src, err))
-		}
-		copy(packed[b*st.BlockBytes:], srcBytes)
+	if err := st.validate(); err != nil {
+		return Stride{}, err
 	}
-	p := t.maxPayload()
-	npkts := (n + p - 1) / p
-	if npkts == 0 {
-		npkts = 1
+	if uint64(st.Blocks)*uint64(st.BlockBytes) != uint64(totalLen) {
+		return Stride{}, fmt.Errorf("lapi: stride %+v does not carry %d bytes", st, totalLen)
 	}
-	for i := 0; i < npkts; i++ {
-		off := i * p
-		end := off + p
-		if end > n {
-			end = n
-		}
-		if t.cfg.SendOverhead > 0 {
-			ctx.Sleep(t.cfg.SendOverhead)
-		}
-		gh := header{typ: ptGetData, msgID: h.msgID, offset: uint32(off), totalLen: uint32(n)}
-		t.tr.Send(ctx, src, t.buildPacket(&gh, packed[off:end]), nil)
+	// With Total() = totalLen < 2^32, Blocks-1 and StrideBytes are both
+	// below 2^32, so the extent cannot overflow 64 bits.
+	if totalLen > 0 && uint64(st.Blocks-1)*uint64(st.StrideBytes)+uint64(st.BlockBytes) > maxBlockBytes {
+		return Stride{}, fmt.Errorf("lapi: stride %+v spans more than a memory block", st)
 	}
-	t.counterByID(RemoteCounter(h.cntrA)).incr()
+	return st, nil
+}
+
+// region is the target side of a Put or Get: the extent of task memory the
+// layout touches, bounds-checked once, and the layout itself.
+type region struct {
+	mem []byte
+	st  Stride
+}
+
+// targetRegion decodes and checks the region a Put or Get header names.
+// An empty transfer touches no memory, so its address is not resolved.
+func (t *Task) targetRegion(h header) (region, error) {
+	st, err := decodeStride(h.addr2, h.aux, h.totalLen)
+	if err != nil || h.totalLen == 0 {
+		return region{st: st}, err
+	}
+	mem, err := t.mem.bytes(Addr(h.addr), st.Span())
+	return region{mem: mem, st: st}, err
+}
+
+// at returns the target bytes that the packed stream's bytes [off, off+n)
+// land in, cut at the end of the block holding off: one slice for a
+// contiguous region.
+func (r region) at(off, n int) []byte {
+	loc := r.st.stridedLoc(off)
+	n = min(n, r.st.BlockBytes-off%r.st.BlockBytes)
+	return r.mem[loc : loc+n]
 }

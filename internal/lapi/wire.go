@@ -20,8 +20,6 @@ const (
 	ptBarrierGo
 	ptGatherWord // AddressInit: rank's word to root
 	ptTableChunk // AddressInit: broadcast table chunk
-	ptPutvData   // strided put data (§6 future-work vector interface)
-	ptGetvReq    // strided get request
 	ptRts        // rendezvous request-to-send (origin -> target; large Put)
 	ptCts        // rendezvous clear-to-send (target -> origin; region posted)
 	// ptRndvData tags the rendezvous payload itself. It never transits the
@@ -39,10 +37,10 @@ const (
 //
 // Field use by packet type:
 //
-//	ptPutData:  msgID, offset, totalLen, addr=tgtAddr, cntrA=tgt, cntrB=cmpl(origin side id? no — cmpl handled at origin via msg table)
-//	ptGetReq:   msgID, totalLen, addr=tgtAddr, cntrA=tgt counter at target
+//	ptPutData:  msgID, offset, totalLen, addr=tgtAddr, addr2+aux=stride, cntrA=tgt counter at target
+//	ptGetReq:   msgID, totalLen, addr=tgtAddr, addr2+aux=stride, cntrA=tgt counter at target, aux|=auxRndvGet
 //	ptGetData:  msgID, offset, totalLen
-//	ptAmHdr:    msgID, totalLen(udata), addr2=uhdrLen, handler, cntrA=tgt
+//	ptAmHdr:    msgID, totalLen(udata), handler, cntrA=tgt, aux=uhdrLen|auxWantCmpl
 //	ptAmData:   msgID, offset, totalLen
 //	ptDataAck:  msgID
 //	ptCmplAck:  msgID
@@ -53,6 +51,12 @@ const (
 //	ptTableChunk: offset=start index, totalLen=total words, aux=generation; payload = words
 //	ptRts:      msgID, totalLen, addr=tgtAddr, cntrA=tgt counter at target
 //	ptCts:      msgID
+//
+// The stride of a Put or Get is the target-side layout of a PutStrided or
+// GetStrided (packStride: addr2 = BlockBytes<<32 | StrideBytes, the low 32
+// bits of aux = Blocks); zero in both means a contiguous region. The
+// completion counter of a Put never travels: the origin fires it from its
+// message table when the ptDataAck arrives.
 type header struct {
 	typ      byte
 	handler  uint16
@@ -99,28 +103,23 @@ func decodeHeader(src []byte) (header, error) {
 	}, nil
 }
 
-// buildPacket assembles header + payload into one wire packet, padding the
-// header to cfg.HeaderBytes so the modelled header cost is on the wire. The
-// buffer comes from the transport's pool (fabric.Transport.Alloc), so on
-// pooled transports a steady-state sender allocates nothing; ownership
-// passes to the transport at Send.
-func (t *Task) buildPacket(h *header, payload []byte) []byte {
-	pkt := t.tr.Alloc(t.cfg.HeaderBytes + len(payload))
+// newPacket takes a wire packet for h and an n-byte payload from the
+// transport's pool (fabric.Transport.Alloc), so on pooled transports a
+// steady-state sender allocates nothing. The header is padded to
+// cfg.HeaderBytes so the modelled header cost is on the wire; the caller
+// fills the payload, pkt[cfg.HeaderBytes:], and ownership passes to the
+// transport at Send.
+func (t *Task) newPacket(h *header, n int) []byte {
+	pkt := t.tr.Alloc(t.cfg.HeaderBytes + n)
 	h.encode(pkt)
 	clear(pkt[headerSize:t.cfg.HeaderBytes]) // pooled buffers hold stale bytes
-	copy(pkt[t.cfg.HeaderBytes:], payload)
 	return pkt
 }
 
-// buildPacket2 is buildPacket with the payload in two parts, so callers
-// with a split payload (Amsend's uhdr + first udata chunk) need not gather
-// it into a temporary first.
-func (t *Task) buildPacket2(h *header, pay1, pay2 []byte) []byte {
-	pkt := t.tr.Alloc(t.cfg.HeaderBytes + len(pay1) + len(pay2))
-	h.encode(pkt)
-	clear(pkt[headerSize:t.cfg.HeaderBytes])
-	copy(pkt[t.cfg.HeaderBytes:], pay1)
-	copy(pkt[t.cfg.HeaderBytes+len(pay1):], pay2)
+// buildPacket is newPacket with the payload copied in.
+func (t *Task) buildPacket(h *header, payload []byte) []byte {
+	pkt := t.newPacket(h, len(payload))
+	copy(pkt[t.cfg.HeaderBytes:], payload)
 	return pkt
 }
 
