@@ -112,13 +112,17 @@ func (t *Task) get(ctx exec.Context, op string, tgt int, tgtAddr Addr, st Stride
 
 // checkOp validates the arguments of a Put or Get (op names the public
 // call): the target rank, and for a strided call a valid vector of exactly
-// n bytes; a region that moves bytes needs an address.
+// n bytes that the header can carry; a region that moves bytes needs an
+// address.
 func (t *Task) checkOp(op string, tgt int, tgtAddr Addr, st Stride, n int) error {
 	if err := t.checkTarget(tgt); err != nil {
 		return err
 	}
 	if op == "PutStrided" || op == "GetStrided" {
 		if err := st.validate(); err != nil {
+			return err
+		}
+		if err := st.fitsHeader(); err != nil {
 			return err
 		}
 		if n != st.Total() {

@@ -54,6 +54,22 @@ func (s Stride) validate() error {
 	return nil
 }
 
+// fitsHeader reports a vector the Put/Get header cannot carry: packStride
+// keeps 32 bits of each field, so a larger one would arrive as a different
+// layout, and no extent may exceed one memory block. The origin checks it
+// before sending and the target on every header it decodes. The span is
+// computed in 64 bits, where fields below 2^32 cannot overflow.
+func (s Stride) fitsHeader() error {
+	const max32 = 1<<32 - 1
+	if s.Blocks > max32 || s.BlockBytes > max32 || s.StrideBytes > max32 {
+		return fmt.Errorf("lapi: stride %+v does not fit a message header", s)
+	}
+	if s.Blocks > 0 && s.BlockBytes > 0 && uint64(s.Blocks-1)*uint64(s.StrideBytes)+uint64(s.BlockBytes) > maxBlockBytes {
+		return fmt.Errorf("lapi: stride %+v spans more than a memory block", s)
+	}
+	return nil
+}
+
 // packStride encodes a Stride into the header's addr2/aux fields.
 func packStride(s Stride) (addr2, aux uint64) {
 	return uint64(uint32(s.BlockBytes))<<32 | uint64(uint32(s.StrideBytes)), uint64(uint32(s.Blocks))
@@ -109,10 +125,8 @@ func decodeStride(addr2, aux uint64, totalLen uint32) (Stride, error) {
 	if uint64(st.Blocks)*uint64(st.BlockBytes) != uint64(totalLen) {
 		return Stride{}, fmt.Errorf("lapi: stride %+v does not carry %d bytes", st, totalLen)
 	}
-	// With Total() = totalLen < 2^32, Blocks-1 and StrideBytes are both
-	// below 2^32, so the extent cannot overflow 64 bits.
-	if totalLen > 0 && uint64(st.Blocks-1)*uint64(st.StrideBytes)+uint64(st.BlockBytes) > maxBlockBytes {
-		return Stride{}, fmt.Errorf("lapi: stride %+v spans more than a memory block", st)
+	if err := st.fitsHeader(); err != nil {
+		return Stride{}, err
 	}
 	return st, nil
 }

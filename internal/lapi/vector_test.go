@@ -158,6 +158,21 @@ func TestStridedValidation(t *testing.T) {
 		if err := lt.PutStrided(ctx, 1, region, overlap, make([]byte, 32), lapi.NoCounter, nil, nil); err == nil {
 			t.Error("overlapping stride accepted")
 		}
+		// Fields the header carries in 32 bits, and extents past a memory
+		// block, are refused before a packet leaves: truncated, the first
+		// would land as a contiguous 16 bytes.
+		for _, st := range []lapi.Stride{
+			{Blocks: 2, BlockBytes: 8, StrideBytes: 1<<32 + 8},
+			{Blocks: 2, BlockBytes: 8, StrideBytes: 1<<32 - 4},
+			{Blocks: 1 << 32, BlockBytes: 0, StrideBytes: 8},
+		} {
+			if err := lt.PutStrided(ctx, 1, region, st, make([]byte, st.Total()), lapi.NoCounter, nil, nil); err == nil {
+				t.Errorf("PutStrided accepted %+v", st)
+			}
+			if err := lt.GetStrided(ctx, 1, region, st, make([]byte, st.Total()), lapi.NoCounter, nil); err == nil {
+				t.Errorf("GetStrided accepted %+v", st)
+			}
+		}
 		if err := lt.GetStrided(ctx, 9, region, good, make([]byte, 16), lapi.NoCounter, nil); err == nil {
 			t.Error("bad rank accepted")
 		}

@@ -39,6 +39,17 @@
 // scheduled for the current instant — the overwhelming majority in a busy
 // protocol exchange: process wakeups, condition broadcasts, zero-delay
 // handoffs — bypass the heap entirely through a FIFO.
+//
+// Future events that are created already in order need not be sorted again.
+// A Lane holds such a stream — the packets a serialized link puts on the
+// wire — behind one heap entry, its head: when the head fires the lane
+// arms its next entry under the key that entry would have had anyway, so
+// the firing order is the heap's, event for event. An entry that would
+// break the lane's order goes to the heap itself, and DueBy counts a
+// lane's due entries through its head, so NextAt and DueBy answer as if
+// every entry were in the heap. The switch's retransmission deadlines use
+// the same idea with one extra rule (switchnet's one armed timer per
+// adapter).
 package sim
 
 import (
@@ -267,7 +278,9 @@ func (e *Engine) scheduleProc(d Duration, p *Proc) {
 	e.schedule(e.now+Time(d), (*wakeup)(p))
 }
 
-// pending reports the number of queued events.
+// pending reports the number of queued heap and due entries, which is zero
+// exactly when no event is pending: a lane's later entries wait behind its
+// armed head.
 func (e *Engine) pending() int { return len(e.timers) + len(e.due) - e.dueHead }
 
 // push inserts ev into the 4-ary timer heap.
@@ -355,12 +368,16 @@ func (e *Engine) DueBy(deadline Time, limit int) int {
 }
 
 // timersDueBy counts, up to limit, the due entries of the heap subtree
-// rooted at index i.
+// rooted at index i. A lane's armed head counts as every due entry of its
+// lane, so the answer is the same as if each lane entry were in the heap.
 func (e *Engine) timersDueBy(i int, deadline Time, limit int) int {
 	if i >= len(e.timers) || e.timers[i].at > deadline {
 		return 0
 	}
 	n := 1
+	if l, ok := e.slots[e.timers[i].slot].h.(*laneHead); ok {
+		n = (*Lane)(l).dueBy(deadline, limit)
+	}
 	for c := 4*i + 1; c <= 4*i+4 && n < limit; c++ {
 		n += e.timersDueBy(c, deadline, limit-n)
 	}

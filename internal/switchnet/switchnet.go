@@ -326,6 +326,8 @@ func NewSharded(engines []*sim.Engine, n int, cfg Config) (*Switch, error) {
 			rank:   i,
 			eng:    engines[shard],
 			shard:  shard,
+			wire:   sim.NewLane(engines[shard]),
+			drain:  sim.NewLane(engines[shard]),
 			posted: make(map[directKey]*dregion),
 		}
 	}
@@ -601,6 +603,13 @@ type Adapter struct {
 	// rtoHead is in the engine's queue; expire explains why that is exact.
 	rto     []rtoEntry
 	rtoHead int
+	// wire carries every arrival and ack this adapter posts to its own
+	// engine, drain its sent callbacks. Both are timed from linkFree,
+	// which only grows, so each lane's keys never decrease and only its
+	// head waits in the engine's heap (sim.Lane); a reorder-delayed
+	// packet is the one exception, and its successors bypass the lane
+	// until the link catches up with it.
+	wire, drain *sim.Lane
 
 	directDone func(src int, token uint64)
 	posted     map[directKey]*dregion
@@ -742,15 +751,14 @@ func (a *Adapter) Send(ctx exec.Context, dst int, data []byte, sent func()) {
 }
 
 // post schedules h at absolute virtual time at on dst's engine. When dst
-// shares a's engine the schedule is direct (and identical, event for
-// event, to the pre-sharding code: ScheduleAt(at) is Schedule(at-now));
-// otherwise the event goes to a's shard outbox for the epoch coordinator
-// to import at the next barrier. Cross-shard posts are only ever created
-// at least WireLatency ahead of the sender's clock — the lookahead
-// guarantee the coordinator relies on.
+// shares a's engine the event joins a's wire lane, under the key a direct
+// schedule would have given it; otherwise the event goes to a's shard
+// outbox for the epoch coordinator to import at the next barrier.
+// Cross-shard posts are only ever created at least WireLatency ahead of
+// the sender's clock — the lookahead guarantee the coordinator relies on.
 func (a *Adapter) post(dst *Adapter, at sim.Time, h sim.Handler) {
 	if dst.eng == a.eng {
-		a.eng.ScheduleHandlerAt(at, h)
+		a.wire.At(at, h)
 		return
 	}
 	sl := &a.sw.shards[a.shard]
@@ -791,7 +799,7 @@ func (a *Adapter) transmit(p *txPacket, isRetry bool, sent func()) {
 	}
 
 	if sent != nil {
-		eng.Schedule(time.Duration(a.linkFree-eng.Now()), sent)
+		a.drain.At(a.linkFree, sim.HandlerFunc(sent))
 	}
 
 	if drop {

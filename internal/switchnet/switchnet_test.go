@@ -383,3 +383,54 @@ func TestSpineContentionCapsAggregateBandwidth(t *testing.T) {
 		t.Fatalf("spine model made things faster than ideal: %v < %v", wide, ideal)
 	}
 }
+
+// DueBy through a real switch: after a 256-packet burst and a 2 MiB
+// SendDirect, and at points while they drain, a count with a deadline past
+// the last event finds every queued arrival, ack and sent callback, plus
+// each adapter's one armed retransmission timer — the events the engine
+// would hold if each were its own heap entry.
+func TestDueByCountsQueuedEvents(t *testing.T) {
+	eng := sim.NewEngine()
+	sw, err := New(eng, 2, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := sw.Endpoint(0), sw.Endpoint(1)
+	dst.SetDeliver(func(_ int, data []byte) { dst.Release(data) })
+	dst.SetDirectDone(func(int, uint64) {})
+	drains := 0
+	const burst = 256
+	for i := 0; i < burst; i++ {
+		drains++
+		src.Send(nil, 1, src.Alloc(1024), func() { drains-- })
+	}
+	payload := make([]byte, 2<<20)
+	dst.RecvInto(0, 7, make([]byte, len(payload)))
+	src.SendDirect(nil, 1, 7, payload, nil)
+	chunk := sw.cfg.PacketBytes - directHdrBytes
+	sent := int64(burst + (len(payload)+chunk-1)/chunk)
+
+	const never = sim.Time(1 << 62)
+	for _, until := range []sim.Time{0, 100e3, 1e6, 5e6, 15e6, 20e6, never} {
+		eng.RunUntil(until)
+		c := &sw.Counters
+		arrivals := c.Get(stats.PacketsSent) - c.Get(stats.PacketsRecv)
+		acks := c.Get(stats.AcksSent) - (sent - int64(src.PendingAcks()))
+		want := int(arrivals+acks) + drains
+		for _, a := range []*Adapter{src, dst} {
+			if len(a.rto) > a.rtoHead {
+				want++
+			}
+		}
+		if got := eng.DueBy(never, 1<<20); got != want {
+			t.Fatalf("at %v: DueBy = %d, want %d (%d arrivals, %d acks, %d sent callbacks queued)",
+				eng.Now(), got, want, arrivals, acks, drains)
+		}
+		if until == 0 && want < int(sent) {
+			t.Fatalf("only %d events queued for %d packets", want, sent)
+		}
+	}
+	if c := sw.Counters.Get(stats.Retransmits); c != 0 || src.PendingAcks() != 0 {
+		t.Fatalf("%d retransmits, %d packets unacked", c, src.PendingAcks())
+	}
+}
