@@ -31,7 +31,7 @@ race:
 	$(GO) test -race -run 'TCP|Real' ./internal/collective/ ./internal/mpi/ ./internal/ga/ ./internal/lapi/
 	$(GO) test -race -run 'Sharded' ./internal/switchnet/ ./internal/cluster/
 	$(GO) test -race ./internal/gateway/...
-	$(GO) test -race -count=10 -run 'TestSessionChurnLargePayloads|TestPipelinedSessionOrder' ./internal/gateway/
+	$(GO) test -race -count=10 -run 'TestSessionChurnLargePayloads|TestPipelinedSessionOrder|TestConcurrentCreates' ./internal/gateway/
 
 # The multicore determinism gate: every virtual-time experiment must emit
 # byte-identical output whether sweep points run serially or across the

@@ -13,8 +13,9 @@
 // Borrows callee (header filler, checksummer) leaves the obligation in
 // place, so an early return after the call still reports the leak; a
 // Consumes callee (a release helper, the gateway's respond) discharges
-// it; a send on a transfer channel (the gateway's session.out) discharges
-// it and a receive from one — the gateway writer's loop — acquires.
+// it; a send on a transfer channel (a chan []byte that hands frames to a
+// writer goroutine, the blx fixture's pipe.out) discharges it and a
+// receive from one — the writer's drain loop — acquires.
 //
 // Reports:
 //

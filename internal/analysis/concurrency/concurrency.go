@@ -262,7 +262,7 @@ type Model struct {
 	// call it and the call-site positions (for after-the-spawn walks).
 	callers map[*Unit][]callerSite
 	// chanAlias maps a local channel variable to the field it is stored
-	// into (s.out = ch, ctlCmd{res: res}): sends on one and receives on
+	// into (s.out = ch, cmd{res: res}): sends on one and receives on
 	// the other are the same channel for release/acquire matching.
 	chanAlias map[types.Object]types.Object
 	// covRel/covAcq memoize caller-side publication: for a unit, the

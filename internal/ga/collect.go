@@ -116,9 +116,20 @@ func (a *Array) Dot(ctx exec.Context, b *Array) (float64, error) {
 
 // ReduceSum is GA's global floating-point sum (the GOP/dgop of the
 // original toolkit): every task contributes x and receives the total.
-// Collective. Implemented entirely on the public one-sided operations — a
-// shared 1 x N staging array — so it needs nothing from the backends.
+// Collective.
 func (w *World) ReduceSum(ctx exec.Context, x float64) (float64, error) {
+	return w.reduce(ctx, x, 0, func(acc, v float64) float64 { return acc + v })
+}
+
+// ReduceMax is the max-reduction sibling of ReduceSum.
+func (w *World) ReduceMax(ctx exec.Context, x float64) (float64, error) {
+	return w.reduce(ctx, x, math.Inf(-1), math.Max)
+}
+
+// reduce folds every task's x into init with fold, in rank order.
+// Implemented entirely on the public one-sided operations — a shared
+// 1 x N staging array — so it needs nothing from the backends.
+func (w *World) reduce(ctx exec.Context, x, init float64, fold func(acc, v float64) float64) (float64, error) {
 	stage, err := w.stagingArray(ctx)
 	if err != nil {
 		return 0, err
@@ -134,43 +145,16 @@ func (w *World) ReduceSum(ctx exec.Context, x float64) (float64, error) {
 	if err := stage.Get(ctx, Patch{RLo: 0, RHi: 0, CLo: 0, CHi: w.N() - 1}, all, w.N()); err != nil {
 		return 0, err
 	}
-	sum := 0.0
+	acc := init
 	for _, v := range all {
-		sum += v
+		acc = fold(acc, v)
 	}
 	// A second sync so the staging row can be reused by the next
 	// collective without racing stragglers' gets.
 	if err := w.Sync(ctx); err != nil {
 		return 0, err
 	}
-	return sum, nil
-}
-
-// ReduceMax is the max-reduction sibling of ReduceSum.
-func (w *World) ReduceMax(ctx exec.Context, x float64) (float64, error) {
-	stage, err := w.stagingArray(ctx)
-	if err != nil {
-		return 0, err
-	}
-	p := ga1x1(w.Self())
-	if err := stage.Put(ctx, p, []float64{x}, 1); err != nil {
-		return 0, err
-	}
-	if err := w.Sync(ctx); err != nil {
-		return 0, err
-	}
-	all := make([]float64, w.N())
-	if err := stage.Get(ctx, Patch{RLo: 0, RHi: 0, CLo: 0, CHi: w.N() - 1}, all, w.N()); err != nil {
-		return 0, err
-	}
-	m := math.Inf(-1)
-	for _, v := range all {
-		m = math.Max(m, v)
-	}
-	if err := w.Sync(ctx); err != nil {
-		return 0, err
-	}
-	return m, nil
+	return acc, nil
 }
 
 func ga1x1(col int) Patch { return Patch{RLo: 0, RHi: 0, CLo: col, CHi: col} }

@@ -103,11 +103,10 @@ type lapiBackend struct {
 
 	// Generalized counters, one per remote node (§5.3.2): a LAPI counter
 	// used as the completion counter of every Put and Amsend targeting
-	// that node, the opcode of the most recent operation, and the number
-	// of outstanding requests. Fence waits each counter down to zero.
+	// that node, and the number of outstanding requests. Fence waits each
+	// counter down to zero.
 	nodeCntr   []*lapi.Counter
 	nodeIssued []int
-	nodeLastOp []byte
 
 	// Counter free-list: blocking calls borrow a counter and return it.
 	cntrPool []*lapi.Counter
@@ -155,7 +154,6 @@ func NewLAPIWorld(ctx exec.Context, t *lapi.Task, cfg Config) (*World, error) {
 	b.repH = t.RegisterHandler(b.handleReply)
 	b.nodeCntr = make([]*lapi.Counter, t.N())
 	b.nodeIssued = make([]int, t.N())
-	b.nodeLastOp = make([]byte, t.N())
 	for i := range b.nodeCntr {
 		b.nodeCntr[i] = t.NewCounter()
 	}
@@ -216,9 +214,8 @@ func (b *lapiBackend) remoteAddr(a *Array, owner, i, j int) lapi.Addr {
 
 // track records an operation with a completion counter toward owner for
 // Fence (§5.3.2's generalized counter update).
-func (b *lapiBackend) track(owner int, op byte) *lapi.Counter {
+func (b *lapiBackend) track(owner int) *lapi.Counter {
 	b.nodeIssued[owner]++
-	b.nodeLastOp[owner] = op
 	return b.nodeCntr[owner]
 }
 
@@ -267,7 +264,7 @@ func (b *lapiBackend) vectorPut(ctx exec.Context, a *Array, owner int, sub Patch
 	data := b.scratch.borrow(sub.Elems() * 8)
 	packPatch(data, buf, ld, off, sub.Rows(), sub.Cols())
 	base, st := b.stride(a, owner, sub)
-	if err := b.t.PutStrided(ctx, owner, base, st, data, lapi.NoCounter, org, b.track(owner, gaPut)); err != nil {
+	if err := b.t.PutStrided(ctx, owner, base, st, data, lapi.NoCounter, org, b.track(owner)); err != nil {
 		return err
 	}
 	b.t.Waitcntr(ctx, org, 1)
@@ -304,7 +301,7 @@ func (b *lapiBackend) directPutRows(ctx exec.Context, a *Array, owner int, sub P
 		row := wire[r*cols*8 : (r+1)*cols*8]
 		packRow(row, buf, off+r*ld, cols)
 		addr := b.remoteAddr(a, owner, sub.RLo+r, sub.CLo)
-		if err := b.t.Put(ctx, owner, addr, row, lapi.NoCounter, org, b.track(owner, gaPut)); err != nil {
+		if err := b.t.Put(ctx, owner, addr, row, lapi.NoCounter, org, b.track(owner)); err != nil {
 			return err
 		}
 	}
@@ -336,7 +333,7 @@ func (b *lapiBackend) amPutAcc(ctx exec.Context, op byte, a *Array, owner int, s
 		}
 		packPatch(data, buf, ld, off+r0*ld, chunk.Rows(), chunk.Cols())
 		h := gaHdr{op: op, handle: uint16(a.handle), sub: chunk, alpha: alpha}
-		if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(msg), data, lapi.NoCounter, nil, b.track(owner, op)); err != nil {
+		if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(msg), data, lapi.NoCounter, nil, b.track(owner)); err != nil {
 			return err
 		}
 	}
@@ -424,7 +421,7 @@ func (b *lapiBackend) scatter(ctx exec.Context, a *Array, owner int, idx []int32
 		putF64(data[k*16+8:], vals[k])
 	}
 	h := gaHdr{op: gaScatter, handle: uint16(a.handle), count: uint32(n)}
-	if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(msg), data, lapi.NoCounter, nil, b.track(owner, gaScatter)); err != nil {
+	if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(msg), data, lapi.NoCounter, nil, b.track(owner)); err != nil {
 		return err
 	}
 	b.scratch.give(msg)
@@ -620,7 +617,7 @@ func (b *lapiBackend) completeRequest(ctx exec.Context, t *lapi.Task, src int, h
 		}
 		loadFrom(reply, block, in.local, h.sub)
 		rh := gaHdr{op: gaGetRep, sub: h.sub, id: h.id, cntr: h.cntr}
-		if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), reply, lapi.RemoteCounter(h.cntr), nil, b.track(src, gaGetRep)); err != nil {
+		if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), reply, lapi.RemoteCounter(h.cntr), nil, b.track(src)); err != nil {
 			panic(fmt.Sprintf("ga: rank %d: get reply: %v", t.Self(), err))
 		}
 		b.scratch.give(msg)
@@ -646,7 +643,7 @@ func (b *lapiBackend) completeRequest(ctx exec.Context, t *lapi.Task, src int, h
 			copy(reply[k*8:], block[blockIndex(in.local, i, j):blockIndex(in.local, i, j)+8])
 		}
 		rh := gaHdr{op: gaGatherRep, id: h.id, cntr: h.cntr, count: h.count}
-		if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), reply, lapi.RemoteCounter(h.cntr), nil, b.track(src, gaGatherRep)); err != nil {
+		if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), reply, lapi.RemoteCounter(h.cntr), nil, b.track(src)); err != nil {
 			panic(fmt.Sprintf("ga: rank %d: gather reply: %v", t.Self(), err))
 		}
 		b.scratch.give(msg)

@@ -39,8 +39,6 @@ func (s *session) exec(ctx exec.Context, req *request, org, cmpl *lapi.Counter) 
 		s.respond(req, proto.StatusOK, 0, nil)
 	case proto.OpStats:
 		s.respond(req, proto.StatusOK, uint64(s.srv.served.Load()), nil)
-	case proto.OpCreate:
-		s.execCreate(ctx, req)
 	case proto.OpOpen:
 		s.execOpen(req)
 	case proto.OpPut:
@@ -52,7 +50,8 @@ func (s *session) exec(ctx exec.Context, req *request, org, cmpl *lapi.Counter) 
 	case proto.OpReadInc:
 		s.execReadInc(ctx, req, org)
 	default:
-		// Unreachable: read marks unknown opcodes protoErr.
+		// Unreachable: read marks unknown opcodes protoErr, and serve
+		// runs OpCreate through execCreate.
 		s.respond(req, proto.StatusProtocol, 0, nil)
 	}
 }
@@ -74,52 +73,36 @@ func (o *object) segBounds(h *proto.ReqHeader) bool {
 	return h.Row < o.rows && h.Col < o.cols && uint64(h.Col)+uint64(h.Count) <= uint64(o.cols)
 }
 
-func (s *session) execCreate(ctx exec.Context, req *request) {
+// execCreate answers s.req, a well-framed OpCreate, on the session
+// goroutine: create runs an activity on every rank, the home rank
+// included, so it must not be called under a rank lock.
+func (s *session) execCreate() {
+	req := &s.req
+	if !proto.Plans[proto.OpCreate].Check(&req.h) {
+		s.respond(req, proto.StatusBadRequest, 0, nil)
+		return
+	}
 	p := req.payload
 	kind := p[0]
 	rows := binary.BigEndian.Uint32(p[1:5])
 	cols := binary.BigEndian.Uint32(p[5:9])
-	name := p[9:]
-	switch kind {
-	case proto.KindArray:
-		if rows == 0 || cols == 0 || uint64(rows)*uint64(cols) > uint64(s.srv.cfg.MaxArrayElems) {
-			s.respond(req, proto.StatusBadRequest, 0, nil)
-			return
-		}
-	case proto.KindCounter:
-		if rows != 0 || cols != 0 {
-			s.respond(req, proto.StatusBadRequest, 0, nil)
-			return
-		}
+	switch {
+	case kind == proto.KindArray && rows != 0 && cols != 0 && uint64(rows)*uint64(cols) <= uint64(s.srv.cfg.MaxArrayElems),
+		kind == proto.KindCounter && rows == 0 && cols == 0:
+		st, h := s.srv.create(kind, string(p[9:]), rows, cols)
+		s.respond(req, st, h, nil)
 	default:
 		s.respond(req, proto.StatusBadRequest, 0, nil)
-		return
 	}
-	cr := &createReq{
-		kind: kind, name: string(name), rows: rows, cols: cols,
-		sess: s, req: req,
-	}
-	select {
-	case s.srv.createCh <- cr:
-	default:
-		s.respond(req, proto.StatusBusy, 0, nil)
-		return
-	}
-	// The registry answers by posting into this rank's domain; Wait
-	// releases the rank lock so the post can land.
-	for !req.done {
-		ctx.Wait(s.cond)
-	}
-	s.respond(req, req.status, req.value, nil)
 }
 
 func (s *session) execOpen(req *request) {
 	cat := s.srv.cat.Load()
 	if h, ok := cat.byName[string(req.payload)]; ok {
 		obj := cat.objs[h-1]
-		// Value: handle in the low word, kind above it, dims above that
-		// (rows<<40 | cols<<... would overflow; clients re-Create to learn
-		// dims). Kind lets clients catch mismatches before issuing ops.
+		// Value: the handle in the low 32 bits, the kind above it. The
+		// dims do not fit; a client re-Creates to learn them. The kind
+		// lets a client catch a mismatch before issuing ops.
 		s.respond(req, proto.StatusOK, uint64(h)|uint64(obj.kind)<<32, nil)
 		return
 	}

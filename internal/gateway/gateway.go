@@ -9,19 +9,21 @@
 // gateway translates each opcode into one-sided LAPI operations (Put, Get,
 // Rmw, Amsend) with completion tracked by counters, against arrays whose
 // allocation, distribution, and address exchange come from internal/ga and
-// whose control plane (startup barrier, create broadcast, shutdown
-// aggregation) comes from internal/collective.
+// whose control plane (startup barrier, shutdown aggregation) comes from
+// internal/collective.
 //
 // Concurrency model. The mesh is a cluster.TCPJob: one exec.RealRuntime
 // (serialization domain) per rank. Everything that touches rank state —
-// session requests, the per-rank control activity, AM handlers — runs
-// serialized on that rank's runtime, so protocol code keeps the
+// session requests, the control plane's rank activities, AM handlers —
+// runs serialized on that rank's runtime, so protocol code keeps the
 // single-threaded view LAPI guarantees. The pieces around the mesh (one
-// goroutine per client session, the accept loop, the registry goroutine)
-// are plain goroutines that enter a rank's domain only via
-// RealRuntime.Do/Post — a session runs each request to completion on its
-// own goroutine under the rank lock — and are reached from it only via
-// buffered channels sized so serialized code never blocks on them.
+// goroutine per client session and the accept loop) are plain goroutines
+// that enter a rank's domain only through RealRuntime.Do — a session runs
+// each request to completion on its own goroutine under the rank lock —
+// or, for the collective steps (bring-up, Create, Close's allreduce),
+// through everyRank, which runs one short activity per rank and joins
+// them. Each of those activities ends with its step, so nothing of the
+// control plane stays parked between steps.
 //
 // Frame buffers on the hot path come from the mesh endpoints' pooled
 // Alloc/Release (the fabric.Transport contract), so a steady-state request
@@ -29,6 +31,7 @@
 package gateway
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -57,8 +60,6 @@ type Config struct {
 	Window int
 	// MaxArrayElems bounds rows*cols of a single created array.
 	MaxArrayElems int
-	// CreateBacklog bounds queued create requests before StatusBusy.
-	CreateBacklog int
 }
 
 // DefaultConfig returns a config sized for local serving.
@@ -68,7 +69,6 @@ func DefaultConfig() Config {
 		Addr:          "127.0.0.1:0",
 		Window:        32,
 		MaxArrayElems: 1 << 22,
-		CreateBacklog: 64,
 	}
 }
 
@@ -81,7 +81,7 @@ type Server struct {
 	ln    net.Listener
 
 	cat      atomic.Pointer[catalog]
-	createCh chan *createReq
+	createMu sync.Mutex // held for a whole create; see create
 
 	nextRank atomic.Uint32
 	sessions atomic.Int64 // live sessions
@@ -92,12 +92,12 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	sessWG sync.WaitGroup // session goroutines
-	srvWG  sync.WaitGroup // accept loop + registry
+	sessWG   sync.WaitGroup // session goroutines
+	acceptWG sync.WaitGroup // accept loop
 
 	// meshServed is the collective allreduce of per-rank served counts,
 	// valid after Close.
-	meshServed int64
+	meshServed atomic.Int64
 }
 
 // New builds the mesh, brings every rank's GA world and collective
@@ -112,9 +112,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxArrayElems <= 0 {
 		cfg.MaxArrayElems = DefaultConfig().MaxArrayElems
 	}
-	if cfg.CreateBacklog <= 0 {
-		cfg.CreateBacklog = DefaultConfig().CreateBacklog
-	}
 	// A gateway payload tops out at proto.MaxPayload (~64 KB), below the
 	// TCP transport's auto crossover (2×MaxPacket = 128 KB) — so pin the
 	// rendezvous limit at 32 KB: the upper half of the request size range
@@ -127,44 +124,33 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	srv := &Server{
-		cfg:      cfg,
-		job:      job,
-		ranks:    make([]*rankState, cfg.Ranks),
-		createCh: make(chan *createReq, cfg.CreateBacklog),
-		conns:    make(map[net.Conn]struct{}),
+		cfg:   cfg,
+		job:   job,
+		ranks: make([]*rankState, cfg.Ranks),
+		conns: make(map[net.Conn]struct{}),
 	}
 	srv.cat.Store(&catalog{byName: map[string]uint32{}})
-	for i := 0; i < cfg.Ranks; i++ {
-		srv.ranks[i] = newRankState(srv, i, job.Runtime(i), job.Endpoint(i), job.Tasks[i])
+	for i := range srv.ranks {
+		srv.ranks[i] = &rankState{srv: srv, idx: i, rt: job.Runtime(i), ep: job.Endpoint(i), t: job.Tasks[i]}
 	}
-	// Bring the ranks up: each control activity registers the acc handler,
-	// creates the GA world and the collective communicator, then serves
-	// control commands. Registration order is identical on every rank.
-	initErr := make([]error, cfg.Ranks)
-	var initWG sync.WaitGroup
-	initWG.Add(cfg.Ranks)
-	for _, rs := range srv.ranks {
-		rs := rs
-		rs.rt.Go("gate-ctl", func(ctx exec.Context) {
-			rs.control(ctx, &initWG, &initErr[rs.idx])
-		})
-	}
-	initWG.Wait()
-	for _, err := range initErr {
+	errs := make([]error, cfg.Ranks)
+	srv.everyRank("gate-up", func(ctx exec.Context, rs *rankState) {
+		errs[rs.idx] = rs.bringUp(ctx)
+	})
+	for _, err := range errs {
 		if err != nil {
-			srv.shutdownMesh(false)
+			srv.shutdownMesh()
 			return nil, err
 		}
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		srv.shutdownMesh(false)
+		srv.shutdownMesh()
 		return nil, err
 	}
 	srv.ln = ln
-	srv.srvWG.Add(2)
+	srv.acceptWG.Add(1)
 	go srv.acceptLoop()
-	go srv.registry()
 	return srv, nil
 }
 
@@ -184,7 +170,7 @@ func (srv *Server) InflightFrames() int64 { return srv.frames.Load() }
 
 // MeshServed returns the collective sum of per-rank served counts,
 // aggregated with an Allreduce at shutdown. Valid after Close.
-func (srv *Server) MeshServed() int64 { return srv.meshServed }
+func (srv *Server) MeshServed() int64 { return srv.meshServed.Load() }
 
 // RndvMsgs sums, across the mesh, the messages that took the rendezvous
 // path (RTS/CTS handshake + zero-copy direct placement) instead of being
@@ -199,15 +185,11 @@ func (srv *Server) RndvMsgs() int64 {
 }
 
 func (srv *Server) acceptLoop() {
-	defer srv.srvWG.Done()
+	defer srv.acceptWG.Done()
 	for {
 		conn, err := srv.ln.Accept()
 		if err != nil {
 			return // listener closed
-		}
-		if srv.closing.Load() {
-			conn.Close()
-			continue
 		}
 		srv.connMu.Lock()
 		srv.conns[conn] = struct{}{}
@@ -230,47 +212,34 @@ func (srv *Server) Close() error {
 	if srv.closing.Swap(true) {
 		return nil
 	}
+	// Once the accept loop has returned, every session's conn is in conns.
 	srv.ln.Close()
+	srv.acceptWG.Wait()
 	srv.connMu.Lock()
 	for c := range srv.conns {
 		c.Close()
 	}
 	srv.connMu.Unlock()
-	// Each session answers the request in hand, then its next read (or
-	// write) fails and it exits. When sessWG clears, no session can be
-	// waiting on the registry anymore.
+	// Each session answers the request in hand (a create included), then
+	// its next read or write fails and it exits.
 	srv.sessWG.Wait()
-	close(srv.createCh)
-	srv.srvWG.Wait()
-	srv.meshServed = srv.shutdownMesh(true)
+	srv.everyRank("gate-close", func(ctx exec.Context, rs *rankState) {
+		var buf [8]byte
+		binary.BigEndian.PutUint64(buf[:], uint64(rs.served.Load()))
+		if err := rs.comm.Allreduce(ctx, buf[:], collective.OpSumI64); err == nil && rs.idx == 0 {
+			srv.meshServed.Store(int64(binary.BigEndian.Uint64(buf[:])))
+		}
+	})
+	srv.shutdownMesh()
 	return nil
 }
 
-// shutdownMesh stops the control activities (collectively aggregating
-// served counts when aggregate is set), closes the tasks, and drains the
-// runtimes. Returns the aggregate.
-func (srv *Server) shutdownMesh(aggregate bool) int64 {
-	res := make(chan ctlRes, len(srv.ranks))
-	for _, rs := range srv.ranks {
-		rs := rs
-		cmd := ctlCmd{kind: cmdShutdown, res: res}
-		if !aggregate {
-			cmd.kind = cmdQuit
-		}
-		rs.rt.Post(func() { rs.post(cmd) })
-	}
-	var total int64
-	for range srv.ranks {
-		r := <-res
-		if r.rank == 0 {
-			total = r.sum
-		}
-	}
+// shutdownMesh closes the tasks and drains the runtimes.
+func (srv *Server) shutdownMesh() {
 	srv.job.Shutdown()
 	for _, rs := range srv.ranks {
 		rs.rt.Drain()
 	}
-	return total
 }
 
 // gaConfig is the zero-cost GA configuration for the gateway's control

@@ -87,12 +87,12 @@ func TestLintClean(t *testing.T) {
 }
 
 // TestConcurrencyClean locks in the lapivet v4 result: the session
-// goroutines, the registry and the rank activities carry zero unsuppressed
+// goroutines and the everyRank activities carry zero unsuppressed
 // racefree, atomicmix and goteardown findings. The probe first proves the
 // result is non-vacuous — the concurrency model sees the per-session
 // serve goroutine, recognizes RealRuntime.Do as entry into the rank's
 // serialized domain (a release at serve's Do call, run holding
-// ⟨serialized⟩), still sees a serialized spawn (the rank control
+// ⟨serialized⟩), still sees a serialized spawn (everyRank's rank
 // activity), and resolves lock-guarded accesses — so a refactor that
 // silently broke goroutine, Do or lockset inference cannot turn this into
 // a test of nothing.
@@ -127,7 +127,7 @@ func TestConcurrencyClean(t *testing.T) {
 				t.Error("model sees no serve goroutine: the session goroutines are invisible")
 			}
 			if serialized == 0 {
-				t.Error("model sees no serialized spawn: the rank control activity is no longer recognized")
+				t.Error("model sees no serialized spawn: everyRank's rank activities are no longer recognized")
 			}
 			doRelease, runSerialized := false, false
 			for _, u := range m.Units {

@@ -84,7 +84,7 @@ const (
 	StatusWrongKind            // array op on a counter or vice versa
 	StatusExists               // Create: name taken with different shape
 	StatusNotFound             // Open: no such name
-	StatusBusy                 // control plane saturated; retry
+	StatusBusy                 // a mesh operation or collective create failed; retry
 	StatusProtocol             // framing violation; session will close
 	StatusShutdown             // gateway is draining
 )

@@ -1,10 +1,9 @@
 package gateway
 
-// Per-rank state and the control plane: each mesh rank runs one long-lived
-// control activity that owns the rank's GA world, and a single registry
-// goroutine serializes all object creation so every rank calls the
-// collective ga.Create in the same order — the SPMD convention GA requires,
-// driven here by external clients instead of an SPMD main.
+// Per-rank state and the control plane. The control plane has no thread of
+// its own: bring-up, every create and the shutdown allreduce are each one
+// everyRank call, which runs a short activity on every rank and is joined
+// by its caller (New, the creating session, Close).
 
 import (
 	"encoding/binary"
@@ -24,34 +23,9 @@ import (
 // message: handle u32, row u32, col u32, count u32, alpha f64.
 const accUhdrSize = 4 + 4 + 4 + 4 + 8
 
-// control-command kinds.
-const (
-	cmdCreateArray = iota
-	cmdCreateCounter
-	cmdShutdown // collective: allreduce served counts, then exit
-	cmdQuit     // non-collective exit (startup failure path)
-)
-
-type ctlCmd struct {
-	kind       int
-	rows, cols int
-	res        chan ctlRes // cap >= Ranks: sends never block
-}
-
-// ctlRes is one rank's contribution to a control command.
-type ctlRes struct {
-	rank  int
-	arr   *ga.Array
-	patch ga.Patch
-	block []byte
-	ctr   *ga.SharedCounter
-	sum   int64 // cmdShutdown: allreduced served total
-	err   error
-}
-
 // rankState is everything bound to one mesh rank. Fields below the
 // "serialized" marker are touched only under the rank's runtime lock
-// (from activities, Post callbacks, or AM handlers).
+// (from activities, Do callbacks, or AM handlers).
 type rankState struct {
 	srv *Server
 	idx int
@@ -64,91 +38,28 @@ type rankState struct {
 	served atomic.Int64
 
 	// serialized state:
-	cond     exec.Cond
-	cmds     []ctlCmd
-	cmdHead  int
 	w        *ga.World
 	comm     *collective.Comm
 	accH     lapi.HandlerID
 	cntrFree []*lapi.Counter
 }
 
-func newRankState(srv *Server, idx int, rt *exec.RealRuntime, ep *tcpnet.Endpoint, t *lapi.Task) *rankState {
-	return &rankState{
-		srv:  srv,
-		idx:  idx,
-		rt:   rt,
-		ep:   ep,
-		t:    t,
-		cond: rt.NewCond(),
-	}
-}
-
-// post appends a control command. Must run under the rank lock (callers
-// wrap it in rt.Post).
-func (rs *rankState) post(cmd ctlCmd) {
-	rs.cmds = append(rs.cmds, cmd)
-	rs.cond.Broadcast()
-}
-
-// control is the rank's control activity: bring the rank's protocol stack
-// up, signal readiness, then serve control commands until shutdown.
-func (rs *rankState) control(ctx exec.Context, initWG *sync.WaitGroup, initErr *error) {
-	// Identical registration order on every rank: acc handler, then the GA
-	// world (which registers its own handlers), then the communicator
-	// (which allocates its counters and mailbox).
+// bringUp brings the rank's protocol stack up. Registration order is
+// identical on every rank: the acc handler, then the GA world (which
+// registers its own handlers), then the communicator (which allocates its
+// counters and mailbox). The closing barrier has every rank up before any
+// client is served.
+func (rs *rankState) bringUp(ctx exec.Context) error {
 	rs.accH = rs.t.RegisterHandler(rs.accHandler)
 	w, err := ga.NewLAPIWorld(ctx, rs.t, gaConfig())
-	if err == nil {
-		rs.w = w
-		rs.comm, err = collective.New(ctx, rs.t, commConfig())
-	}
-	if err == nil {
-		err = rs.comm.Barrier(ctx) // all ranks up before any client is served
-	}
-	*initErr = err
-	initWG.Done()
 	if err != nil {
-		return
+		return err
 	}
-	for {
-		if rs.cmdHead >= len(rs.cmds) {
-			ctx.Wait(rs.cond)
-			continue
-		}
-		cmd := rs.cmds[rs.cmdHead]
-		rs.cmdHead++
-		switch cmd.kind {
-		case cmdCreateArray:
-			r := ctlRes{rank: rs.idx}
-			arr, err := rs.w.Create(ctx, cmd.rows, cmd.cols)
-			if err != nil {
-				r.err = err
-			} else {
-				r.arr = arr
-				r.patch, r.block, _ = arr.LocalBlock()
-			}
-			cmd.res <- r
-		case cmdCreateCounter:
-			r := ctlRes{rank: rs.idx}
-			r.ctr, r.err = rs.w.CreateCounter(ctx)
-			cmd.res <- r
-		case cmdShutdown:
-			var buf [8]byte
-			binary.BigEndian.PutUint64(buf[:], uint64(rs.served.Load()))
-			r := ctlRes{rank: rs.idx}
-			if err := rs.comm.Allreduce(ctx, buf[:], collective.OpSumI64); err != nil {
-				r.err = err
-			} else {
-				r.sum = int64(binary.BigEndian.Uint64(buf[:]))
-			}
-			cmd.res <- r
-			return
-		case cmdQuit:
-			cmd.res <- ctlRes{rank: rs.idx}
-			return
-		}
+	rs.w = w
+	if rs.comm, err = collective.New(ctx, rs.t, commConfig()); err != nil {
+		return err
 	}
+	return rs.comm.Barrier(ctx)
 }
 
 // borrowCounter pops a counter from the rank freelist, creating one if
@@ -197,7 +108,7 @@ func (rs *rankState) accHandler(t *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lap
 }
 
 // catalog is the immutable name→object table, published copy-on-write by
-// the registry so sessions and AM handlers read it lock-free.
+// create so sessions and AM handlers read it lock-free.
 type catalog struct {
 	byName map[string]uint32
 	objs   []*object // handle = index+1
@@ -252,77 +163,68 @@ func (o *object) accLocal(rank, row, col int, alpha float64, src []byte) {
 	}
 }
 
-// createReq is a session's create request, serialized by the registry.
-type createReq struct {
-	kind       uint8
-	name       string
-	rows, cols uint32
-	sess       *session
-	req        *request
-}
-
-// registry serializes object creation: one goroutine pulls create
-// requests, runs the collective create through every rank's control
-// activity, publishes the new catalog, and answers the session.
-func (srv *Server) registry() {
-	defer srv.srvWG.Done()
-	for cr := range srv.createCh {
-		srv.handleCreate(cr)
-	}
-}
-
-func (srv *Server) handleCreate(cr *createReq) {
-	cat := srv.cat.Load()
-	if h, ok := cat.byName[cr.name]; ok {
-		obj := cat.objs[h-1]
-		// Create is create-or-open: an exact match returns the existing
-		// handle; a shape or kind clash is StatusExists.
-		if obj.kind == cr.kind && obj.rows == cr.rows && obj.cols == cr.cols {
-			srv.answerCreate(cr, proto.StatusOK, uint64(h))
-		} else {
-			srv.answerCreate(cr, proto.StatusExists, 0)
-		}
-		return
-	}
-	n := len(srv.ranks)
-	res := make(chan ctlRes, n)
-	cmd := ctlCmd{rows: int(cr.rows), cols: int(cr.cols), res: res}
-	if cr.kind == proto.KindArray {
-		cmd.kind = cmdCreateArray
-	} else {
-		cmd.kind = cmdCreateCounter
-	}
+// everyRank runs fn as one activity on every rank and returns when all
+// of them have: the one shape of the gateway's collective steps
+// (bring-up, create, the shutdown allreduce), each of which every rank
+// must enter together.
+func (srv *Server) everyRank(name string, fn func(ctx exec.Context, rs *rankState)) {
+	var wg sync.WaitGroup
+	wg.Add(len(srv.ranks))
 	for _, rs := range srv.ranks {
 		rs := rs
-		rs.rt.Post(func() { rs.post(cmd) })
+		rs.rt.Go(name, func(ctx exec.Context) {
+			defer wg.Done()
+			fn(ctx, rs)
+		})
 	}
+	wg.Wait()
+}
+
+// create is create-or-open: an exact match returns the existing handle, a
+// shape or kind clash is StatusExists, and a new name runs the collective
+// GA create on every rank and publishes a new catalog. createMu
+// serializes creates, so every rank calls ga.Create in the same order —
+// the SPMD convention GA requires, driven here by external clients
+// instead of an SPMD main. The caller must not hold a rank lock.
+func (srv *Server) create(kind uint8, name string, rows, cols uint32) (proto.Status, uint64) {
+	srv.createMu.Lock()
+	defer srv.createMu.Unlock()
+	cat := srv.cat.Load()
+	if h, ok := cat.byName[name]; ok {
+		obj := cat.objs[h-1]
+		if obj.kind == kind && obj.rows == rows && obj.cols == cols {
+			return proto.StatusOK, uint64(h)
+		}
+		return proto.StatusExists, 0
+	}
+	n := len(srv.ranks)
 	obj := &object{
-		name: cr.name, kind: cr.kind, rows: cr.rows, cols: cr.cols,
+		name: name, kind: kind, rows: rows, cols: cols,
 		arrs:  make([]*ga.Array, n),
 		patch: make([]ga.Patch, n),
 		block: make([][]byte, n),
 		ctrs:  make([]*ga.SharedCounter, n),
 	}
-	var failed error
-	for i := 0; i < n; i++ {
-		r := <-res
-		if r.err != nil {
-			failed = r.err
-			continue
+	errs := make([]error, n)
+	srv.everyRank("gate-create", func(ctx exec.Context, rs *rankState) {
+		i := rs.idx
+		if kind == proto.KindCounter {
+			obj.ctrs[i], errs[i] = rs.w.CreateCounter(ctx)
+			return
 		}
-		obj.arrs[r.rank] = r.arr
-		obj.patch[r.rank] = r.patch
-		obj.block[r.rank] = r.block
-		obj.ctrs[r.rank] = r.ctr
+		if obj.arrs[i], errs[i] = rs.w.Create(ctx, int(rows), int(cols)); errs[i] == nil {
+			obj.patch[i], obj.block[i], _ = obj.arrs[i].LocalBlock()
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			// The create was collective, so either all ranks failed
+			// validation the same way or the mesh is wedged; report Busy
+			// and leave the catalog untouched.
+			return proto.StatusBusy, 0
+		}
 	}
-	if failed != nil {
-		// The create was collective, so either all ranks failed validation
-		// the same way or the mesh is wedged; report Busy and leave the
-		// catalog untouched.
-		srv.answerCreate(cr, proto.StatusBusy, 0)
-		return
-	}
-	if cr.kind == proto.KindCounter {
+	if kind == proto.KindCounter {
 		obj.ctrOwner, obj.ctrAddr, _ = obj.ctrs[0].Location()
 	}
 	next := &catalog{
@@ -335,19 +237,7 @@ func (srv *Server) handleCreate(cr *createReq) {
 	copy(next.objs, cat.objs)
 	next.objs = append(next.objs, obj)
 	h := uint32(len(next.objs))
-	next.byName[cr.name] = h
+	next.byName[name] = h
 	srv.cat.Store(next)
-	srv.answerCreate(cr, proto.StatusOK, uint64(h))
-}
-
-// answerCreate posts the result back into the session's rank domain and
-// wakes the session, which waits for it inside its Do.
-func (srv *Server) answerCreate(cr *createReq, st proto.Status, val uint64) {
-	sess, req := cr.sess, cr.req
-	sess.rs.rt.Post(func() {
-		req.status = st
-		req.value = val
-		req.done = true
-		sess.cond.Broadcast()
-	})
+	return proto.StatusOK, uint64(h)
 }

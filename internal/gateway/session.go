@@ -12,11 +12,12 @@ package gateway
 // run executes one request on the home rank's serialization domain
 // (exec.RealRuntime.Do: the same lock and Context a spawned activity gets,
 // on serve's own stack), and respond leaves the frame for serve to write
-// once the lock is dropped. So a session's requests execute one at a time
-// in arrival order, and the server holds at most one request per session:
-// the credit window every response carries is the client's pipelining
-// grant, and requests sent beyond it wait in the socket, where TCP flow
-// control stops the client. Frame buffers (request payloads, response
+// once the lock is dropped. A Create is the exception: it is collective
+// across every rank, so serve runs it outside the lock (execCreate). So
+// a session's requests execute one at a time in arrival order, and the
+// server holds at most one request per session: the credit window every
+// response carries is the client's pipelining grant, and requests sent
+// beyond it wait in the socket, where TCP flow control stops the client. Frame buffers (request payloads, response
 // frames) come from the rank endpoint's pooled Alloc and are Released by
 // whoever consumes them, with srv.frames counting the outstanding ones.
 //
@@ -41,11 +42,7 @@ type request struct {
 	// protoErr marks a framing violation: respond StatusProtocol with this
 	// request's seq, then close the session.
 	protoErr bool
-	// create rendezvous state (set by the registry; run resets done):
-	done   bool
-	status proto.Status
-	value  uint64
-	prev   int64 // Rmw landing slot
+	prev     int64 // Rmw landing slot
 }
 
 type session struct {
@@ -61,8 +58,7 @@ type session struct {
 	hello bool
 
 	req   request
-	frame []byte // req's response, built by respond under the rank lock
-	cond  exec.Cond
+	frame []byte // req's response, built by respond
 }
 
 func startSession(srv *Server, rs *rankState, conn net.Conn) {
@@ -71,7 +67,6 @@ func startSession(srv *Server, rs *rankState, conn net.Conn) {
 		rs:   rs,
 		conn: conn,
 		br:   bufio.NewReader(conn),
-		cond: rs.rt.NewCond(),
 	}
 	s.runFn = s.run
 	srv.sessions.Add(1)
@@ -87,7 +82,11 @@ func (s *session) serve() {
 	defer s.srv.dropConn(s.conn)
 	defer s.conn.Close()
 	for s.read() {
-		s.rs.rt.Do(s.runFn)
+		if s.req.h.Op == proto.OpCreate && !s.req.protoErr {
+			s.execCreate() // collective: must not hold the rank lock
+		} else {
+			s.rs.rt.Do(s.runFn)
+		}
 		_, err := s.conn.Write(s.frame)
 		s.rs.ep.Release(s.frame)
 		s.srv.frames.Add(-1)
@@ -133,11 +132,8 @@ func (s *session) read() bool {
 	return true
 }
 
-// run executes s.req under the home rank's lock. done is reset here
-// rather than in read: the registry answers a create into the request
-// from its own goroutine, under the same lock.
+// run executes s.req under the home rank's lock.
 func (s *session) run(ctx exec.Context) {
-	s.req.done = false
 	org := s.rs.borrowCounter()
 	cmpl := s.rs.borrowCounter()
 	s.exec(ctx, &s.req, org, cmpl)
