@@ -2,12 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"golapi/internal/cluster"
-	"golapi/internal/exec"
 	"golapi/internal/ga"
-	"golapi/internal/lapi"
 	"golapi/internal/parallel"
 )
 
@@ -46,7 +42,9 @@ func MeasureVectorAblation(px *parallel.Executor, sizes []int) ([]VectorAblation
 	}
 	err := parallel.ForEach(px, len(sizes)*len(series), func(j int) error {
 		i, k := j/len(series), j%len(series)
-		bw, err := gaBandwidthCfg(series[k].op, sizes[i], true, series[k].vec, ga.DefaultConfig())
+		cfg := ga.DefaultConfig()
+		cfg.UseVectorOps = series[k].vec
+		bw, err := gaBandwidth("LAPI", cfg, series[k].op, sizes[i], true)
 		if err != nil {
 			return err
 		}
@@ -57,75 +55,6 @@ func MeasureVectorAblation(px *parallel.Executor, sizes []int) ([]VectorAblation
 		return nil, err
 	}
 	return points, nil
-}
-
-// gaBandwidthCfg is gaBandwidth for the LAPI backend with a custom GA
-// configuration (ablation knobs).
-func gaBandwidthCfg(op string, bytes int, twoD, useVec bool, gcfg ga.Config) (float64, error) {
-	gcfg.UseVectorOps = useVec
-	elems := bytes / 8
-	side := isqrt(elems)
-	reps := bwReps(bytes)
-	if reps > 60 {
-		reps = 60
-	}
-	reps = (reps / 3) * 3
-	if reps < 3 {
-		reps = 3
-	}
-	var elapsed time.Duration
-	actualBytes := bytes
-	c, err := cluster.NewSimDefault(4)
-	if err != nil {
-		return 0, err
-	}
-	err = c.Run(func(ctx exec.Context, t *lapi.Task) {
-		w, err := ga.NewLAPIWorld(ctx, t, gcfg)
-		if err != nil {
-			panic(err)
-		}
-		var a *ga.Array
-		if twoD {
-			a, err = w.Create(ctx, 2*side, 2*side)
-		} else {
-			a, err = w.Create(ctx, 4, 2*elems)
-		}
-		if err != nil {
-			panic(err)
-		}
-		w.Sync(ctx)
-		if w.Self() == 0 {
-			patchFor := func(tgt int) ga.Patch {
-				d := a.Distribution(tgt)
-				if twoD {
-					return d
-				}
-				return ga.Patch{RLo: d.RLo, RHi: d.RLo, CLo: d.CLo, CHi: d.CLo + elems - 1}
-			}
-			p0 := patchFor(1)
-			actualBytes = p0.Elems() * 8
-			buf := make([]float64, p0.Elems())
-			runOne(ctx, a, op, patchFor(1), buf)
-			start := ctx.Now()
-			for i := 0; i < reps; i++ {
-				runOne(ctx, a, op, patchFor(1+i%3), buf)
-			}
-			elapsed = ctx.Now() - start
-		}
-		w.Sync(ctx)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return mbps(actualBytes, reps, elapsed), nil
-}
-
-func isqrt(n int) int {
-	r := 0
-	for (r+1)*(r+1) <= n {
-		r++
-	}
-	return r
 }
 
 // ChunkAblationPoint shows GA 2-D put bandwidth as a function of the AM
@@ -141,7 +70,7 @@ func MeasureChunkAblation(px *parallel.Executor, chunks []int) ([]ChunkAblationP
 	return parallel.Map(px, len(chunks), func(i int) (ChunkAblationPoint, error) {
 		cfg := ga.DefaultConfig()
 		cfg.AMChunkBytes = chunks[i]
-		bw, err := gaBandwidthCfg("put", 32768, true, false, cfg)
+		bw, err := gaBandwidth("LAPI", cfg, "put", 32768, true)
 		return ChunkAblationPoint{ChunkBytes: chunks[i], PutMBs: bw}, err
 	})
 }
@@ -161,7 +90,7 @@ func MeasureSwitchAblation(px *parallel.Executor, thresholds []int) ([]SwitchAbl
 	return parallel.Map(px, len(thresholds), func(i int) (SwitchAblationPoint, error) {
 		cfg := ga.DefaultConfig()
 		cfg.DirectSwitchBytes = thresholds[i]
-		bw, err := gaBandwidthCfg("get", 512*1024, true, false, cfg)
+		bw, err := gaBandwidth("LAPI", cfg, "get", 512*1024, true)
 		return SwitchAblationPoint{ThresholdBytes: thresholds[i], GetMBs: bw}, err
 	})
 }

@@ -16,8 +16,9 @@ import (
 )
 
 // runGA executes main on an n-task GA world over the chosen backend
-// ("LAPI" or "MPL"), on the default calibrated fabric.
-func runGA(backend string, n int, main func(ctx exec.Context, w *ga.World)) error {
+// ("LAPI" or "MPL") with GA configuration cfg, on the default calibrated
+// fabric.
+func runGA(backend string, cfg ga.Config, n int, main func(ctx exec.Context, w *ga.World)) error {
 	// The worlds are closed once the job has run to completion, never by
 	// their own tasks: a task that is done may still be serving peers.
 	worlds := make([]*ga.World, 0, n)
@@ -33,7 +34,7 @@ func runGA(backend string, n int, main func(ctx exec.Context, w *ga.World)) erro
 			return err
 		}
 		return c.Run(func(ctx exec.Context, t *lapi.Task) {
-			w, err := ga.NewLAPIWorld(ctx, t, ga.DefaultConfig())
+			w, err := ga.NewLAPIWorld(ctx, t, cfg)
 			if err != nil {
 				panic(err)
 			}
@@ -48,7 +49,7 @@ func runGA(backend string, n int, main func(ctx exec.Context, w *ga.World)) erro
 			return err
 		}
 		return c.Run(func(ctx exec.Context, t *mpl.Task) {
-			w, err := ga.NewMPLWorld(ctx, t, ga.DefaultConfig())
+			w, err := ga.NewMPLWorld(ctx, t, cfg)
 			if err != nil {
 				panic(err)
 			}
@@ -84,7 +85,7 @@ func MeasureGALatency(px *parallel.Executor) (GALatency, error) {
 
 func gaElementLatency(backend string) (get, put time.Duration, err error) {
 	const reps = 30 // multiple of 3: targets round-robin over 3 peers
-	err = runGA(backend, 4, func(ctx exec.Context, w *ga.World) {
+	err = runGA(backend, ga.DefaultConfig(), 4, func(ctx exec.Context, w *ga.World) {
 		a, errC := w.Create(ctx, 64, 64)
 		if errC != nil {
 			panic(errC)
@@ -166,7 +167,7 @@ func measureGABandwidth(px *parallel.Executor, sizes []int, op string) ([]GABand
 	}
 	err := parallel.ForEach(px, len(sizes)*len(series), func(j int) error {
 		i, k := j/len(series), j%len(series)
-		bw, err := gaBandwidth(series[k].backend, op, sizes[i], series[k].twoD)
+		bw, err := gaBandwidth(series[k].backend, ga.DefaultConfig(), op, sizes[i], series[k].twoD)
 		if err != nil {
 			return err
 		}
@@ -183,8 +184,9 @@ func measureGABandwidth(px *parallel.Executor, sizes []int, op string) ([]GABand
 // request size on 4 nodes, "every request issued by node 0 accesses other
 // nodes in a round-robin fashion" (§5.4). 1-D requests are a single row
 // inside the target's block; 2-D requests are the square side x side patch
-// of the target's block.
-func gaBandwidth(backend, op string, bytes int, twoD bool) (float64, error) {
+// of the target's block. Figures 3 and 4 run it with the default
+// configuration, the ablations with one knob moved.
+func gaBandwidth(backend string, cfg ga.Config, op string, bytes int, twoD bool) (float64, error) {
 	elems := bytes / 8
 	side := int(math.Sqrt(float64(elems)))
 	reps := bwReps(bytes)
@@ -197,7 +199,7 @@ func gaBandwidth(backend, op string, bytes int, twoD bool) (float64, error) {
 	}
 	var elapsed time.Duration
 	actualBytes := bytes
-	err := runGA(backend, 4, func(ctx exec.Context, w *ga.World) {
+	err := runGA(backend, cfg, 4, func(ctx exec.Context, w *ga.World) {
 		// Blocks are side x side for 2-D or 2 x elems for 1-D; grid is
 		// 2x2 for 4 tasks.
 		var a *ga.Array
@@ -286,7 +288,7 @@ func scfKernel(backend string) (time.Duration, error) {
 		flopRate  = 480e6 // P2SC-era sustained flop/s
 	)
 	var elapsed time.Duration
-	err := runGA(backend, 4, func(ctx exec.Context, w *ga.World) {
+	err := runGA(backend, ga.DefaultConfig(), 4, func(ctx exec.Context, w *ga.World) {
 		A, err := w.Create(ctx, n, n)
 		if err != nil {
 			panic(err)

@@ -21,18 +21,12 @@ func (a *Array) Zero(ctx exec.Context) error {
 // Fill sets every element to v. Collective: each task fills its own block
 // (owner-computes), then all synchronize.
 func (a *Array) Fill(ctx exec.Context, v float64) error {
-	local := a.Distribution(a.w.Self())
-	if !local.Empty() {
-		for i := local.RLo; i <= local.RHi; i++ {
-			for j := local.CLo; j <= local.CHi; j++ {
-				a.w.b.localWrite(a, i, j, v)
-			}
-		}
-		// Owner-computes cost: one store sweep over the block.
-		if c := a.w.cfg.copyCost(local.Elems() * 8); c > 0 {
-			ctx.Sleep(c)
-		}
+	_, blk := a.w.b.block(a)
+	for k := 0; k < len(blk); k += 8 {
+		putF64(blk[k:], v)
 	}
+	// Owner-computes cost: one store sweep over the block.
+	a.w.cfg.charge(ctx, len(blk))
 	return a.w.Sync(ctx)
 }
 
@@ -46,33 +40,20 @@ func (a *Array) CopyFrom(ctx exec.Context, src *Array) error {
 	if src.rows != a.rows || src.cols != a.cols {
 		return fmt.Errorf("ga: CopyFrom %dx%d from %dx%d", a.rows, a.cols, src.rows, src.cols)
 	}
-	local := a.Distribution(a.w.Self())
-	if !local.Empty() {
-		for i := local.RLo; i <= local.RHi; i++ {
-			for j := local.CLo; j <= local.CHi; j++ {
-				a.w.b.localWrite(a, i, j, src.w.b.localRead(src, i, j))
-			}
-		}
-		if c := a.w.cfg.copyCost(2 * local.Elems() * 8); c > 0 {
-			ctx.Sleep(c)
-		}
-	}
+	_, blk := a.w.b.block(a)
+	_, from := a.w.b.block(src)
+	copy(blk, from)
+	a.w.cfg.charge(ctx, 2*len(blk))
 	return a.w.Sync(ctx)
 }
 
 // Scale multiplies every element by alpha. Collective.
 func (a *Array) Scale(ctx exec.Context, alpha float64) error {
-	local := a.Distribution(a.w.Self())
-	if !local.Empty() {
-		for i := local.RLo; i <= local.RHi; i++ {
-			for j := local.CLo; j <= local.CHi; j++ {
-				a.w.b.localWrite(a, i, j, alpha*a.w.b.localRead(a, i, j))
-			}
-		}
-		if c := a.w.cfg.copyCost(2 * local.Elems() * 8); c > 0 {
-			ctx.Sleep(c)
-		}
+	_, blk := a.w.b.block(a)
+	for k := 0; k < len(blk); k += 8 {
+		putF64(blk[k:], alpha*getF64(blk[k:]))
 	}
+	a.w.cfg.charge(ctx, 2*len(blk))
 	return a.w.Sync(ctx)
 }
 
@@ -99,18 +80,13 @@ func (a *Array) Dot(ctx exec.Context, b *Array) (float64, error) {
 	if a.rows != b.rows || a.cols != b.cols {
 		return 0, fmt.Errorf("ga: Dot %dx%d with %dx%d", a.rows, a.cols, b.rows, b.cols)
 	}
-	local := a.Distribution(a.w.Self())
+	_, x := a.w.b.block(a)
+	_, y := a.w.b.block(b)
 	partial := 0.0
-	if !local.Empty() {
-		for i := local.RLo; i <= local.RHi; i++ {
-			for j := local.CLo; j <= local.CHi; j++ {
-				partial += a.w.b.localRead(a, i, j) * b.w.b.localRead(b, i, j)
-			}
-		}
-		if c := a.w.cfg.copyCost(2 * local.Elems() * 8); c > 0 {
-			ctx.Sleep(c)
-		}
+	for k := 0; k < len(x); k += 8 {
+		partial += getF64(x[k:]) * getF64(y[k:])
 	}
+	a.w.cfg.charge(ctx, 2*len(x))
 	return a.w.ReduceSum(ctx, partial)
 }
 

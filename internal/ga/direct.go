@@ -28,11 +28,8 @@ func (a *Array) LocalBlock() (Patch, []byte, bool) {
 	if !ok {
 		return Patch{}, nil, false
 	}
-	in := b.info(a.handle)
-	if in.local.Empty() {
-		return in.local, nil, false
-	}
-	return in.local, b.t.MustBytes(in.base, in.local.Elems()*8), true
+	local, blk := b.block(a)
+	return local, blk, len(blk) > 0
 }
 
 // RowSpan decomposes the row segment [col, col+count) of row into

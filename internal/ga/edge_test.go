@@ -37,6 +37,21 @@ func TestTinyArrayEmptyBlocks(t *testing.T) {
 			t.Errorf("rank %d reads %g", w.Self(), got[0])
 		}
 		w.Sync(ctx)
+		// The whole-array collectives run on every block, empty ones too.
+		if err := a.Fill(ctx, 2); err != nil {
+			t.Error(err)
+		}
+		if err := a.Scale(ctx, 3); err != nil {
+			t.Error(err)
+		}
+		dup, err := a.Duplicate(ctx)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if d, err := a.Dot(ctx, dup); err != nil || d != 36 {
+			t.Errorf("rank %d: Dot = %g, %v; want 36", w.Self(), d, err)
+		}
 	})
 }
 

@@ -17,6 +17,11 @@
 //     copy MPL's in-order progress rules force (header and data must travel
 //     in one message) and a packed reply for gets.
 //
+// The two differ only in how a request travels. At the owner, both hand a
+// put, accumulate, scatter, get or gather to the one Config.apply
+// (request.go), which also holds the request header and subscript codec
+// they share.
+//
 // Arrays use inclusive element ranges [RLo,RHi]x[CLo,CHi] in row-major
 // order, and user buffers are []float64 with an explicit leading dimension,
 // mirroring the GA 2-dimensional API.
@@ -104,11 +109,14 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) copyCost(n int) time.Duration {
+// charge sleeps for the modelled time of copying n bytes.
+func (c Config) charge(ctx exec.Context, n int) {
 	if c.MemcpyBandwidth <= 0 || n <= 0 {
-		return 0
+		return
 	}
-	return time.Duration(float64(n) / c.MemcpyBandwidth * float64(time.Second))
+	if d := time.Duration(float64(n) / c.MemcpyBandwidth * float64(time.Second)); d > 0 {
+		ctx.Sleep(d)
+	}
 }
 
 // backend is the communication substrate behind a World. Both backends
@@ -131,9 +139,9 @@ type backend interface {
 	// at their targets (§5.3.2's generalized counters).
 	fence(ctx exec.Context) error
 	barrier(ctx exec.Context) error
-	// localBlock exposes the local storage of a for Access.
-	localRead(a *Array, i, j int) float64
-	localWrite(a *Array, i, j int, v float64)
+	// block returns this task's patch of a and its storage: big-endian
+	// float64s, row-major, the patch's column count as leading dimension.
+	block(a *Array) (Patch, []byte)
 	newCounter(ctx exec.Context, c *SharedCounter) error
 	newMutexes(ctx exec.Context, m *MutexSet) error
 	// release gives back what the backend holds for the life of the job
@@ -347,6 +355,9 @@ func (a *Array) Scatter(ctx exec.Context, rows, cols []int, vals []float64) erro
 		return fmt.Errorf("ga: Scatter: %d values for %d subscripts", len(vals), len(rows))
 	}
 	for owner, g := range groups {
+		if len(g.ks) == 0 {
+			continue
+		}
 		v := make([]float64, len(g.ks))
 		for i, k := range g.ks {
 			v[i] = vals[k]
@@ -369,6 +380,9 @@ func (a *Array) Gather(ctx exec.Context, rows, cols []int, out []float64) error 
 		return fmt.Errorf("ga: Gather: %d outputs for %d subscripts", len(out), len(rows))
 	}
 	for owner, g := range groups {
+		if len(g.ks) == 0 {
+			continue
+		}
 		vals := make([]float64, len(g.ks))
 		if err := a.w.b.gather(ctx, a, owner, g.idx, vals); err != nil {
 			return err
@@ -385,22 +399,19 @@ type subscriptGroup struct {
 	ks  []int   // positions in the caller's arrays
 }
 
-func (a *Array) groupSubscripts(rows, cols []int) (map[int]*subscriptGroup, error) {
+// groupSubscripts splits subscripts by owner rank, so that Scatter and
+// Gather send their per-owner requests in rank order.
+func (a *Array) groupSubscripts(rows, cols []int) ([]subscriptGroup, error) {
 	if len(rows) != len(cols) {
 		return nil, fmt.Errorf("ga: %d row subscripts vs %d col subscripts", len(rows), len(cols))
 	}
-	groups := make(map[int]*subscriptGroup)
+	groups := make([]subscriptGroup, a.w.N())
 	for k := range rows {
 		i, j := rows[k], cols[k]
 		if i < 0 || i >= a.rows || j < 0 || j >= a.cols {
 			return nil, fmt.Errorf("ga: subscript (%d,%d) outside %dx%d array", i, j, a.rows, a.cols)
 		}
-		owner := a.Owner(i, j)
-		g := groups[owner]
-		if g == nil {
-			g = &subscriptGroup{}
-			groups[owner] = g
-		}
+		g := &groups[a.Owner(i, j)]
 		g.idx = append(g.idx, int32(i), int32(j))
 		g.ks = append(g.ks, k)
 	}
@@ -409,22 +420,19 @@ func (a *Array) groupSubscripts(rows, cols []int) (map[int]*subscriptGroup, erro
 
 // At reads local element (i, j) of the array (global indices; must be owned
 // by this task). GA's Access-style local view.
-func (a *Array) At(i, j int) float64 {
-	a.mustOwnLocal(i, j)
-	return a.w.b.localRead(a, i, j)
-}
+func (a *Array) At(i, j int) float64 { return getF64(a.elem(i, j)) }
 
 // SetLocal writes local element (i, j) (global indices; must be owned by
 // this task).
-func (a *Array) SetLocal(i, j int, v float64) {
-	a.mustOwnLocal(i, j)
-	a.w.b.localWrite(a, i, j, v)
-}
+func (a *Array) SetLocal(i, j int, v float64) { putF64(a.elem(i, j), v) }
 
-func (a *Array) mustOwnLocal(i, j int) {
+// elem returns the storage of local element (i, j).
+func (a *Array) elem(i, j int) []byte {
 	if a.Owner(i, j) != a.w.Self() {
 		panic(fmt.Sprintf("ga: element (%d,%d) owned by rank %d, not %d", i, j, a.Owner(i, j), a.w.Self()))
 	}
+	local, blk := a.w.b.block(a)
+	return blk[blockIndex(local, i, j):]
 }
 
 // chargeRequest applies the per-operation GA software overhead.

@@ -1,79 +1,17 @@
 package ga
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"golapi/internal/exec"
 	"golapi/internal/lapi"
 )
 
-// GA-over-LAPI request opcodes, carried in the AM user header.
-const (
-	gaPut byte = iota + 1
-	gaAcc
-	gaGetReq
-	gaGetRep
-	gaScatter
-	gaGatherReq
-	gaGatherRep
-)
-
-// gaHdr is the user header of every GA active message (well under the
-// QueryMaxUhdr limit, leaving the paper's ≈900 bytes of packet payload for
-// data).
-type gaHdr struct {
-	op     byte
-	handle uint16
-	sub    Patch
-	alpha  float64
-	id     uint32 // pending-request id (get/gather)
-	cntr   uint32 // origin counter to signal on reply (RemoteCounter)
-	count  uint32 // subscript count (scatter/gather)
-}
-
-const gaHdrSize = 40
-
-// encode writes h into the first gaHdrSize bytes of b and returns them.
-func (h *gaHdr) encode(b []byte) []byte {
-	b = b[:gaHdrSize]
-	b[0] = h.op
-	b[1] = 0
-	binary.BigEndian.PutUint16(b[2:], h.handle)
-	binary.BigEndian.PutUint32(b[4:], uint32(h.sub.RLo))
-	binary.BigEndian.PutUint32(b[8:], uint32(h.sub.RHi))
-	binary.BigEndian.PutUint32(b[12:], uint32(h.sub.CLo))
-	binary.BigEndian.PutUint32(b[16:], uint32(h.sub.CHi))
-	binary.BigEndian.PutUint64(b[20:], math.Float64bits(h.alpha))
-	binary.BigEndian.PutUint32(b[28:], h.id)
-	binary.BigEndian.PutUint32(b[32:], h.cntr)
-	binary.BigEndian.PutUint32(b[36:], h.count)
-	return b
-}
-
-func decodeGaHdr(b []byte) gaHdr {
-	return gaHdr{
-		op:     b[0],
-		handle: binary.BigEndian.Uint16(b[2:]),
-		sub: Patch{
-			RLo: int(int32(binary.BigEndian.Uint32(b[4:]))),
-			RHi: int(int32(binary.BigEndian.Uint32(b[8:]))),
-			CLo: int(int32(binary.BigEndian.Uint32(b[12:]))),
-			CHi: int(int32(binary.BigEndian.Uint32(b[16:]))),
-		},
-		alpha: math.Float64frombits(binary.BigEndian.Uint64(b[20:])),
-		id:    binary.BigEndian.Uint32(b[28:]),
-		cntr:  binary.BigEndian.Uint32(b[32:]),
-		count: binary.BigEndian.Uint32(b[36:]),
-	}
-}
-
 // lapiArrayInfo is the backend's per-array state.
 type lapiArrayInfo struct {
 	local Patch       // this task's block
-	base  lapi.Addr   // local block storage
+	block []byte      // its storage in the task's LAPI heap
 	bases []lapi.Addr // every task's block base (from AddressInit)
 }
 
@@ -187,7 +125,7 @@ func (b *lapiBackend) createArray(ctx exec.Context, a *Array) error {
 	if err != nil {
 		return err
 	}
-	b.arrays[a.handle] = &lapiArrayInfo{local: local, base: base, bases: bases}
+	b.arrays[a.handle] = &lapiArrayInfo{local: local, block: b.t.MustBytes(base, size), bases: bases}
 	return nil
 }
 
@@ -221,24 +159,24 @@ func (b *lapiBackend) track(owner int) *lapi.Counter {
 
 // --- put -----------------------------------------------------------------
 
+// direct reports whether a put or get of sub takes the direct protocol:
+// one LAPI_Put or LAPI_Get per row, no pack copy. A 1-D request always does
+// (§5.3, §5.4); so does a 2-D request of at least DirectSwitchBytes ("GA
+// switches to LAPI_Put protocol to send individual columns of a 2-D
+// patch", §5.4 — rows here, row-major), unless UseVectorOps sends every
+// 2-D patch as one strided message (§6). Any other 2-D request is packed
+// into pipelined active messages of ≈AMChunkBytes (§5.3.1).
+func (b *lapiBackend) direct(sub Patch) bool {
+	return sub.Contiguous() || !b.cfg.UseVectorOps && sub.Elems()*8 >= b.cfg.DirectSwitchBytes
+}
+
 func (b *lapiBackend) put(ctx exec.Context, a *Array, owner int, sub Patch, buf []float64, ld, off int) error {
-	bytes := sub.Elems() * 8
 	switch {
-	case sub.Contiguous():
-		// 1-D request: direct LAPI_Put, no pack copy (§5.3, §5.4).
+	case b.direct(sub):
 		return b.directPutRows(ctx, a, owner, sub, buf, ld, off)
 	case b.cfg.UseVectorOps:
-		// §6 extension: the whole 2-D patch as one strided put —
-		// one message, no AM pack/unpack copies.
 		return b.vectorPut(ctx, a, owner, sub, buf, ld, off)
-	case bytes >= b.cfg.DirectSwitchBytes:
-		// Very large 2-D request: switch to per-row direct transfers
-		// ("GA switches to LAPI_Put protocol to send individual
-		// columns of a 2-D patch", §5.4 — rows here, row-major).
-		return b.directPutRows(ctx, a, owner, sub, buf, ld, off)
 	default:
-		// Small/medium non-contiguous: pack into pipelined active
-		// messages of ≈AMChunkBytes (§5.3.1).
 		return b.amPutAcc(ctx, gaPut, a, owner, sub, buf, ld, off, 0)
 	}
 }
@@ -328,9 +266,7 @@ func (b *lapiBackend) amPutAcc(ctx exec.Context, op byte, a *Array, owner int, s
 		data := msg[gaHdrSize : gaHdrSize+chunk.Elems()*8]
 		// The pack copy is one of the AM protocol's two extra copies
 		// (§5.3): charge it.
-		if c := b.cfg.copyCost(len(data)); c > 0 {
-			ctx.Sleep(c)
-		}
+		b.cfg.charge(ctx, len(data))
 		packPatch(data, buf, ld, off+r0*ld, chunk.Rows(), chunk.Cols())
 		h := gaHdr{op: op, handle: uint16(a.handle), sub: chunk, alpha: alpha}
 		if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(msg), data, lapi.NoCounter, nil, b.track(owner)); err != nil {
@@ -344,14 +280,11 @@ func (b *lapiBackend) amPutAcc(ctx exec.Context, op byte, a *Array, owner int, s
 // --- get -----------------------------------------------------------------
 
 func (b *lapiBackend) get(ctx exec.Context, a *Array, owner int, sub Patch, buf []float64, ld, off int) error {
-	bytes := sub.Elems() * 8
 	switch {
-	case sub.Contiguous():
+	case b.direct(sub):
 		return b.directGetRows(ctx, a, owner, sub, buf, ld, off)
 	case b.cfg.UseVectorOps:
 		return b.vectorGet(ctx, a, owner, sub, buf, ld, off)
-	case bytes >= b.cfg.DirectSwitchBytes:
-		return b.directGetRows(ctx, a, owner, sub, buf, ld, off)
 	default:
 		return b.amGet(ctx, a, owner, sub, buf, ld, off)
 	}
@@ -409,18 +342,11 @@ func (b *lapiBackend) acc(ctx exec.Context, a *Array, owner int, sub Patch, buf 
 }
 
 func (b *lapiBackend) scatter(ctx exec.Context, a *Array, owner int, idx []int32, vals []float64) error {
-	n := len(vals)
-	msg := b.scratch.borrow(gaHdrSize + n*16)
+	msg := b.scratch.borrow(gaHdrSize + len(vals)*scatterRecord)
 	data := msg[gaHdrSize:]
-	if c := b.cfg.copyCost(len(data)); c > 0 {
-		ctx.Sleep(c)
-	}
-	for k := 0; k < n; k++ {
-		binary.BigEndian.PutUint32(data[k*16:], uint32(idx[2*k]))
-		binary.BigEndian.PutUint32(data[k*16+4:], uint32(idx[2*k+1]))
-		putF64(data[k*16+8:], vals[k])
-	}
-	h := gaHdr{op: gaScatter, handle: uint16(a.handle), count: uint32(n)}
+	b.cfg.charge(ctx, len(data))
+	packSubscripts(data, idx, vals)
+	h := gaHdr{op: gaScatter, handle: uint16(a.handle), count: uint32(len(vals))}
 	if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(msg), data, lapi.NoCounter, nil, b.track(owner)); err != nil {
 		return err
 	}
@@ -431,17 +357,13 @@ func (b *lapiBackend) scatter(ctx exec.Context, a *Array, owner int, idx []int32
 func (b *lapiBackend) gather(ctx exec.Context, a *Array, owner int, idx []int32, out []float64) error {
 	done := b.borrowCntr()
 	defer b.returnCntr(done)
-	n := len(out)
-	msg := b.scratch.borrow(gaHdrSize + n*8)
+	msg := b.scratch.borrow(gaHdrSize + len(out)*gatherRecord)
 	data := msg[gaHdrSize:]
-	for k := 0; k < n; k++ {
-		binary.BigEndian.PutUint32(data[k*8:], uint32(idx[2*k]))
-		binary.BigEndian.PutUint32(data[k*8+4:], uint32(idx[2*k+1]))
-	}
+	packSubscripts(data, idx, nil)
 	b.nextID++
 	id := b.nextID
 	b.pending[id] = &pendingGet{vals: out, done: done}
-	h := gaHdr{op: gaGatherReq, handle: uint16(a.handle), id: id, cntr: uint32(done.ID()), count: uint32(n)}
+	h := gaHdr{op: gaGatherReq, handle: uint16(a.handle), id: id, cntr: uint32(done.ID()), count: uint32(len(out))}
 	if err := b.t.Amsend(ctx, owner, b.reqH, h.encode(msg), data, lapi.NoCounter, nil, nil); err != nil {
 		delete(b.pending, id)
 		return err
@@ -556,16 +478,9 @@ func (b *lapiBackend) barrier(ctx exec.Context) error {
 
 func (b *lapiBackend) release() {}
 
-func (b *lapiBackend) localRead(a *Array, i, j int) float64 {
+func (b *lapiBackend) block(a *Array) (Patch, []byte) {
 	in := b.info(a.handle)
-	blk := b.t.MustBytes(in.base, in.local.Elems()*8)
-	return getF64(blk[blockIndex(in.local, i, j):])
-}
-
-func (b *lapiBackend) localWrite(a *Array, i, j int, v float64) {
-	in := b.info(a.handle)
-	blk := b.t.MustBytes(in.base, in.local.Elems()*8)
-	putF64(blk[blockIndex(in.local, i, j):], v)
+	return in.local, in.block
 }
 
 // --- target-side handlers ----------------------------------------------------
@@ -586,70 +501,36 @@ func (b *lapiBackend) handleRequest(t *lapi.Task, info *lapi.AmInfo) (lapi.Addr,
 	}
 }
 
+// completeRequest applies a request at its owner. Accumulates take accMu,
+// since completion handlers run concurrently (§2.1); a get or gather reply
+// travels as an active message behind its own header.
 func (b *lapiBackend) completeRequest(ctx exec.Context, t *lapi.Task, src int, h gaHdr, buf lapi.Addr, n int) {
-	in := b.info(int(h.handle))
 	var data []byte
 	if n > 0 {
 		data = t.MustBytes(buf, n)
 		defer t.Free(buf)
 	}
-	block := t.MustBytes(in.base, in.local.Elems()*8)
-	switch h.op {
-	case gaPut:
-		// Unpack into the local block: the second of the AM
-		// protocol's extra copies (§5.3).
-		if c := b.cfg.copyCost(n); c > 0 {
-			ctx.Sleep(c)
-		}
-		storeInto(block, in.local, h.sub, data)
-	case gaAcc:
+	if h.op == gaAcc {
 		b.accMu.lock(ctx)
-		if c := b.cfg.copyCost(n); c > 0 {
-			ctx.Sleep(c)
-		}
-		accumulateInto(block, in.local, h.sub, data, h.alpha)
-		b.accMu.unlock()
-	case gaGetReq:
-		msg := b.scratch.borrow(gaHdrSize + h.sub.Elems()*8)
-		reply := msg[gaHdrSize:]
-		if c := b.cfg.copyCost(len(reply)); c > 0 {
-			ctx.Sleep(c)
-		}
-		loadFrom(reply, block, in.local, h.sub)
-		rh := gaHdr{op: gaGetRep, sub: h.sub, id: h.id, cntr: h.cntr}
-		if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), reply, lapi.RemoteCounter(h.cntr), nil, b.track(src)); err != nil {
-			panic(fmt.Sprintf("ga: rank %d: get reply: %v", t.Self(), err))
-		}
-		b.scratch.give(msg)
-	case gaScatter:
-		if c := b.cfg.copyCost(n); c > 0 {
-			ctx.Sleep(c)
-		}
-		for k := 0; k < int(h.count); k++ {
-			i := int(int32(binary.BigEndian.Uint32(data[k*16:])))
-			j := int(int32(binary.BigEndian.Uint32(data[k*16+4:])))
-			v := getF64(data[k*16+8:])
-			putF64(block[blockIndex(in.local, i, j):], v)
-		}
-	case gaGatherReq:
-		msg := b.scratch.borrow(gaHdrSize + int(h.count)*8)
-		reply := msg[gaHdrSize:]
-		if c := b.cfg.copyCost(len(reply)); c > 0 {
-			ctx.Sleep(c)
-		}
-		for k := 0; k < int(h.count); k++ {
-			i := int(int32(binary.BigEndian.Uint32(data[k*8:])))
-			j := int(int32(binary.BigEndian.Uint32(data[k*8+4:])))
-			copy(reply[k*8:], block[blockIndex(in.local, i, j):blockIndex(in.local, i, j)+8])
-		}
-		rh := gaHdr{op: gaGatherRep, id: h.id, cntr: h.cntr, count: h.count}
-		if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), reply, lapi.RemoteCounter(h.cntr), nil, b.track(src)); err != nil {
-			panic(fmt.Sprintf("ga: rank %d: gather reply: %v", t.Self(), err))
-		}
-		b.scratch.give(msg)
-	default:
-		panic(fmt.Sprintf("ga: rank %d: bad request op %d", t.Self(), h.op))
+		defer b.accMu.unlock()
 	}
+	in := b.info(int(h.handle))
+	var msg []byte
+	if !b.cfg.apply(ctx, h, data, in.block, in.local, func(n int) []byte {
+		msg = b.scratch.borrow(gaHdrSize + n)
+		return msg[gaHdrSize:]
+	}) {
+		return
+	}
+	// The reply fires the requester's counter. Its buffer goes back as
+	// soon as Amsend returns, having been copied into packets; the
+	// completion counter makes this task's own Fence count the reply
+	// (DESIGN.md §7).
+	rh := gaHdr{op: h.op + 1, id: h.id, cntr: h.cntr}
+	if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), msg[gaHdrSize:], lapi.RemoteCounter(h.cntr), nil, b.track(src)); err != nil {
+		panic(fmt.Sprintf("ga: rank %d: reply to %d: %v", t.Self(), src, err))
+	}
+	b.scratch.give(msg)
 }
 
 // handleReply is the header handler for get/gather replies at the origin.
@@ -665,16 +546,12 @@ func (b *lapiBackend) handleReply(t *lapi.Task, info *lapi.AmInfo) (lapi.Addr, l
 		delete(b.pending, h.id)
 		data := t2.MustBytes(buf, n)
 		defer t2.Free(buf)
-		if c := b.cfg.copyCost(n); c > 0 {
-			ctx.Sleep(c)
-		}
+		b.cfg.charge(ctx, n)
 		switch h.op {
 		case gaGetRep:
 			unpackPatch(p.buf, p.ld, p.off, data, p.sub.Rows(), p.sub.Cols())
 		case gaGatherRep:
-			for k := range p.vals {
-				p.vals[k] = getF64(data[k*8:])
-			}
+			unpackRow(p.vals, 0, data, len(p.vals))
 		default:
 			panic(fmt.Sprintf("ga: rank %d: bad reply op %d", t2.Self(), h.op))
 		}

@@ -166,9 +166,7 @@ func (b *mplBackend) newRequest(h gaHdr, n int) []byte {
 // rules make unavoidable (§5.4): it is charged here, although the data was
 // packed straight into msg.
 func (b *mplBackend) send(ctx exec.Context, owner int, msg []byte) error {
-	if c := b.cfg.copyCost(len(msg)); c > 0 {
-		ctx.Sleep(c)
-	}
+	b.cfg.charge(ctx, len(msg))
 	b.touched[owner] = true
 	if err := b.t.Send(ctx, owner, tagGAReq, msg); err != nil {
 		return err
@@ -261,9 +259,7 @@ func (b *mplBackend) get(ctx exec.Context, a *Array, owner int, sub Patch, buf [
 		// implementation is able to avoid one memory copy" (§5.4).
 		unpackRow(buf, off, reply, sub.Cols())
 	} else {
-		if c := b.cfg.copyCost(len(reply)); c > 0 {
-			ctx.Sleep(c)
-		}
+		b.cfg.charge(ctx, len(reply))
 		unpackPatch(buf, ld, off, reply, sub.Rows(), sub.Cols())
 	}
 	b.scratch.give(reply)
@@ -273,38 +269,23 @@ func (b *mplBackend) get(ctx exec.Context, a *Array, owner int, sub Patch, buf [
 // --- scatter / gather -----------------------------------------------------------
 
 func (b *mplBackend) scatter(ctx exec.Context, a *Array, owner int, idx []int32, vals []float64) error {
-	n := len(vals)
-	msg := b.newRequest(gaHdr{op: gaScatter, handle: uint16(a.handle), count: uint32(n)}, n*16)
-	data := msg[gaHdrSize:]
-	for k := 0; k < n; k++ {
-		binary.BigEndian.PutUint32(data[k*16:], uint32(idx[2*k]))
-		binary.BigEndian.PutUint32(data[k*16+4:], uint32(idx[2*k+1]))
-		putF64(data[k*16+8:], vals[k])
-	}
+	msg := b.newRequest(gaHdr{op: gaScatter, handle: uint16(a.handle), count: uint32(len(vals))}, len(vals)*scatterRecord)
+	packSubscripts(msg[gaHdrSize:], idx, vals)
 	return b.send(ctx, owner, msg)
 }
 
 func (b *mplBackend) gather(ctx exec.Context, a *Array, owner int, idx []int32, out []float64) error {
-	n := len(out)
-	msg := b.newRequest(gaHdr{op: gaGatherReq, handle: uint16(a.handle), count: uint32(n)}, n*8)
-	data := msg[gaHdrSize:]
-	for k := 0; k < n; k++ {
-		binary.BigEndian.PutUint32(data[k*8:], uint32(idx[2*k]))
-		binary.BigEndian.PutUint32(data[k*8+4:], uint32(idx[2*k+1]))
-	}
+	msg := b.newRequest(gaHdr{op: gaGatherReq, handle: uint16(a.handle), count: uint32(len(out))}, len(out)*gatherRecord)
+	packSubscripts(msg[gaHdrSize:], idx, nil)
 	if err := b.send(ctx, owner, msg); err != nil {
 		return err
 	}
-	reply, err := b.recvReply(ctx, owner, n*8)
+	reply, err := b.recvReply(ctx, owner, len(out)*8)
 	if err != nil {
 		return err
 	}
-	if c := b.cfg.copyCost(len(reply)); c > 0 {
-		ctx.Sleep(c)
-	}
-	for k := range out {
-		out[k] = getF64(reply[k*8:])
-	}
+	b.cfg.charge(ctx, len(reply))
+	unpackRow(out, 0, reply, len(out))
 	b.scratch.give(reply)
 	return nil
 }
@@ -382,81 +363,24 @@ func (b *mplBackend) fence(ctx exec.Context) error {
 
 func (b *mplBackend) barrier(ctx exec.Context) error { return b.t.Barrier(ctx) }
 
-func (b *mplBackend) localRead(a *Array, i, j int) float64 {
+func (b *mplBackend) block(a *Array) (Patch, []byte) {
 	in := b.info(a.handle)
-	return getF64(in.block[blockIndex(in.local, i, j):])
-}
-
-func (b *mplBackend) localWrite(a *Array, i, j int, v float64) {
-	in := b.info(a.handle)
-	putF64(in.block[blockIndex(in.local, i, j):], v)
+	return in.local, in.block
 }
 
 // --- the request server --------------------------------------------------------------
 
 // serve is the rcvncall handler (§5.2): it runs in the modelled interrupt
-// context, applies one request, replies if needed, and re-posts itself.
+// context, applies one request (array requests through apply), replies if
+// needed, and re-posts itself.
 // Because the re-post happens at the end, handler executions are strictly
 // sequential in arrival order — which is also what makes accumulate atomic
 // on the baseline (the role lockrnc played in the original).
 func (b *mplBackend) serve(ctx exec.Context, st mpi.Status) {
 	h := decodeGaHdr(b.serveBuf)
-	data := b.serveBuf[gaHdrSize:st.Len]
 	src := st.Source
 
 	switch h.op {
-	case gaPut:
-		in := b.info(int(h.handle))
-		// The handler copy from the message buffer into local memory
-		// (§5.2: "the handler copied the data from the message buffer
-		// to local memory").
-		if c := b.cfg.copyCost(len(data)); c > 0 {
-			ctx.Sleep(c)
-		}
-		storeInto(in.block, in.local, h.sub, data)
-
-	case gaAcc:
-		in := b.info(int(h.handle))
-		if c := b.cfg.copyCost(len(data)); c > 0 {
-			ctx.Sleep(c)
-		}
-		accumulateInto(in.block, in.local, h.sub, data, h.alpha)
-
-	case gaGetReq:
-		in := b.info(int(h.handle))
-		reply := b.scratch.borrow(h.sub.Elems() * 8)
-		// Copy into the reply message buffer (§5.2: "copied data from
-		// the local memory ... to another message buffer").
-		if c := b.cfg.copyCost(len(reply)); c > 0 {
-			ctx.Sleep(c)
-		}
-		loadFrom(reply, in.block, in.local, h.sub)
-		b.reply(ctx, src, reply)
-
-	case gaScatter:
-		in := b.info(int(h.handle))
-		if c := b.cfg.copyCost(len(data)); c > 0 {
-			ctx.Sleep(c)
-		}
-		for k := 0; k < int(h.count); k++ {
-			i := int(int32(binary.BigEndian.Uint32(data[k*16:])))
-			j := int(int32(binary.BigEndian.Uint32(data[k*16+4:])))
-			putF64(in.block[blockIndex(in.local, i, j):], getF64(data[k*16+8:]))
-		}
-
-	case gaGatherReq:
-		in := b.info(int(h.handle))
-		reply := b.scratch.borrow(int(h.count) * 8)
-		if c := b.cfg.copyCost(len(reply)); c > 0 {
-			ctx.Sleep(c)
-		}
-		for k := 0; k < int(h.count); k++ {
-			i := int(int32(binary.BigEndian.Uint32(data[k*8:])))
-			j := int(int32(binary.BigEndian.Uint32(data[k*8+4:])))
-			copy(reply[k*8:], in.block[blockIndex(in.local, i, j):blockIndex(in.local, i, j)+8])
-		}
-		b.reply(ctx, src, reply)
-
 	case gaReadInc:
 		id := int(h.handle)
 		if b.counters[id] == nil {
@@ -502,7 +426,14 @@ func (b *mplBackend) serve(ctx exec.Context, st mpi.Status) {
 		b.grant(ctx, src)
 
 	default:
-		panic(fmt.Sprintf("ga: rank %d: bad MPL request op %d", b.self(), h.op))
+		in := b.info(int(h.handle))
+		var reply []byte
+		if b.cfg.apply(ctx, h, b.serveBuf[gaHdrSize:st.Len], in.block, in.local, func(n int) []byte {
+			reply = b.scratch.borrow(n)
+			return reply
+		}) {
+			b.reply(ctx, src, reply)
+		}
 	}
 
 	// Re-post the service receive: the next request becomes eligible

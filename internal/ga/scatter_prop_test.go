@@ -1,9 +1,11 @@
 package ga_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"golapi/internal/exec"
 	"golapi/internal/ga"
@@ -80,5 +82,59 @@ func TestPropScatterGatherMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 6}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScatterGatherTimingDeterministic repeats one Scatter+Fence and one
+// Gather that touch four owners unevenly (1, 5, 20 and 60 subscripts) on
+// fresh clusters and requires a single virtual completion time for each:
+// the per-owner requests must leave in a fixed order, not in map-iteration
+// order.
+func TestScatterGatherTimingDeterministic(t *testing.T) {
+	const dim = 16 // 2x2 grid of 8x8 blocks
+	var rows, cols []int
+	for owner, n := range []int{1, 5, 20, 60} {
+		r0, c0 := owner/2*dim/2, owner%2*dim/2
+		for k := 0; k < n; k++ {
+			rows, cols = append(rows, r0+k/8), append(cols, c0+k%8)
+		}
+	}
+	vals := make([]float64, len(rows))
+	for k := range vals {
+		vals[k] = float64(k) + 0.5
+	}
+	for _, be := range backends {
+		times := map[string]bool{}
+		for run := 0; run < 40; run++ {
+			var scatter, gather time.Duration
+			be.run(t, 4, func(ctx exec.Context, w *ga.World) {
+				a, err := w.Create(ctx, dim, dim)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				w.Sync(ctx)
+				if w.Self() == 0 {
+					start := ctx.Now()
+					if err := a.Scatter(ctx, rows, cols, vals); err != nil {
+						t.Error(err)
+					}
+					if err := w.Fence(ctx); err != nil {
+						t.Error(err)
+					}
+					scatter, start = ctx.Now()-start, ctx.Now()
+					out := make([]float64, len(rows))
+					if err := a.Gather(ctx, rows, cols, out); err != nil {
+						t.Error(err)
+					}
+					gather = ctx.Now() - start
+				}
+				w.Sync(ctx)
+			})
+			times[fmt.Sprintf("scatter+fence %v, gather %v", scatter, gather)] = true
+		}
+		if len(times) != 1 {
+			t.Errorf("%s: %d different virtual times over 40 runs: %v", be.name, len(times), times)
+		}
 	}
 }

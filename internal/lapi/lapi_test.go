@@ -320,6 +320,66 @@ func TestAmsendTargetCounterAfterCompletion(t *testing.T) {
 	})
 }
 
+// TestTCPAmsendCopiesBeforeReturn pins Amsend's contract that udata is
+// copied out before the call returns, so a caller without an origin
+// counter may overwrite it at once — as GA's completion handlers do when
+// they give their reply buffer back right after the reply's Amsend. It
+// sends one-packet messages and multi-packet ones above the 1 024-byte
+// internal-buffer limit (on tcpnet, whose limit is zero here, above the
+// 64 KB frame) on the switch and on tcpnet, scribbles over udata as soon
+// as each Amsend returns, and checks that the target saw the original
+// bytes.
+func TestTCPAmsendCopiesBeforeReturn(t *testing.T) {
+	sizes := []int{100, 5000, 200_000}
+	pattern := func(n, k int) byte { return byte(n*7 + k*13 + 1) }
+	workout := func(t *testing.T, ctx exec.Context, lt *lapi.Task) {
+		tc := lt.NewCounter()
+		h := lt.RegisterHandler(func(tk *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
+			buf := tk.Alloc(info.DataLen)
+			return buf, func(cctx exec.Context, tk2 *lapi.Task) {
+				got := tk2.MustBytes(buf, info.DataLen)
+				for k := range got {
+					if got[k] != pattern(len(got), k) {
+						t.Errorf("%d-byte Amsend: byte %d = %#x, want %#x", len(got), k, got[k], pattern(len(got), k))
+						break
+					}
+				}
+				tk2.Free(buf)
+			}
+		})
+		lt.Barrier(ctx)
+		if lt.Self() == 0 {
+			for _, n := range sizes {
+				data := make([]byte, n)
+				for k := range data {
+					data[k] = pattern(n, k)
+				}
+				if err := lt.Amsend(ctx, 1, h, []byte("u"), data, tc.ID(), nil, nil); err != nil {
+					t.Error(err)
+				}
+				for k := range data {
+					data[k] = 0xFF
+				}
+			}
+		} else {
+			lt.Waitcntr(ctx, tc, len(sizes))
+		}
+		lt.Barrier(ctx)
+	}
+	t.Run("switch", func(t *testing.T) {
+		run(t, 2, func(ctx exec.Context, lt *lapi.Task) { workout(t, ctx, lt) })
+	})
+	t.Run("tcpnet", func(t *testing.T) {
+		j, err := cluster.NewTCPLAPI(2, lapi.ZeroCost())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Run(func(ctx exec.Context, lt *lapi.Task) { workout(t, ctx, lt) }); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestRmwOps(t *testing.T) {
 	type tc struct {
 		op         lapi.RmwOp
