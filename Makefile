@@ -108,7 +108,7 @@ bench:
 # untrusted bytes runs for FUZZTIME. A crash leaves its input under the
 # package's testdata/fuzz/, where it becomes a regression seed.
 FUZZTIME ?= 10s
-FUZZPKGS = ./internal/lapi/ ./internal/mpi/ ./internal/gateway/proto/
+FUZZPKGS = ./internal/lapi/ ./internal/mpi/ ./internal/gateway/proto/ ./internal/tcpnet/
 
 fuzz:
 	@for pkg in $(FUZZPKGS); do \

@@ -30,11 +30,10 @@ func (r *SimRuntime) NewCond() Cond { return &simCond{c: sim.NewCond(r.eng)} }
 // After implements Runtime.
 func (r *SimRuntime) After(d time.Duration, fn func()) { r.eng.Schedule(d, fn) }
 
-// Go implements Runtime.
+// Go implements Runtime. The process is its own Context, so a spawn
+// allocates only the closure that carries fn.
 func (r *SimRuntime) Go(name string, fn func(Context)) {
-	r.eng.Go(name, func(p *sim.Proc) {
-		fn(&simContext{p: p})
-	})
+	r.eng.Go(name, func(p *sim.Proc) { fn((*simContext)(p)) })
 }
 
 type simCond struct {
@@ -43,14 +42,14 @@ type simCond struct {
 
 func (c *simCond) Broadcast() { c.c.Broadcast() }
 
-type simContext struct {
-	p *sim.Proc
-}
+// simContext is a sim.Proc seen as a Context: the conversion allocates
+// nothing.
+type simContext sim.Proc
 
-func (c *simContext) Now() time.Duration    { return time.Duration(c.p.Now()) }
-func (c *simContext) Sleep(d time.Duration) { c.p.Sleep(d) }
-func (c *simContext) Wait(cond Cond)        { c.p.WaitCond(cond.(*simCond).c) }
+func (c *simContext) Now() time.Duration    { return time.Duration((*sim.Proc)(c).Now()) }
+func (c *simContext) Sleep(d time.Duration) { (*sim.Proc)(c).Sleep(d) }
+func (c *simContext) Wait(cond Cond)        { (*sim.Proc)(c).WaitCond(cond.(*simCond).c) }
 
 // SimContext exposes a Context for an existing sim.Proc, for code that mixes
 // raw engine processes with exec-based components (e.g. test drivers).
-func SimContext(p *sim.Proc) Context { return &simContext{p: p} }
+func SimContext(p *sim.Proc) Context { return (*simContext)(p) }

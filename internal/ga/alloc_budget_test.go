@@ -26,13 +26,25 @@ import (
 // decomposition stays on the stack; before that a Put+Fence took 4.
 const lapiOpAllocBudget = 2.0
 
+// lapiAMPutAllocBudget bounds a 2-D Put+Fence whose 4x4 patch travels as
+// one active message (below DirectSwitchBytes, within AMChunkBytes) — the
+// path of the 2-D sweep points below the direct switch: 23 while every
+// completion handler got a coroutine, name and Context of its own, 7
+// since. That is lapi's 6 for a one-packet AmsendSync with a completion
+// handler (lapi.TestSimAmsendAllocBudget) plus the closure GA's header
+// handler returns; the pack buffer, landing block and request header come
+// from pools.
+const lapiAMPutAllocBudget = 7.0
+
 // mplPutAllocBudget and mplGetAllocBudget bound the same operations over
 // the MPL backend: 69 and 39 before its request messages and reply buffers
-// // came from the scratch pool, 61 and 34 since. Every allocation left is
-// below the GA layer, in mpi and the switch.
+// came from the scratch pool, 61 and 34 since, and 29 and 18 since an
+// rcvncall hook runs on a finished process's coroutine under a name built
+// once per task, and Rcvncall passes the handler on without wrapping it.
+// Every allocation left is below the GA layer, in mpi and the switch.
 const (
-	mplPutAllocBudget = 61.0
-	mplGetAllocBudget = 34.0
+	mplPutAllocBudget = 29.0
+	mplGetAllocBudget = 18.0
 )
 
 // elemPatch is a 1-element patch owned by rank 1.
@@ -98,6 +110,53 @@ func TestLAPIOpAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBudget(t, "LAPI", put, get, lapiOpAllocBudget, lapiOpAllocBudget)
+}
+
+func TestLAPIAMPutAllocBudget(t *testing.T) {
+	j, err := cluster.NewSimDefault(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var put float64
+	err = j.Run(func(ctx exec.Context, lt *lapi.Task) {
+		w, err := ga.NewLAPIWorld(ctx, lt, ga.DefaultConfig())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		a, err := w.Create(ctx, 64, 64)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if lt.Self() == 0 {
+			d := a.Distribution(1)
+			p := ga.Patch{RLo: d.RLo, RHi: d.RLo + 3, CLo: d.CLo, CHi: d.CLo + 3}
+			val := make([]float64, p.Elems())
+			doPut := func() {
+				if err := a.Put(ctx, p, val, p.Cols()); err != nil {
+					t.Error(err)
+				}
+				if err := w.Fence(ctx); err != nil {
+					t.Error(err)
+				}
+			}
+			for i := 0; i < 32; i++ { // warm pools, free lists, message maps
+				doPut()
+			}
+			put = testing.AllocsPerRun(200, doPut)
+		}
+		if err := w.Sync(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if put > lapiAMPutAllocBudget {
+		t.Errorf("LAPI 4x4 AM Put+Fence: %.2f allocs/op, budget %.1f", put, lapiAMPutAllocBudget)
+	}
+	t.Logf("LAPI 4x4 AM Put+Fence %.2f allocs/op (budget %.1f)", put, lapiAMPutAllocBudget)
 }
 
 func TestMPLOpAllocBudget(t *testing.T) {

@@ -84,7 +84,9 @@ func (t *Task) Amsend(ctx exec.Context, tgt int, hdl HandlerID, uhdr, udata []by
 
 	id, om := t.begin(ptAmHdr, tgt, org)
 	om.cmplCntr, om.wantCmpl = cmpl, cmpl != nil
-	t.tracef(trace.KindOp, "amsend hdl=%d uhdr=%dB data=%dB -> %d (msg %d)", hdl, len(uhdr), len(udata), tgt, id)
+	if t.cfg.Tracer != nil {
+		t.tracef(trace.KindOp, "amsend hdl=%d uhdr=%dB data=%dB -> %d (msg %d)", hdl, len(uhdr), len(udata), tgt, id)
+	}
 
 	aux := uint64(len(uhdr))
 	if om.wantCmpl {
@@ -130,7 +132,9 @@ func (t *Task) handleAm(src int, h header, payload []byte) {
 		info := &AmInfo{Src: src, UHdr: uhdr, DataLen: im.total}
 		handler := t.handlerByID(HandlerID(h.handler))
 		t.Counters.Add(stats.HeaderHandlers, 1)
-		t.tracef(trace.KindHandler, "header handler %d (msg %d from %d)", h.handler, h.msgID, src)
+		if t.cfg.Tracer != nil {
+			t.tracef(trace.KindHandler, "header handler %d (msg %d from %d)", h.handler, h.msgID, src)
+		}
 		t.inHeaderHandler = true
 		bufAddr, done := handler(t, info)
 		t.inHeaderHandler = false
@@ -197,21 +201,35 @@ func (t *Task) amComplete(src int, msgID uint32, im *inMsg) {
 		return
 	}
 	t.Counters.Add(stats.ComplHandlers, 1)
-	t.rt.Go(fmt.Sprintf("lapi-compl-%d", t.Self()), func(ctx exec.Context) {
-		// Respect the completion-thread limit (§6): wait for a slot.
-		for t.cfg.CompletionThreads > 0 && t.complRunning >= t.cfg.CompletionThreads {
-			ctx.Wait(t.complCond)
-		}
-		t.complRunning++
+	im.src, im.msgID = src, msgID
+	if im.runCompl == nil {
+		// Bound once per record: a recycled inMsg spawns its next
+		// completion handler without a closure of its own.
+		im.runCompl = im.runCompletion
+	}
+	t.rt.Go(t.complName, im.runCompl)
+}
+
+// runCompletion is the activity of one completion handler: it waits for a
+// completion thread (§6), runs the handler, and then fires the target
+// counter and sends the completion ack.
+func (im *inMsg) runCompletion(ctx exec.Context) {
+	t := im.task
+	for t.cfg.CompletionThreads > 0 && t.complRunning >= t.cfg.CompletionThreads {
+		ctx.Wait(t.complCond)
+	}
+	t.complRunning++
+	src, msgID := im.src, im.msgID
+	if t.cfg.Tracer != nil {
 		t.tracef(trace.KindHandler, "completion handler (msg %d from %d)", msgID, src)
-		im.complete(ctx, t)
-		t.complRunning--
-		t.complCond.Broadcast()
-		im.tgtCntr.incr()
-		wantCmpl := im.wantCmpl
-		t.freeInMsg(im)
-		if wantCmpl {
-			t.sendAckPacket(src, ptCmplAck, msgID)
-		}
-	})
+	}
+	im.complete(ctx, t)
+	t.complRunning--
+	t.complCond.Broadcast()
+	im.tgtCntr.incr()
+	wantCmpl := im.wantCmpl
+	t.freeInMsg(im)
+	if wantCmpl {
+		t.sendAckPacket(src, ptCmplAck, msgID)
+	}
 }

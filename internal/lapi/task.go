@@ -61,9 +61,11 @@ type Task struct {
 	rndvLimit int
 	regCache  regCache
 
-	// Completion-handler thread pool accounting (Config.CompletionThreads).
+	// Completion-handler thread pool accounting (Config.CompletionThreads),
+	// and the name every completion-handler activity runs under.
 	complRunning int
 	complCond    exec.Cond
+	complName    string
 
 	// Collective state (Gfence barrier, AddressInit exchanges).
 	coll collectives
@@ -119,6 +121,13 @@ type inMsg struct {
 	stash    []stashed
 	complete CompletionHandler
 	wantCmpl bool
+	// src and msgID identify the message to its completion handler;
+	// runCompl, the activity that runs it, and task, the receiving task,
+	// are kept across recycling.
+	src      int
+	msgID    uint32
+	runCompl func(exec.Context)
+	task     *Task
 	// rndv marks a region pre-posted for direct placement: no per-packet
 	// handlePutData runs; completion arrives via handleDirectDone.
 	rndv bool
@@ -156,16 +165,17 @@ func (t *Task) newInMsg() *inMsg {
 		t.inFree = t.inFree[:n-1]
 		return im
 	}
-	return &inMsg{}
+	return &inMsg{task: t}
 }
 
-// freeInMsg recycles im, retaining the stash backing array.
+// freeInMsg recycles im, retaining the stash backing array and the
+// completion activity.
 func (t *Task) freeInMsg(im *inMsg) {
 	stash := im.stash
 	for i := range stash {
 		stash[i] = stashed{} // release packet references
 	}
-	*im = inMsg{stash: stash[:0]}
+	*im = inMsg{stash: stash[:0], runCompl: im.runCompl, task: im.task}
 	t.inFree = append(t.inFree, im)
 }
 
@@ -176,11 +186,12 @@ func NewTask(rt exec.Runtime, tr fabric.Transport, cfg Config) (*Task, error) {
 		return nil, err
 	}
 	t := &Task{
-		rt:      rt,
-		tr:      tr,
-		cfg:     cfg,
-		outMsgs: make(map[uint32]*outMsg),
-		inMsgs:  make(map[inKey]*inMsg),
+		rt:        rt,
+		tr:        tr,
+		cfg:       cfg,
+		outMsgs:   make(map[uint32]*outMsg),
+		inMsgs:    make(map[inKey]*inMsg),
+		complName: fmt.Sprintf("lapi-compl-%d", tr.Self()),
 	}
 	t.rxCond = rt.NewCond()
 	t.progress = rt.NewCond()
@@ -272,7 +283,9 @@ func (t *Task) dispatcherLoop(ctx exec.Context) {
 		}
 		if t.cfg.InterruptCost > 0 {
 			t.Counters.Add(stats.Interrupts, 1)
-			t.tracef(trace.KindInterrupt, "dispatcher wake, %d queued", len(t.rx)-t.rxHead)
+			if t.cfg.Tracer != nil {
+				t.tracef(trace.KindInterrupt, "dispatcher wake, %d queued", len(t.rx)-t.rxHead)
+			}
 			ctx.Sleep(t.cfg.InterruptCost)
 		}
 		t.drain(ctx)

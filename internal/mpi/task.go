@@ -35,6 +35,9 @@ type Task struct {
 	unexpected []*inMsg            // eligible but unmatched messages, FIFO
 	outSends   map[msgKey]*Request // rendezvous sends awaiting CTS
 
+	// oncompleteName is the name every rcvncall-hook activity runs under.
+	oncompleteName string
+
 	// Counters tracks protocol accounting (matches, early-buffer copies,
 	// rendezvous round trips, interrupts).
 	Counters stats.Counters
@@ -103,13 +106,14 @@ func NewTask(rt exec.Runtime, tr fabric.Transport, cfg Config) (*Task, error) {
 		return nil, err
 	}
 	t := &Task{
-		rt:        rt,
-		tr:        tr,
-		cfg:       cfg,
-		sendSeq:   make([]uint32, tr.N()),
-		nextMatch: make([]uint32, tr.N()),
-		inMsgs:    make(map[msgKey]*inMsg),
-		outSends:  make(map[msgKey]*Request),
+		rt:             rt,
+		tr:             tr,
+		cfg:            cfg,
+		sendSeq:        make([]uint32, tr.N()),
+		nextMatch:      make([]uint32, tr.N()),
+		inMsgs:         make(map[msgKey]*inMsg),
+		outSends:       make(map[msgKey]*Request),
+		oncompleteName: fmt.Sprintf("mpi-oncomplete-%d", tr.Self()),
 	}
 	t.rxCond = rt.NewCond()
 	t.progress = rt.NewCond()
@@ -416,7 +420,7 @@ func (t *Task) complete(req *Request, st Status) {
 	t.progress.Broadcast()
 	if req.onComplete != nil {
 		fn := req.onComplete
-		t.rt.Go(fmt.Sprintf("mpi-oncomplete-%d", t.Self()), func(ctx exec.Context) {
+		t.rt.Go(t.oncompleteName, func(ctx exec.Context) {
 			if t.cfg.RcvncallCost > 0 {
 				ctx.Sleep(t.cfg.RcvncallCost)
 			}

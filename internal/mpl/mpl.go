@@ -41,9 +41,7 @@ func NewTask(rt exec.Runtime, tr fabric.Transport, cfg mpi.Config) (*Task, error
 // required. The handler typically re-posts with another Rcvncall to keep a
 // service loop alive, exactly like GA's MPL request handler (§5.2).
 func (t *Task) Rcvncall(ctx exec.Context, src, tag int, buf []byte, h Handler) error {
-	_, err := t.IrecvCall(ctx, src, tag, buf, func(hctx exec.Context, st mpi.Status) {
-		h(hctx, st)
-	})
+	_, err := t.IrecvCall(ctx, src, tag, buf, h)
 	return err
 }
 

@@ -52,3 +52,28 @@ func TestProcessSwitchingDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// spawnAllocBudget bounds one spawn of a process that runs to completion:
+// 14 while every process built its own coroutine (goroutine, iter.Pull
+// pair, closures, exit condition), 1 — the Proc handle, which is never
+// reused — since Go hands it a finished process's idle coroutine.
+const spawnAllocBudget = 1.0
+
+func TestSpawnAllocBudget(t *testing.T) {
+	e := NewEngine()
+	child := func(*Proc) {}
+	spawn := func() {
+		e.Go("child", child)
+		e.Schedule(2, func() {}) // keep an event pending: the idle coroutine stays
+		e.RunUntil(e.Now() + 1)
+	}
+	spawn() // grow the queue and the process list, leave a coroutine idle
+	avg := testing.AllocsPerRun(100, spawn)
+	if avg > spawnAllocBudget {
+		t.Errorf("%.2f allocs per spawn of a short process, budget %.0f", avg, spawnAllocBudget)
+	}
+	t.Logf("%.2f allocs per spawn of a short process (budget %.0f)", avg, spawnAllocBudget)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -18,6 +18,17 @@
 // hub, which resumes it. Which stack pops the queue never changes the order
 // in which events fire, so virtual time is independent of all of this.
 //
+// A process and its coroutine are separate things. Go allocates a new Proc
+// handle for every process and never reuses one, so Join and a stale
+// wake-up of a finished process behave as if each process had a coroutine
+// of its own. The coroutine — goroutine, grown stack and iter.Pull pair —
+// outlives its process: when the function returns, the coroutine marks the
+// process done, puts itself on the engine's idle list and yields, and the
+// next Go hands it the new process instead of building another. A process
+// that panics or is unwound takes its coroutine with it. Idle coroutines
+// never outlive the engine's work: unwinding stops them, and so does every
+// Run or RunUntil that leaves nothing pending.
+//
 // The contract that follows from it:
 //
 //   - A Schedule/ScheduleAt callback may run on the hub or on the coroutine
@@ -161,6 +172,8 @@ type Engine struct {
 	// a deadlock can name and unwind them.
 	procs     []*Proc
 	unwinding bool
+	// idle holds the coroutines of finished processes, for Go to reuse.
+	idle []*coro
 }
 
 // NewEngine returns an engine with an empty event queue at virtual time zero.
@@ -443,25 +456,41 @@ func (e *Engine) run(deadline Time) {
 	for p := e.dispatch(); p != nil; p = e.dispatch() {
 		for p != nil {
 			e.handoff = nil
-			p.next()
+			p.co.next()
 			p = e.handoff
 		}
 	}
 	clean = true
+	if e.pending() == 0 {
+		e.stopIdle()
+	}
 }
 
-// unwind stops every unfinished process, most recent first: a parked one
-// resumes inside park with a panic that its wrapper recovers, so its
-// deferred calls run; one that never started just never will.
+// unwind stops every unfinished process, most recent first, and then every
+// idle coroutine: a parked process resumes inside park with a panic that
+// its wrapper recovers, so its deferred calls run; one that never started
+// just never will.
 func (e *Engine) unwind() {
 	e.unwinding = true
 	defer func() { e.unwinding = false }()
 	for n := len(e.procs); n > 0; n = len(e.procs) {
 		p := e.procs[n-1]
-		p.stop()
+		p.co.stop()
 		if !p.done {
 			p.finish()
 		}
+	}
+	e.stopIdle()
+}
+
+// stopIdle ends every idle coroutine, so none outlives the work that made
+// it.
+func (e *Engine) stopIdle() {
+	for n := len(e.idle); n > 0; n = len(e.idle) {
+		c := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		c.stop()
 	}
 }
 
@@ -505,24 +534,54 @@ func (e *Engine) RunUntil(deadline Time) bool {
 	return e.pending() > 0
 }
 
-// Proc is a simulated process: a coroutine whose execution interleaves with
-// the engine one-at-a-time. All Proc methods must be called from within the
-// process's own function.
+// Proc is a simulated process: a function that runs on a coroutine and
+// interleaves with the engine one-at-a-time. All Proc methods must be
+// called from within the process's own function. A Proc is never reused:
+// the handle stays valid (Join, Name) after the process has finished and
+// its coroutine has moved on to another.
 type Proc struct {
 	eng  *Engine
 	name string
+	co   *coro
+	idx  int // position in eng.procs until done
+	done bool
+	// parked is true while the process is inside park, where the events
+	// its dispatch fires are not its own code: a panic then is the
+	// callback's, not the process's.
+	parked bool
+	exit   Cond // broadcast on completion, for Join
+}
+
+// coro is a coroutine that runs processes one after another: it runs the
+// process Go assigned it, and when that process returns it puts itself on
+// the engine's idle list and yields until Go assigns it the next one.
+type coro struct {
 	// next resumes the coroutine until it yields or finishes, stop unwinds
 	// it (iter.Pull); yield is the coroutine's side of the pair.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	idx   int // position in eng.procs until done
-	done  bool
-	// parked is true while the process is inside park, where the events
-	// its dispatch fires are not its own code: a panic then is the
-	// callback's, not the process's.
-	parked bool
-	exit   *Cond // broadcast on completion, for Join
+	// p and fn are the assigned process, cleared once it starts.
+	p  *Proc
+	fn func(p *Proc)
+}
+
+// loop is the coroutine's body. It ends when the coroutine is stopped —
+// idle, assigned but not yet started, or parked in a process being
+// unwound — or when a process panics, which takes the coroutine with it.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		p, fn := c.p, c.fn
+		c.p, c.fn = nil, nil
+		if !p.main(fn) {
+			return
+		}
+		p.eng.idle = append(p.eng.idle, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
 }
 
 // unwound is the panic value park raises in a process that Engine.unwind
@@ -531,27 +590,37 @@ type Proc struct {
 type unwound struct{}
 
 // Go spawns fn as a new simulated process starting at the current virtual
-// time. fn begins executing when the engine reaches the start event.
+// time. fn begins executing when the engine reaches the start event, on an
+// idle coroutine if a finished process left one and on a new one
+// otherwise.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		eng:  e,
 		name: name,
 		idx:  len(e.procs),
-		exit: NewCond(e),
+		exit: Cond{eng: e},
 	}
 	e.procs = append(e.procs, p)
-	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		p.main(fn)
-	})
+	var c *coro
+	if n := len(e.idle); n > 0 {
+		c = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		c = &coro{}
+		c.next, c.stop = iter.Pull(c.loop)
+	}
+	c.p, c.fn = p, fn
+	p.co = c
 	e.scheduleProc(0, p)
 	return p
 }
 
-// main runs fn to completion on the process's coroutine. A panic in fn is
-// re-raised — and so reaches whoever called Run/RunUntil — with the process
-// named in the message.
-func (p *Proc) main(fn func(p *Proc)) {
+// main runs fn to completion on the process's coroutine and reports
+// whether fn returned, which is when the coroutine may run another
+// process. A panic in fn is re-raised — and so reaches whoever called
+// Run/RunUntil — with the process named in the message.
+func (p *Proc) main(fn func(p *Proc)) bool {
 	defer func() {
 		r := recover()
 		p.finish()
@@ -568,6 +637,7 @@ func (p *Proc) main(fn func(p *Proc)) {
 		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 	}()
 	fn(p)
+	return true
 }
 
 // finish marks p done and drops it from the engine's unfinished set.
@@ -592,7 +662,7 @@ func (p *Proc) park() {
 	p.parked = true
 	if next := e.dispatch(); next != p {
 		e.handoff = next
-		if !p.yield(struct{}{}) {
+		if !p.co.yield(struct{}{}) {
 			panic(unwound{})
 		}
 	}
@@ -619,7 +689,7 @@ func (p *Proc) Sleep(d Duration) {
 // Join blocks until q has finished.
 func (p *Proc) Join(q *Proc) {
 	for !q.done {
-		p.WaitCond(q.exit)
+		p.WaitCond(&q.exit)
 	}
 }
 

@@ -56,6 +56,28 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "switches/s")
 }
 
+func BenchmarkSpawn(b *testing.B) {
+	// One process spawning a child that does nothing and letting it run
+	// to completion: the cost of a short-lived activity such as a LAPI
+	// completion handler or an MPL rcvncall hook, which after the first
+	// iteration gets the coroutine its predecessor left idle.
+	e := NewEngine()
+	n := b.N
+	child := func(*Proc) {}
+	e.Go("spawner", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			e.Go("child", child)
+			p.Sleep(0) // the child's start event is ahead of this wake-up
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "spawns/s")
+}
+
 func BenchmarkSelfWake(b *testing.B) {
 	// One process in a Sleep loop with a callback event falling inside
 	// every sleep: the parked process fires the callback and then pops its

@@ -16,9 +16,10 @@ import (
 // script is a seeded random program: processes that sleep (zero and
 // positive, on a coarse grid so same-instant ties are the norm), wait on
 // and broadcast conditions, push to and pop from queues, join earlier
-// processes, and schedule callback events that in turn broadcast, push and
-// spawn more processes. Every step is logged with the virtual time it ran
-// at; the log is the program's observable behaviour.
+// processes, run short children to completion, and schedule callback
+// events that in turn broadcast, push and spawn more processes. Every step
+// is logged with the virtual time it ran at; the log is the program's
+// observable behaviour.
 type script struct {
 	e      *Engine
 	log    []string
@@ -27,6 +28,9 @@ type script struct {
 	procs  []*Proc // by id, in spawn order
 	live   int
 	budget int // processes that may still be spawned
+	// recycled counts the spawns that found a finished process's
+	// coroutine idle.
+	recycled int
 }
 
 func (s *script) logf(format string, args ...interface{}) {
@@ -35,22 +39,30 @@ func (s *script) logf(format string, args ...interface{}) {
 
 // spawn starts process number len(s.procs) running steps random steps, its
 // choices drawn from a stream of its own so that they depend on the seed
-// and its id alone.
-func (s *script) spawn(seed int64, steps int) {
+// and its id alone. A leaf joins no process, so the parent that joins it
+// cannot close a cycle.
+func (s *script) spawn(seed int64, steps int, leaf bool) {
 	id := len(s.procs)
 	rng := rand.New(rand.NewSource(seed*1000 + int64(id)))
 	s.live++
+	if len(s.e.idle) > 0 {
+		s.recycled++
+	}
 	s.procs = append(s.procs, s.e.Go(fmt.Sprintf("p%d", id), func(p *Proc) {
 		defer func() { s.live-- }()
 		for i := 0; i < steps; i++ {
-			s.step(p, id, seed, rng)
+			s.step(p, id, seed, rng, leaf)
 		}
 		s.logf("p%d done", id)
 	}))
 }
 
-func (s *script) step(p *Proc, id int, seed int64, rng *rand.Rand) {
-	switch k := rng.Intn(10); k {
+func (s *script) step(p *Proc, id int, seed int64, rng *rand.Rand, leaf bool) {
+	k := rng.Intn(11)
+	if leaf && (k == 7 || k == 10) {
+		k = 0
+	}
+	switch k {
 	case 0:
 		s.logf("p%d sleep 0", id)
 		p.Sleep(0)
@@ -84,7 +96,7 @@ func (s *script) step(p *Proc, id int, seed int64, rng *rand.Rand) {
 		if s.budget > 0 {
 			s.budget--
 			s.logf("p%d spawns p%d", id, len(s.procs))
-			s.spawn(seed, 1+rng.Intn(6))
+			s.spawn(seed, 1+rng.Intn(6), false)
 		}
 	case 9:
 		d := Duration(rng.Intn(4)) // zero delay too: the due FIFO
@@ -100,10 +112,21 @@ func (s *script) step(p *Proc, id int, seed int64, rng *rand.Rand) {
 			case 2:
 				if s.budget > 0 {
 					s.budget--
-					s.spawn(seed, 1+arg*3)
+					s.spawn(seed, 1+arg*3, false)
 				}
 			}
 		})
+	case 10:
+		// A short-lived child, run to completion: the pattern of a
+		// completion handler, whose coroutine goes idle for the next.
+		if s.budget > 0 {
+			s.budget--
+			child := len(s.procs)
+			s.logf("p%d runs p%d", id, child)
+			s.spawn(seed, 1+rng.Intn(2), true)
+			p.Join(s.procs[child])
+			s.logf("p%d joined p%d", id, child)
+		}
 	}
 }
 
@@ -143,7 +166,7 @@ func newScript(seed int64, rescue bool) *script {
 		s.queues = append(s.queues, newFIFO(s.e))
 	}
 	for i := 0; i < 5; i++ {
-		s.spawn(seed, 20)
+		s.spawn(seed, 20, false)
 	}
 	if rescue {
 		var tick func()
@@ -171,7 +194,7 @@ func verdict(err error) string {
 }
 
 func TestDispatchOrderIsIndependentOfTheDriver(t *testing.T) {
-	deadlocks := 0
+	deadlocks, recycled := 0, 0
 	for seed := int64(1); seed <= 60; seed++ {
 		rescue := seed%3 != 0
 		one := newScript(seed, rescue)
@@ -208,9 +231,13 @@ func TestDispatchOrderIsIndependentOfTheDriver(t *testing.T) {
 		if oneVerdict != "ok" {
 			deadlocks++
 		}
+		recycled += one.recycled + win.recycled
 	}
 	if deadlocks == 0 {
 		t.Error("no seed deadlocked: the unrescued programs no longer cover a deadlock's verdict and unwinding")
+	}
+	if recycled == 0 {
+		t.Error("no spawn reused a finished process's coroutine: the programs no longer cover recycling")
 	}
 }
 
