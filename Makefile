@@ -27,7 +27,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/tcpnet/ ./internal/exec/ ./internal/parallel/ ./internal/sim/
+	$(GO) test -race ./internal/tcpnet/ ./internal/exec/ ./internal/parallel/ ./internal/sim/ ./internal/progress/
 	$(GO) test -race -run 'TCP|Real' ./internal/collective/ ./internal/mpi/ ./internal/ga/ ./internal/lapi/
 	$(GO) test -race -run 'Sharded' ./internal/switchnet/ ./internal/cluster/
 	$(GO) test -race ./internal/gateway/...
@@ -99,7 +99,7 @@ lint-json:
 # simulator's microbenchmarks, and the lint-cost ratio, whose record is
 # BENCH_hotpath.json (fails above 3.5x the load-only time).
 bench:
-	$(GO) test -run 'AllocBudget|DoesNotAllocate' ./internal/sim/ ./internal/switchnet/ ./internal/lapi/ ./internal/ga/ ./internal/tcpnet/ ./internal/gateway/
+	$(GO) test -run 'AllocBudget|DoesNotAllocate' ./internal/sim/ ./internal/progress/ ./internal/switchnet/ ./internal/lapi/ ./internal/ga/ ./internal/tcpnet/ ./internal/gateway/
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/
 	$(GO) run ./cmd/lapibench -exp lintgate > BENCH_hotpath.json
 

@@ -121,11 +121,15 @@ func (b *lapiBackend) createArray(ctx exec.Context, a *Array) error {
 		size = local.Elems() * 8
 	}
 	base := b.t.Alloc(size)
+	// Publish the block before the exchange: a peer whose table comes first
+	// may send a request before ours arrives, and serving it needs no bases.
+	in := &lapiArrayInfo{local: local, block: b.t.MustBytes(base, size)}
+	b.arrays[a.handle] = in
 	bases, err := b.t.AddressInit(ctx, base)
 	if err != nil {
 		return err
 	}
-	b.arrays[a.handle] = &lapiArrayInfo{local: local, block: b.t.MustBytes(base, size), bases: bases}
+	in.bases = bases
 	return nil
 }
 

@@ -68,7 +68,7 @@ func (t *Task) handlerByID(id HandlerID) HeaderHandler {
 //
 // uhdr must fit in one packet alongside the LAPI header (QueryMaxUhdr).
 func (t *Task) Amsend(ctx exec.Context, tgt int, hdl HandlerID, uhdr, udata []byte, tgtCntr RemoteCounter, org, cmpl *Counter) error {
-	t.poll(ctx)
+	t.Poll(ctx)
 	if err := t.checkTarget(tgt); err != nil {
 		return err
 	}

@@ -14,33 +14,17 @@ import (
 	"fmt"
 	"time"
 
+	"golapi/internal/progress"
 	"golapi/internal/trace"
 )
 
-// Mode selects how communication progress is made at a task (paper §2.1).
-type Mode int
+// Mode is the §2.1 progress mode, Interrupt or Polling, shared with mpi.
+type Mode = progress.Mode
 
 const (
-	// Interrupt mode: packet arrival wakes the dispatcher autonomously;
-	// the target makes progress without LAPI calls, at the price of an
-	// interrupt cost per wakeup. The paper's "typical mode".
-	Interrupt Mode = iota
-	// Polling mode: progress happens only inside LAPI calls. Cheaper per
-	// packet, but "in the absence of appropriate polling ... may even
-	// result in deadlock" (§2.1).
-	Polling
+	Interrupt = progress.Interrupt
+	Polling   = progress.Polling
 )
-
-func (m Mode) String() string {
-	switch m {
-	case Interrupt:
-		return "interrupt"
-	case Polling:
-		return "polling"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
 
 // Config carries the protocol parameters and the CPU cost model.
 // Costs are charged as virtual time in the simulator; for real transports

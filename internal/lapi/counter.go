@@ -82,22 +82,22 @@ func (c *Counter) incr() {
 	}
 	c.value++
 	c.cond.Broadcast()
-	c.task.progress.Broadcast()
+	c.task.Notify()
 }
 
 // Getcntr returns the current counter value without blocking, after making
 // communication progress (the paper's non-blocking polling check, §2.3).
 func (t *Task) Getcntr(ctx exec.Context, c *Counter) int {
-	t.poll(ctx)
+	t.Poll(ctx)
 	return c.value
 }
 
 // Setcntr sets the counter to val (LAPI_Setcntr).
 func (t *Task) Setcntr(ctx exec.Context, c *Counter, val int) {
-	t.poll(ctx)
+	t.Poll(ctx)
 	c.value = val
 	c.cond.Broadcast()
-	t.progress.Broadcast()
+	t.Notify()
 }
 
 // Waitcntr blocks until the counter reaches at least val, then atomically
@@ -107,15 +107,15 @@ func (t *Task) Setcntr(ctx exec.Context, c *Counter, val int) {
 func (t *Task) Waitcntr(ctx exec.Context, c *Counter, val int) {
 	t.requireBlockingAllowed("Waitcntr")
 	for {
-		t.poll(ctx)
+		t.Poll(ctx)
 		if c.value >= val {
 			c.value -= val
 			return
 		}
-		if t.cfg.Mode == Polling {
+		if t.Mode() == Polling {
 			// Progress is our job: wake on any arrival or counter
 			// change and drain again.
-			ctx.Wait(t.progress)
+			t.Wait(ctx)
 		} else {
 			ctx.Wait(c.cond)
 		}

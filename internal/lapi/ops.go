@@ -36,7 +36,7 @@ func (t *Task) Put(ctx exec.Context, tgt int, tgtAddr Addr, data []byte, tgtCntr
 // op "Put") a contiguous region. Only a contiguous Put may take the
 // rendezvous path.
 func (t *Task) put(ctx exec.Context, op string, tgt int, tgtAddr Addr, st Stride, data []byte, tgtCntr RemoteCounter, org, cmpl *Counter) error {
-	t.poll(ctx)
+	t.Poll(ctx)
 	if err := t.checkOp(op, tgt, tgtAddr, st, len(data)); err != nil {
 		return err
 	}
@@ -78,7 +78,7 @@ func (t *Task) Get(ctx exec.Context, tgt int, tgtAddr Addr, buf []byte, tgtCntr 
 
 // get is Get and GetStrided, as put is Put and PutStrided.
 func (t *Task) get(ctx exec.Context, op string, tgt int, tgtAddr Addr, st Stride, buf []byte, tgtCntr RemoteCounter, org *Counter) error {
-	t.poll(ctx)
+	t.Poll(ctx)
 	if err := t.checkOp(op, tgt, tgtAddr, st, len(buf)); err != nil {
 		return err
 	}
@@ -397,7 +397,7 @@ func (op RmwOp) String() string {
 // Atomicity comes from the target dispatcher executing the operation as a
 // single event.
 func (t *Task) Rmw(ctx exec.Context, op RmwOp, tgt int, tgtVar Addr, inVal, comparand int64, prev *int64, org *Counter) error {
-	t.poll(ctx)
+	t.Poll(ctx)
 	if err := t.checkTarget(tgt); err != nil {
 		return err
 	}

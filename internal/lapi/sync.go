@@ -10,7 +10,7 @@ import (
 
 // Probe makes communication progress without blocking (a polling point for
 // polling-mode programs; cheap in interrupt mode).
-func (t *Task) Probe(ctx exec.Context) { t.poll(ctx) }
+func (t *Task) Probe(ctx exec.Context) { t.Poll(ctx) }
 
 // Fence blocks until every operation this task initiated has completed its
 // data transfer (LAPI_Fence). Completion handlers of outstanding active
@@ -23,13 +23,7 @@ func (t *Task) Fence(ctx exec.Context) {
 		t.tracef(trace.KindFence, "fence enter, %d outstanding", t.outstanding)
 		defer t.tracef(trace.KindFence, "fence complete")
 	}
-	for {
-		t.poll(ctx)
-		if t.outstanding == 0 {
-			return
-		}
-		ctx.Wait(t.progress)
-	}
+	t.Until(ctx, func() bool { return t.outstanding == 0 })
 }
 
 // Outstanding reports the number of initiated operations whose data
@@ -54,12 +48,9 @@ func (t *Task) Barrier(ctx exec.Context) {
 	epoch := t.coll.barrierEpoch
 	t.coll.barrierEpoch++
 	t.sendControl(ctx, 0, header{typ: ptBarrierArrive, aux: epoch})
-	for t.coll.barrierDone <= epoch {
-		t.poll(ctx)
-		if t.coll.barrierDone > epoch {
-			return
-		}
-		ctx.Wait(t.progress)
+	if t.coll.barrierDone <= epoch {
+		// A release that came in while the arrival was sent skips the poll.
+		t.Until(ctx, func() bool { return t.coll.barrierDone > epoch })
 	}
 }
 
@@ -92,15 +83,11 @@ func (t *Task) ExchangeWord(ctx exec.Context, value uint64) ([]uint64, error) {
 		addr2:  value,
 		aux:    gen,
 	})
-	for {
-		t.poll(ctx)
-		if tbl, ok := t.coll.tables[gen]; ok && t.coll.tableWords[gen] == t.N() {
-			delete(t.coll.tables, gen)
-			delete(t.coll.tableWords, gen)
-			return tbl, nil
-		}
-		ctx.Wait(t.progress)
-	}
+	t.Until(ctx, func() bool { return t.coll.tableWords[gen] == t.N() })
+	tbl := t.coll.tables[gen]
+	delete(t.coll.tables, gen)
+	delete(t.coll.tableWords, gen)
+	return tbl, nil
 }
 
 // collectives holds the small amount of state behind Barrier and
@@ -149,7 +136,7 @@ func (c *collectives) handle(ctx exec.Context, src int, h header, payload []byte
 		if h.aux+1 > c.barrierDone {
 			c.barrierDone = h.aux + 1
 		}
-		t.progress.Broadcast()
+		t.Notify()
 
 	case ptGatherWord:
 		if t.Self() != 0 {
@@ -179,7 +166,7 @@ func (c *collectives) handle(ctx exec.Context, src int, h header, payload []byte
 			c.tables[gen][start+i] = binary.BigEndian.Uint64(payload[i*8:])
 			c.tableWords[gen]++
 		}
-		t.progress.Broadcast()
+		t.Notify()
 
 	default:
 		panic(fmt.Sprintf("lapi: collectives: unexpected packet type %d", h.typ))

@@ -5,6 +5,7 @@ import (
 
 	"golapi/internal/exec"
 	"golapi/internal/fabric"
+	"golapi/internal/progress"
 	"golapi/internal/stats"
 	"golapi/internal/trace"
 )
@@ -25,15 +26,9 @@ type Task struct {
 	handlers  []HeaderHandler
 	blockPool []*Counter // free-list for the blocking-call wrappers
 
-	// Receive path. rx[rxHead:] is the pending queue; drain consumes by
-	// advancing rxHead and truncates back to rx[:0] when it empties, so the
-	// backing array is reused instead of reallocated on every burst.
-	rx              []rxPacket
-	rxHead          int
-	rxCond          exec.Cond // arrivals (dispatcher wakeup)
-	progress        exec.Cond // arrivals + counter updates (pollers wakeup)
-	draining        bool      // a drain loop is active; avoids re-entrant drains
-	inHeaderHandler bool      // a user header handler is on the stack
+	// The receive queue, the dispatcher and the progress mode (§2.1).
+	progress.Engine
+	inHeaderHandler bool // a user header handler is on the stack
 
 	// Packet recycling. rxPkt is the wire packet currently being handled;
 	// rxRetain is set when a handler keeps a reference past the dispatch
@@ -70,16 +65,9 @@ type Task struct {
 	// Collective state (Gfence barrier, AddressInit exchanges).
 	coll collectives
 
-	closed bool
-
 	// Counters records protocol-level accounting (handlers run,
 	// interrupts taken, internal copies).
 	Counters stats.Counters
-}
-
-type rxPacket struct {
-	src int
-	pkt []byte
 }
 
 // outMsg tracks an operation initiated by this task until all its
@@ -193,14 +181,11 @@ func NewTask(rt exec.Runtime, tr fabric.Transport, cfg Config) (*Task, error) {
 		inMsgs:    make(map[inKey]*inMsg),
 		complName: fmt.Sprintf("lapi-compl-%d", tr.Self()),
 	}
-	t.rxCond = rt.NewCond()
-	t.progress = rt.NewCond()
 	t.complCond = rt.NewCond()
 	t.coll.init(t)
 	t.rndvLimit = resolveRndvLimit(cfg, tr)
-	tr.SetDeliver(t.deliver)
 	tr.SetDirectDone(t.handleDirectDone)
-	rt.Go(fmt.Sprintf("lapi-dispatcher-%d", tr.Self()), t.dispatcherLoop)
+	t.Init(rt, tr, "lapi", cfg.Mode, cfg.InterruptCost, &t.Counters, cfg.Tracer, t.receive)
 	return t, nil
 }
 
@@ -215,8 +200,12 @@ func (t *Task) Runtime() exec.Runtime { return t.rt }
 // N returns the number of tasks in the job.
 func (t *Task) N() int { return t.tr.N() }
 
-// Config returns the task's configuration.
-func (t *Task) Config() Config { return t.cfg }
+// Config returns the task's configuration, with the current progress mode.
+func (t *Task) Config() Config {
+	cfg := t.cfg
+	cfg.Mode = t.Mode()
+	return cfg
+}
 
 // maxPayload is the per-packet user payload (QueryMaxPayload).
 func (t *Task) maxPayload() int { return t.tr.MaxPacket() - t.cfg.HeaderBytes }
@@ -231,7 +220,7 @@ func (t *Task) Qenv(q Query) int {
 	case QueryMaxPayload:
 		return t.maxPayload()
 	case QueryMode:
-		return int(t.cfg.Mode)
+		return int(t.Mode())
 	default:
 		panic(fmt.Sprintf("lapi: unknown query %d", q))
 	}
@@ -240,101 +229,39 @@ func (t *Task) Qenv(q Query) int {
 // Senv updates runtime-settable environment state; currently the progress
 // mode (LAPI_Senv). Switching to interrupt mode kicks the dispatcher so any
 // backlog queued while polling is drained.
-func (t *Task) Senv(mode Mode) {
-	t.cfg.Mode = mode
-	if mode == Interrupt {
-		t.rxCond.Broadcast()
-	}
-}
+func (t *Task) Senv(mode Mode) { t.SetMode(mode) }
 
 // Close terminates the task (LAPI_Term): the dispatcher exits and the
 // transport endpoint is closed.
 func (t *Task) Close() error {
-	if t.closed {
+	if !t.Engine.Close() {
 		return nil
 	}
-	t.closed = true
-	t.rxCond.Broadcast()
-	t.progress.Broadcast()
 	return t.tr.Close()
 }
 
-// deliver is the transport upcall: runs serialized on the task's runtime.
-func (t *Task) deliver(src int, pkt []byte) {
-	if t.closed {
-		return
+// receive charges one queued packet's receive overhead (AckOverhead for an
+// acknowledgement), dispatches it, and releases it unless retained.
+func (t *Task) receive(ctx exec.Context, src int, pkt []byte) {
+	cost := t.cfg.RecvOverhead
+	if len(pkt) > 0 && (pkt[0] == ptDataAck || pkt[0] == ptCmplAck) {
+		cost = t.cfg.AckOverhead
 	}
-	t.rx = append(t.rx, rxPacket{src: src, pkt: pkt})
-	t.rxCond.Broadcast()
-	t.progress.Broadcast()
-}
-
-// dispatcherLoop is the interrupt-mode progress engine. It sleeps until
-// packets arrive, charges the interrupt cost for the idle->running
-// transition, and drains the receive queue. In polling mode it stays
-// parked; user calls drive progress via poll.
-func (t *Task) dispatcherLoop(ctx exec.Context) {
-	for {
-		for !t.closed && (t.cfg.Mode == Polling || t.rxHead == len(t.rx) || t.draining) {
-			ctx.Wait(t.rxCond)
-		}
-		if t.closed {
-			return
-		}
-		if t.cfg.InterruptCost > 0 {
-			t.Counters.Add(stats.Interrupts, 1)
-			if t.cfg.Tracer != nil {
-				t.tracef(trace.KindInterrupt, "dispatcher wake, %d queued", len(t.rx)-t.rxHead)
-			}
-			ctx.Sleep(t.cfg.InterruptCost)
-		}
-		t.drain(ctx)
+	if cost > 0 {
+		ctx.Sleep(cost)
 	}
-}
-
-// poll makes communication progress from a user call (every LAPI function
-// is a polling point, and in polling mode the only ones).
-func (t *Task) poll(ctx exec.Context) {
-	if t.draining {
-		// Re-entrant progress (e.g. a completion handler calling Put
-		// while the dispatcher drains): the outer drain finishes the
-		// queue.
-		return
+	if t.cfg.Tracer != nil && len(pkt) > 0 {
+		t.tracef(trace.KindPacket, "type=%d from=%d %dB", pkt[0], src, len(pkt))
 	}
-	t.Counters.Add(stats.Polls, 1)
-	t.drain(ctx)
-}
-
-// drain processes all queued packets, charging per-packet receive overhead.
-func (t *Task) drain(ctx exec.Context) {
-	t.draining = true
-	defer func() { t.draining = false }()
-	for t.rxHead < len(t.rx) {
-		rp := t.rx[t.rxHead]
-		t.rx[t.rxHead] = rxPacket{}
-		t.rxHead++
-		cost := t.cfg.RecvOverhead
-		if len(rp.pkt) > 0 && (rp.pkt[0] == ptDataAck || rp.pkt[0] == ptCmplAck) {
-			cost = t.cfg.AckOverhead
-		}
-		if cost > 0 {
-			ctx.Sleep(cost)
-		}
-		if t.cfg.Tracer != nil && len(rp.pkt) > 0 {
-			t.tracef(trace.KindPacket, "type=%d from=%d %dB", rp.pkt[0], rp.src, len(rp.pkt))
-		}
-		t.rxPkt = rp.pkt
-		t.rxRetain = false
-		t.handle(ctx, rp.src, rp.pkt)
-		if !t.rxRetain {
-			// Handlers copy what they keep (or stash the whole packet and
-			// set rxRetain), so the wire buffer can back a future frame.
-			t.tr.Release(rp.pkt)
-		}
-		t.rxPkt = nil
+	t.rxPkt = pkt
+	t.rxRetain = false
+	t.handle(ctx, src, pkt)
+	if !t.rxRetain {
+		// Handlers copy what they keep (or stash the whole packet and
+		// set rxRetain), so the wire buffer can back a future frame.
+		t.tr.Release(pkt)
 	}
-	t.rx = t.rx[:0]
-	t.rxHead = 0
+	t.rxPkt = nil
 }
 
 // handle dispatches one received packet.
@@ -404,5 +331,5 @@ func (t *Task) opDone() {
 	if t.outstanding < 0 {
 		panic("lapi: fence accounting underflow")
 	}
-	t.progress.Broadcast()
+	t.Notify()
 }

@@ -12,7 +12,7 @@ import (
 // immediately (data is reusable); larger messages rendezvous and complete
 // once the receiver's clear-to-send has been honoured.
 func (t *Task) Isend(ctx exec.Context, dst, tag int, data []byte) (*Request, error) {
-	t.poll(ctx)
+	t.Poll(ctx)
 	if dst < 0 || dst >= t.N() {
 		return nil, fmt.Errorf("mpi: Isend: rank %d out of range", dst)
 	}
@@ -41,8 +41,8 @@ func (t *Task) isend(ctx exec.Context, dst, tag int, data []byte) *Request {
 		// the wire.
 		if t.cfg.BufferPoolBytes > 0 && len(data) > 0 {
 			for t.eagerInFlight+len(data) > t.cfg.BufferPoolBytes {
-				ctx.Wait(t.progress)
-				t.poll(ctx)
+				t.Engine.Wait(ctx)
+				t.Poll(ctx)
 			}
 			t.eagerInFlight += len(data)
 		}
@@ -60,7 +60,7 @@ func (t *Task) isend(ctx exec.Context, dst, tag int, data []byte) *Request {
 				remaining--
 				if remaining == 0 {
 					t.eagerInFlight -= total
-					t.progress.Broadcast()
+					t.Notify()
 				}
 			}
 		}
@@ -99,7 +99,7 @@ func (t *Task) isend(ctx exec.Context, dst, tag int, data []byte) *Request {
 // AnyTag. The request completes when a matching message has fully arrived
 // in buf.
 func (t *Task) Irecv(ctx exec.Context, src, tag int, buf []byte) (*Request, error) {
-	t.poll(ctx)
+	t.Poll(ctx)
 	if src != AnySource && (src < 0 || src >= t.N()) {
 		return nil, fmt.Errorf("mpi: Irecv: rank %d out of range", src)
 	}
@@ -130,13 +130,8 @@ func (t *Task) irecv(ctx exec.Context, src, tag int, buf []byte, onComplete func
 
 // Wait blocks until req completes, driving progress while it waits.
 func (t *Task) Wait(ctx exec.Context, req *Request) (Status, error) {
-	for {
-		t.poll(ctx)
-		if req.done {
-			return req.Status, req.err
-		}
-		ctx.Wait(t.progress)
-	}
+	t.Until(ctx, req.Done)
+	return req.Status, req.err
 }
 
 // Send is the blocking send: Isend + Wait.
@@ -162,7 +157,7 @@ func (t *Task) Recv(ctx exec.Context, src, tag int, buf []byte) (Status, error) 
 // after the modelled handler-context-creation cost (RcvncallCost). This is
 // the primitive MPL's interrupt-driven rcvncall (§5.2) is built on.
 func (t *Task) IrecvCall(ctx exec.Context, src, tag int, buf []byte, fn func(exec.Context, Status)) (*Request, error) {
-	t.poll(ctx)
+	t.Poll(ctx)
 	if src != AnySource && (src < 0 || src >= t.N()) {
 		return nil, fmt.Errorf("mpi: IrecvCall: rank %d out of range", src)
 	}
@@ -177,19 +172,10 @@ func (t *Task) IrecvCall(ctx exec.Context, src, tag int, buf []byte, fn func(exe
 	return t.irecv(ctx, src, tag, buf, fn), nil
 }
 
-// SetMode switches the progress mode at runtime (cf. lapi.Senv). Switching
-// to interrupt mode kicks the dispatcher to drain any polled backlog.
-func (t *Task) SetMode(mode Mode) {
-	t.cfg.Mode = mode
-	if mode == Interrupt {
-		t.rxCond.Broadcast()
-	}
-}
-
 // Iprobe reports, without receiving, whether an eligible message matching
 // (src, tag) is queued.
 func (t *Task) Iprobe(ctx exec.Context, src, tag int) (bool, Status) {
-	t.poll(ctx)
+	t.Poll(ctx)
 	probe := &Request{task: t, src: src, tag: tag}
 	for _, im := range t.unexpected {
 		if probe.matches(im) {
@@ -198,9 +184,6 @@ func (t *Task) Iprobe(ctx exec.Context, src, tag int) (bool, Status) {
 	}
 	return false, Status{}
 }
-
-// Probe makes communication progress (a polling point).
-func (t *Task) Probe(ctx exec.Context) { t.poll(ctx) }
 
 // tagBarrier is the internal tag for Barrier traffic, above MaxTag so user
 // messages can never collide with it.

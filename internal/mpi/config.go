@@ -21,16 +21,16 @@ package mpi
 import (
 	"fmt"
 	"time"
+
+	"golapi/internal/progress"
 )
 
-// Mode mirrors lapi's progress modes for the receive dispatcher.
-type Mode int
+// Mode is the receive dispatcher's progress mode, the one lapi uses.
+type Mode = progress.Mode
 
 const (
-	// Interrupt mode: arrivals wake the dispatcher autonomously.
-	Interrupt Mode = iota
-	// Polling mode: progress happens inside MPI calls only.
-	Polling
+	Interrupt = progress.Interrupt
+	Polling   = progress.Polling
 )
 
 // AnySource matches a receive against messages from any rank.

@@ -6,6 +6,7 @@ import (
 
 	"golapi/internal/exec"
 	"golapi/internal/fabric"
+	"golapi/internal/progress"
 	"golapi/internal/stats"
 )
 
@@ -18,12 +19,8 @@ type Task struct {
 	tr  fabric.Transport
 	cfg Config
 
-	rx       []rxPacket
-	rxHead   int
-	rxCond   exec.Cond
-	progress exec.Cond
-	draining bool
-	closed   bool
+	// Receive progress (paper §2.1), shared with lapi.
+	progress.Engine
 
 	sendSeq   []uint32 // per destination: next outgoing msgID
 	nextMatch []uint32 // per source: next msgID eligible for matching
@@ -41,11 +38,6 @@ type Task struct {
 	// Counters tracks protocol accounting (matches, early-buffer copies,
 	// rendezvous round trips, interrupts).
 	Counters stats.Counters
-}
-
-type rxPacket struct {
-	src int
-	pkt []byte
 }
 
 type msgKey struct {
@@ -115,10 +107,7 @@ func NewTask(rt exec.Runtime, tr fabric.Transport, cfg Config) (*Task, error) {
 		outSends:       make(map[msgKey]*Request),
 		oncompleteName: fmt.Sprintf("mpi-oncomplete-%d", tr.Self()),
 	}
-	t.rxCond = rt.NewCond()
-	t.progress = rt.NewCond()
-	tr.SetDeliver(t.deliver)
-	rt.Go(fmt.Sprintf("mpi-dispatcher-%d", tr.Self()), t.dispatcherLoop)
+	t.Init(rt, tr, "mpi", cfg.Mode, cfg.InterruptCost, &t.Counters, nil, t.receive)
 	return t, nil
 }
 
@@ -128,8 +117,12 @@ func (t *Task) Self() int { return t.tr.Self() }
 // N returns the job size.
 func (t *Task) N() int { return t.tr.N() }
 
-// Config returns the task configuration.
-func (t *Task) Config() Config { return t.cfg }
+// Config returns the task configuration, with the current progress mode.
+func (t *Task) Config() Config {
+	cfg := t.cfg
+	cfg.Mode = t.Mode()
+	return cfg
+}
 
 // SetEagerLimit adjusts the eager/rendezvous switch point at runtime — the
 // MP_EAGER_LIMIT knob of §4. It is clamped to [0, MaxEagerLimit].
@@ -145,68 +138,22 @@ func (t *Task) SetEagerLimit(n int) {
 
 // Close shuts the task down.
 func (t *Task) Close() error {
-	if t.closed {
+	if !t.Engine.Close() {
 		return nil
 	}
-	t.closed = true
-	t.rxCond.Broadcast()
-	t.progress.Broadcast()
 	return t.tr.Close()
 }
 
 func (t *Task) maxPayload() int { return t.tr.MaxPacket() - t.cfg.HeaderBytes }
 
-func (t *Task) deliver(src int, pkt []byte) {
-	if t.closed {
-		return
+// receive charges one queued packet's receive overhead, dispatches it and
+// releases it: handlers copy what they keep (eager or matched buffers).
+func (t *Task) receive(ctx exec.Context, src int, pkt []byte) {
+	if t.cfg.RecvOverhead > 0 {
+		ctx.Sleep(t.cfg.RecvOverhead)
 	}
-	t.rx = append(t.rx, rxPacket{src: src, pkt: pkt})
-	t.rxCond.Broadcast()
-	t.progress.Broadcast()
-}
-
-func (t *Task) dispatcherLoop(ctx exec.Context) {
-	for {
-		for !t.closed && (t.cfg.Mode == Polling || t.rxHead == len(t.rx) || t.draining) {
-			ctx.Wait(t.rxCond)
-		}
-		if t.closed {
-			return
-		}
-		if t.cfg.InterruptCost > 0 {
-			t.Counters.Add(stats.Interrupts, 1)
-			ctx.Sleep(t.cfg.InterruptCost)
-		}
-		t.drain(ctx)
-	}
-}
-
-func (t *Task) poll(ctx exec.Context) {
-	if t.draining {
-		return
-	}
-	t.Counters.Add(stats.Polls, 1)
-	t.drain(ctx)
-}
-
-func (t *Task) drain(ctx exec.Context) {
-	t.draining = true
-	defer func() { t.draining = false }()
-	for t.rxHead < len(t.rx) {
-		rp := t.rx[t.rxHead]
-		t.rx[t.rxHead] = rxPacket{}
-		t.rxHead++
-		if t.cfg.RecvOverhead > 0 {
-			ctx.Sleep(t.cfg.RecvOverhead)
-		}
-		t.handle(ctx, rp.src, rp.pkt)
-		// Every handler copies what it keeps (eager staging buffers,
-		// matched receive buffers), so the wire buffer can go back to the
-		// transport's pool.
-		t.tr.Release(rp.pkt)
-	}
-	t.rx = t.rx[:0]
-	t.rxHead = 0
+	t.handle(ctx, src, pkt)
+	t.tr.Release(pkt)
 }
 
 func (t *Task) handle(ctx exec.Context, src int, pkt []byte) {
@@ -417,7 +364,7 @@ func (t *Task) handleRData(src int, h wireHeader, payload []byte) {
 func (t *Task) complete(req *Request, st Status) {
 	req.Status = st
 	req.done = true
-	t.progress.Broadcast()
+	t.Notify()
 	if req.onComplete != nil {
 		fn := req.onComplete
 		t.rt.Go(t.oncompleteName, func(ctx exec.Context) {
