@@ -112,3 +112,51 @@ func nonBlockingOps(t *lapi.Task) {
 		return buf, nil
 	})
 }
+
+// mutualBlock reaches Fence through a mutually recursive helper pair: the
+// cycle guard cuts the search at pingA's second visit, so the chain names
+// each helper once. A later root that calls pingB directly reads pingB's
+// memoized result.
+func mutualBlock(t *lapi.Task) {
+	t.RegisterHandler(func(tk *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
+		pingA(tk, info.DataLen) // want `header handler must not block: reaches \(\*Task\)\.Fence via pingA → pingB`
+		return lapi.AddrNil, nil
+	})
+	t.RegisterHandler(func(tk *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
+		pingB(tk, info.DataLen) // want `header handler must not block: reaches \(\*Task\)\.Fence via pingB`
+		return lapi.AddrNil, nil
+	})
+}
+
+func pingA(t *lapi.Task, n int) {
+	if n > 0 {
+		pingB(t, n-1)
+	}
+}
+
+func pingB(t *lapi.Task, n int) {
+	pingA(t, n-1)
+	t.Fence(nil)
+}
+
+// goMayBlock is clean: a go statement runs its call after the handler
+// returns, whether it names a helper or spawns a literal.
+func goMayBlock(t *lapi.Task, ctx exec.Context) {
+	t.RegisterHandler(func(tk *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
+		go drainAll(tk)
+		go func() { tk.Gfence(ctx) }()
+		return lapi.AddrNil, nil
+	})
+}
+
+// syncHandler is one blocking handler registered under two indices: each
+// registration is a root of its own and is reported.
+func syncHandler(tk *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
+	tk.Barrier(nil)
+	return lapi.AddrNil, nil
+}
+
+func registerTwice(t *lapi.Task) {
+	t.RegisterHandler(syncHandler) // want `header handler must not block: reaches \(\*Task\)\.Barrier via syncHandler`
+	t.RegisterHandler(syncHandler) // want `header handler must not block: reaches \(\*Task\)\.Barrier via syncHandler`
+}

@@ -151,3 +151,27 @@ func readOnly(t *lapi.Task) {
 		}
 	})
 }
+
+// keep is a helper a goroutine runs with the slice as its argument.
+func keep(p []byte) { _ = p }
+
+// passToGoroutine hands the slice to a go statement as an argument: it is
+// evaluated now but used after the handler returns.
+func passToGoroutine(t *lapi.Task) {
+	t.RegisterHandler(func(tk *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
+		go keep(info.UHdr) // want `pooled packet slice .*passed to a goroutine`
+		return lapi.AddrNil, nil
+	})
+}
+
+// twiceHandler is registered under two indices; its body is analyzed once,
+// so its store is reported once.
+func twiceHandler(tk *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
+	records = append(records, record{hdr: info.UHdr}) // want `pooled packet slice .*package-level variable`
+	return lapi.AddrNil, nil
+}
+
+func registerTwice(t *lapi.Task) {
+	t.RegisterHandler(twiceHandler)
+	t.RegisterHandler(twiceHandler)
+}

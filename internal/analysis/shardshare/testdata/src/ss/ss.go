@@ -120,3 +120,24 @@ func spineAtBarrier(claims []int64) {
 		claimSpine(link%4, end)
 	}
 }
+
+// ping and pong are a mutually recursive pair with the write behind the
+// cycle: the guard cuts the search at ping's second visit, so the chain
+// names each once.
+func ping(n int) {
+	if n > 0 {
+		pong(n - 1)
+	}
+}
+
+func pong(n int) {
+	ping(n - 1)
+	counter = n
+}
+
+func viaCycle(px *parallel.Executor) error {
+	return parallel.ForEach(px, 4, func(i int) error {
+		ping(i) // want `sweep job writes package-level state ss\.counter via ping → pong`
+		return nil
+	})
+}
