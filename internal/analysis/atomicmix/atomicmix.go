@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
+	"path/filepath"
 
 	"golapi/internal/analysis"
 	"golapi/internal/analysis/concurrency"
@@ -78,7 +79,7 @@ func compute(m *concurrency.Model) []finding {
 					pkg: p.Unit.Pkg,
 					pos: p.Pos,
 					msg: fmt.Sprintf("non-atomic access to %s, which is accessed atomically at %s:%d; both sides must use sync/atomic",
-						a.Obj.Name(), shortFile(apos.Filename), apos.Line),
+						a.Obj.Name(), filepath.Base(apos.Filename), apos.Line),
 				})
 			}
 		}
@@ -104,13 +105,4 @@ func firstMixedPlain(m *concurrency.Model, a *concurrency.Access) *concurrency.A
 		}
 	}
 	return nil
-}
-
-func shortFile(name string) string {
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '/' {
-			return name[i+1:]
-		}
-	}
-	return name
 }

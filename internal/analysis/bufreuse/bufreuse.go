@@ -104,22 +104,11 @@ func run(pass *analysis.Pass, rows []row) error {
 	if pass.Lookup(analysis.LapiPath) == nil {
 		return nil
 	}
-	for _, f := range pass.Pkg.Files {
-		// Each function body — declarations and literals alike — gets its own
-		// graph; the CFG builder treats nested literals as opaque values, so
-		// this traversal analyzes every body exactly once.
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					check(pass, rows, n.Body)
-				}
-			case *ast.FuncLit:
-				check(pass, rows, n.Body)
-			}
-			return true
-		})
-	}
+	// Each body gets its own graph; the CFG builder treats nested literals
+	// as opaque values.
+	pass.Bodies(func(_ *types.Func, _ *types.Signature, body *ast.BlockStmt) {
+		check(pass, rows, body)
+	})
 	return nil
 }
 
@@ -196,7 +185,7 @@ func (c *checker) call(call *ast.CallExpr, s state) {
 		if len(call.Args) < 2 {
 			return
 		}
-		cntr := c.objectIfIdent(call.Args[1])
+		cntr := analysis.IdentObject(c.pass.Pkg.Info, call.Args[1])
 		for r := range s {
 			// An unresolvable counter expression may name any counter: retire
 			// everything rather than report around an opaque wait.
@@ -223,18 +212,18 @@ func (c *checker) lend(call *ast.CallExpr, row *row, s state) {
 	if len(call.Args) <= max(row.org, row.cmpl) {
 		return
 	}
-	org := call.Args[row.org]
-	if row.nilOrg && !c.isNil(org) || !row.nilOrg && c.objectIfIdent(org) == nil {
+	info, org := c.pass.Pkg.Info, call.Args[row.org]
+	if row.nilOrg && !analysis.IsNil(info, org) || !row.nilOrg && analysis.IdentObject(info, org) == nil {
 		return
 	}
 	slot := row.org
 	if row.retireCmpl {
 		slot = row.cmpl
 	}
-	cntr := c.objectIfIdent(call.Args[slot])
+	cntr := analysis.IdentObject(info, call.Args[slot])
 	line := c.pass.Fset.Position(call.Pos()).Line
 	for _, i := range row.bufs {
-		if buf := c.objectIfIdent(call.Args[i]); buf != nil {
+		if buf := analysis.IdentObject(info, call.Args[i]); buf != nil {
 			s[rec{buf: buf, cntr: cntr, row: row, line: line}] = true
 		}
 	}
@@ -307,20 +296,6 @@ func tracked(s state, obj types.Object) bool {
 		}
 	}
 	return false
-}
-
-// isNil reports whether e is the untyped nil literal.
-func (c *checker) isNil(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := c.pass.Pkg.Info.Uses[id].(*types.Nil)
-	return isNil
-}
-
-func (c *checker) objectIfIdent(e ast.Expr) types.Object {
-	return analysis.IdentObject(c.pass.Pkg.Info, e)
 }
 
 // reportWrite emits one diagnostic for a write to a buffer outstanding on

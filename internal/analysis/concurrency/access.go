@@ -474,11 +474,11 @@ loop:
 				return nil, false // freshly built local object: unshared
 			}
 			if obj == nil {
-				if !isPkgLevel(v) {
+				if !analysis.IsPkgLevel(v) {
 					return nil, false // plain local or parameter
 				}
 				obj = v
-			} else if !isPkgLevel(v) && !referenceLike(v.Type()) {
+			} else if !analysis.IsPkgLevel(v) && !referenceLike(v.Type()) {
 				// Field chain rooted in a value-typed local or parameter
 				// (cfg := DefaultConfig(); cfg.X = ...): a private copy.
 				return nil, false
@@ -495,7 +495,7 @@ loop:
 				}
 				// Qualified package variable (pkg.Var).
 				if obj == nil {
-					if !isPkgLevel(v) {
+					if !analysis.IsPkgLevel(v) {
 						return nil, false
 					}
 					obj = v

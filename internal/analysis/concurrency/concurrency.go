@@ -58,6 +58,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 
 	"golapi/internal/analysis"
@@ -297,16 +298,7 @@ func (m *Model) ClassName(c ClassID) string {
 		return "the main goroutine"
 	}
 	pos := m.Fset.Position(s.Pos)
-	return fmt.Sprintf("the %s at %s:%d", s.Kind, shortFile(pos.Filename), pos.Line)
-}
-
-func shortFile(name string) string {
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '/' {
-			return name[i+1:]
-		}
-	}
-	return name
+	return fmt.Sprintf("the %s at %s:%d", s.Kind, filepath.Base(pos.Filename), pos.Line)
 }
 
 func build(pass *analysis.Pass) *Model {
@@ -643,7 +635,7 @@ func (m *Model) bindChanAlias(u *Unit, lhs, rhs ast.Expr) {
 	if obj == nil {
 		return
 	}
-	if v, ok := obj.(*types.Var); !ok || (!v.IsField() && !isPkgLevel(v)) {
+	if v, ok := obj.(*types.Var); !ok || (!v.IsField() && !analysis.IsPkgLevel(v)) {
 		return
 	}
 	m.aliasChan(info, rhs, obj)
@@ -656,7 +648,7 @@ func (m *Model) aliasChan(info *types.Info, src ast.Expr, canon types.Object) {
 	if local == nil || local == canon {
 		return
 	}
-	if v, ok := local.(*types.Var); !ok || v.IsField() || isPkgLevel(v) {
+	if v, ok := local.(*types.Var); !ok || v.IsField() || analysis.IsPkgLevel(v) {
 		return // only locals are re-pointed at their stored-into name
 	}
 	m.chanAlias[local] = canon
@@ -955,11 +947,6 @@ func (u *Unit) programRoot() bool {
 		return true
 	}
 	return u.Fn.Name() == "main" && u.Pkg.Types.Name() == "main"
-}
-
-// isPkgLevel reports whether v is declared at package scope.
-func isPkgLevel(v *types.Var) bool {
-	return v != nil && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // chainObj resolves an expression to the identity object the concurrency

@@ -592,7 +592,7 @@ func (m *Model) comboConcurrent(a *Access, ca ClassID, b *Access, cb ClassID) bo
 	if s == nil || !s.InLoop {
 		return false
 	}
-	return isPkgLevel(a.Obj) && isPkgLevel(b.Obj)
+	return analysis.IsPkgLevel(a.Obj) && analysis.IsPkgLevel(b.Obj)
 }
 
 // originsIntersect reports whether two origin sets share a program root.

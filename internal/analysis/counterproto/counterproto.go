@@ -55,19 +55,9 @@ func run(pass *analysis.Pass) error {
 	if pass.Lookup(analysis.LapiPath) == nil {
 		return nil
 	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					check(pass, n.Body)
-				}
-			case *ast.FuncLit:
-				check(pass, n.Body)
-			}
-			return true
-		})
-	}
+	pass.Bodies(func(_ *types.Func, _ *types.Signature, body *ast.BlockStmt) {
+		check(pass, body)
+	})
 	return nil
 }
 
@@ -145,12 +135,12 @@ func eligibleCounters(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object
 			}
 		case *ast.BinaryExpr:
 			// if c != nil / c == nil guards.
-			if isNil(info, n.X) {
+			if analysis.IsNil(info, n.X) {
 				if id, ok := ast.Unparen(n.Y).(*ast.Ident); ok {
 					allowed[id] = true
 				}
 			}
-			if isNil(info, n.Y) {
+			if analysis.IsNil(info, n.Y) {
 				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 					allowed[id] = true
 				}
@@ -173,15 +163,6 @@ func eligibleCounters(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object
 		return true
 	})
 	return created
-}
-
-func isNil(info *types.Info, e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNilObj := info.Uses[id].(*types.Nil)
-	return isNilObj
 }
 
 // state is the may-set of armed counters.
@@ -217,7 +198,7 @@ func (c *checker) Transfer(n ast.Node, s state) state {
 			if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
 				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
 					if analysis.IsMethodOf(analysis.Callee(info, call), analysis.LapiPath, "Task", "NewCounter") {
-						if obj := objectIfIdent(info, n.Lhs[0]); obj != nil {
+						if obj := analysis.IdentObject(info, n.Lhs[0]); obj != nil {
 							delete(s, obj)
 						}
 					}
@@ -232,20 +213,20 @@ func (c *checker) Transfer(n ast.Node, s state) state {
 			case analysis.IsMethodOf(fn, analysis.LapiPath, "Task", "Put", "Get", "Amsend", "Rmw", "PutStrided", "GetStrided"):
 				for _, i := range cntrSlots[fn.Name()] {
 					if i < len(n.Args) {
-						if obj := objectIfIdent(info, n.Args[i]); obj != nil {
+						if obj := analysis.IdentObject(info, n.Args[i]); obj != nil {
 							s[obj] = true
 						}
 					}
 				}
 			case analysis.IsMethodOf(fn, analysis.LapiPath, "Task", "Setcntr"):
 				if len(n.Args) > 1 {
-					if obj := objectIfIdent(info, n.Args[1]); obj != nil {
+					if obj := analysis.IdentObject(info, n.Args[1]); obj != nil {
 						s[obj] = true
 					}
 				}
 			case analysis.IsMethodOf(fn, analysis.LapiPath, "Task", "Waitcntr", "Getcntr"):
 				if len(n.Args) > 1 {
-					if obj := objectIfIdent(info, n.Args[1]); obj != nil && c.eligible[obj] && !s[obj] && reportHere {
+					if obj := analysis.IdentObject(info, n.Args[1]); obj != nil && c.eligible[obj] && !s[obj] && reportHere {
 						c.pass.Reportf(n.Pos(), "%s on counter %s which no path has armed: it is never passed to a Put/Get/Amsend/Rmw counter slot or Setcntr before this wait, so it can never complete (§2.3 three-counter discipline)", fn.Name(), obj.Name())
 					}
 				}
@@ -254,12 +235,4 @@ func (c *checker) Transfer(n ast.Node, s state) state {
 		return true
 	})
 	return s
-}
-
-func objectIfIdent(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "nil" {
-		return nil
-	}
-	return info.ObjectOf(id)
 }

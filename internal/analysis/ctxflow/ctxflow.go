@@ -152,8 +152,8 @@ func (c *checker) goStmt(g *ast.GoStmt) {
 // runtimeCallback flags Contexts captured by exec.Runtime.Go/After
 // callbacks: those run as (or on) a different activity.
 func (c *checker) runtimeCallback(call *ast.CallExpr) {
-	fn := analysis.Callee(c.pass.Pkg.Info, call)
-	if !analysis.IsMethodOf(fn, analysis.ExecPath, "Runtime", "Go", "After") {
+	fn := analysis.RuntimeCallback(c.pass.Pkg.Info, call)
+	if fn == nil {
 		return
 	}
 	for _, arg := range call.Args {

@@ -10,16 +10,15 @@
 // (Waitcntr, Fence, Gfence, Barrier, ExchangeWord, AddressInit and the *Sync
 // wrappers) and for the underlying primitive exec.Context.Wait.
 //
-// Function literals that escape the handler's stack are exempt: the returned
-// completion handler (which may block, §2.1 step 4) and callbacks handed to
-// exec.Runtime.Go/After or spawned with a go statement.
+// Code that runs after the handler returns is exempt
+// (analysis.OutlivesDispatch): the returned completion handler (which may
+// block, §2.1 step 4), callbacks handed to exec.Runtime.Go/After, and go
+// statements, arguments included. The walk is analysis.Search.
 package handlerblock
 
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
-	"strings"
 
 	"golapi/internal/analysis"
 )
@@ -39,176 +38,35 @@ var blockingTaskMethods = []string{
 }
 
 func run(pass *analysis.Pass) error {
-	hh := pass.NamedType(analysis.LapiPath, "HeaderHandler")
-	if hh == nil {
-		return nil // package has no path to lapi: nothing to enforce
+	roots := pass.HeaderHandlers()
+	if len(roots) == 0 {
+		return nil // no header handler in the package: nothing to enforce
 	}
-	w := &walker{
-		pass:    pass,
-		hh:      hh,
-		ch:      pass.NamedType(analysis.LapiPath, "CompletionHandler"),
-		idx:     pass.FuncIndex(),
-		reaches: make(map[*types.Func]*reachResult),
-	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			for _, root := range w.handlerRoots(n) {
-				w.checkRoot(root)
-			}
-			return true
+	ch := pass.NamedType(analysis.LapiPath, "CompletionHandler")
+	s := pass.NewSearch(blockingCall, func(body *ast.BlockStmt, pkg *analysis.Package) map[ast.Node]bool {
+		return analysis.OutlivesDispatch(pkg.Info, ch, body)
+	})
+	for _, root := range roots {
+		s.Check(root, func(pos token.Pos, p analysis.Path) {
+			pass.Reportf(pos, "header handler must not block: reaches %s%s (header handlers run inline in the dispatcher, §5.3.1; move blocking work to the completion handler)", p.What, p.Via())
 		})
 	}
 	return nil
 }
 
-type walker struct {
-	pass    *analysis.Pass
-	hh, ch  types.Type // lapi.HeaderHandler, lapi.CompletionHandler
-	idx     map[*types.Func]analysis.FuncBody
-	reaches map[*types.Func]*reachResult
-	active  []*types.Func // cycle guard for reach()
-}
-
-// reachResult records whether a function can reach a blocking call, and via
-// which chain of callees.
-type reachResult struct {
-	op    string   // blocking callee description, e.g. "(*Task).Waitcntr"
-	chain []string // call chain from the function to op, exclusive
-	found bool
-}
-
-// handlerRoots returns the expressions at node n whose value becomes a
-// lapi.HeaderHandler.
-func (w *walker) handlerRoots(n ast.Node) []ast.Expr {
-	return analysis.RootsOfType(w.pass.Pkg.Info, w.hh, n)
-}
-
-// checkRoot analyzes one handler-valued expression.
-func (w *walker) checkRoot(root ast.Expr) {
-	switch e := ast.Unparen(root).(type) {
-	case *ast.FuncLit:
-		w.checkBody(e.Body, w.pass.Pkg, func(call *ast.CallExpr, r *reachResult) {
-			w.report(call.Pos(), r)
-		})
-	default:
-		fn, _ := analysis.ObjectOf(w.pass.Pkg.Info, root).(*types.Func)
-		if fn == nil {
-			return
-		}
-		if r := w.reach(fn); r.found {
-			w.report(root.Pos(), &reachResult{
-				op:    r.op,
-				chain: append([]string{fn.Name()}, r.chain...),
-				found: true,
-			})
-		}
-	}
-}
-
-// report emits the diagnostic for a blocking path.
-func (w *walker) report(pos token.Pos, r *reachResult) {
-	via := ""
-	if len(r.chain) > 0 {
-		via = " via " + strings.Join(r.chain, " → ")
-	}
-	w.pass.Reportf(pos, "header handler must not block: reaches %s%s (header handlers run inline in the dispatcher, §5.3.1; move blocking work to the completion handler)", r.op, via)
-}
-
-// checkBody scans one body for calls that are, or transitively reach, a
-// blocking op, invoking found for each offending call expression.
-func (w *walker) checkBody(body *ast.BlockStmt, pkg *analysis.Package, found func(*ast.CallExpr, *reachResult)) {
-	skip := w.escapingFuncLits(body, pkg)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if skip[n] {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := analysis.Callee(pkg.Info, call)
-		if fn == nil {
-			return true
-		}
-		if op, ok := blockingOp(fn); ok {
-			found(call, &reachResult{op: op, found: true})
-			return true
-		}
-		if r := w.reach(fn); r.found {
-			found(call, &reachResult{op: r.op, chain: append([]string{fn.Name()}, r.chain...), found: true})
-		}
-		return true
-	})
-}
-
-// reach reports (memoized) whether fn's body can reach a blocking op without
-// leaving the handler's stack.
-func (w *walker) reach(fn *types.Func) *reachResult {
-	if r, ok := w.reaches[fn]; ok {
-		return r
-	}
-	for _, a := range w.active {
-		if a == fn {
-			return &reachResult{} // recursion: resolved by the outer visit
-		}
-	}
-	fb, ok := w.idx[fn]
+// blockingCall reports n when it calls one of the blocking entry points.
+func blockingCall(n ast.Node, pkg *analysis.Package, hit func(token.Pos, string)) bool {
+	call, ok := n.(*ast.CallExpr)
 	if !ok {
-		r := &reachResult{}
-		w.reaches[fn] = r
-		return r
+		return false
 	}
-	w.active = append(w.active, fn)
-	r := &reachResult{}
-	w.checkBody(fb.Body, fb.Pkg, func(_ *ast.CallExpr, inner *reachResult) {
-		if !r.found {
-			*r = *inner
-		}
-	})
-	w.active = w.active[:len(w.active)-1]
-	w.reaches[fn] = r
-	return r
-}
-
-// blockingOp reports whether fn is one of the blocking entry points.
-func blockingOp(fn *types.Func) (string, bool) {
+	fn := analysis.Callee(pkg.Info, call)
 	if analysis.IsMethodOf(fn, analysis.LapiPath, "Task", blockingTaskMethods...) {
-		return "(*Task)." + fn.Name(), true
+		hit(call.Pos(), "(*Task)."+fn.Name())
+	} else if analysis.IsMethodOf(fn, analysis.ExecPath, "Context", "Wait") {
+		hit(call.Pos(), "exec.Context.Wait")
+	} else {
+		return false
 	}
-	if analysis.IsMethodOf(fn, analysis.ExecPath, "Context", "Wait") {
-		return "exec.Context.Wait", true
-	}
-	return "", false
-}
-
-// escapingFuncLits collects the function literals in body that leave the
-// handler's stack and so may legitimately block: literals assignable to
-// lapi.CompletionHandler (typically the handler's second return value),
-// literals handed to exec.Runtime.Go/After, and literals spawned by a go
-// statement.
-func (w *walker) escapingFuncLits(body *ast.BlockStmt, pkg *analysis.Package) map[ast.Node]bool {
-	skip := make(map[ast.Node]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			if w.ch != nil {
-				if t := pkg.Info.TypeOf(n); t != nil && types.AssignableTo(t, w.ch) {
-					skip[n] = true
-				}
-			}
-		case *ast.GoStmt:
-			skip[n] = true
-		case *ast.CallExpr:
-			fn := analysis.Callee(pkg.Info, n)
-			if analysis.IsMethodOf(fn, analysis.ExecPath, "Runtime", "Go", "After") {
-				for _, arg := range n.Args {
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-						skip[lit] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return skip
+	return true
 }

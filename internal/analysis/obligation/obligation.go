@@ -89,23 +89,11 @@ func Analyzer(p *Protocol, name, doc string) *analysis.Analyzer {
 			return nil
 		}
 		comp := New(pass, ops)
-		info := pass.Pkg.Info
-		for _, f := range pass.Pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					fn, _ := info.Defs[n.Name].(*types.Func)
-					if n.Body != nil && fn != nil && (p.Exempt == nil || !p.Exempt(ops, fn)) {
-						check(pass, p, comp, fn.Type().(*types.Signature), n.Body)
-					}
-				case *ast.FuncLit:
-					if sig, ok := info.TypeOf(n).(*types.Signature); ok {
-						check(pass, p, comp, sig, n.Body)
-					}
-				}
-				return true
-			})
-		}
+		pass.Bodies(func(fn *types.Func, sig *types.Signature, body *ast.BlockStmt) {
+			if sig != nil && (fn == nil || p.Exempt == nil || !p.Exempt(ops, fn)) {
+				check(pass, p, comp, sig, body)
+			}
+		})
 		return nil
 	}}
 }

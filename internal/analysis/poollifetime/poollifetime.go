@@ -9,16 +9,17 @@
 // append([]byte(nil), info.UHdr...); the pass recognizes that (and any
 // other spread-append, which copies the bytes) as safe.
 //
-// The pass finds every function that flows into a lapi.HeaderHandler value
-// (the same roots handlerblock walks) and tracks aliases of info.UHdr
-// flow-sensitively over the handler's CFG (internal/analysis/cfg +
-// dataflow): assignments gen aliases, rebinding to a non-alias (such as
-// the spread-append copy) kills them, and states merge by union at joins.
-// That catches aliases published on only one branch and loop-carried
-// aliases (a store before the alias assignment in source order but after
-// it along the back edge), while no longer flagging a local that held the
-// pooled slice once but was rebound to a private copy before escaping.
-// Escaping function literals are judged with the alias state at the point
+// The pass finds every function that flows into a lapi.HeaderHandler
+// value (analysis.HeaderHandlers, the roots handlerblock searches) and
+// tracks aliases of info.UHdr flow-sensitively over the handler's CFG
+// (internal/analysis/cfg + dataflow): assignments gen aliases, rebinding
+// to a non-alias (such as the spread-append copy) kills them, and states
+// merge by union at joins. That catches aliases published on only one
+// branch and loop-carried aliases (a store before the alias assignment in
+// source order but after it along the back edge), while no longer flagging
+// a local that held the pooled slice once but was rebound to a private
+// copy before escaping. Literals that outlive the dispatch
+// (analysis.OutlivesDispatch) are judged with the alias state at the point
 // the literal is built; other literals are analyzed as sub-graphs seeded
 // with that state. The pass is intraprocedural: a helper the slice is
 // passed to is not followed.
@@ -42,57 +43,29 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	hh := pass.NamedType(analysis.LapiPath, "HeaderHandler")
 	ai := pass.NamedType(analysis.LapiPath, "AmInfo")
-	if hh == nil || ai == nil {
+	if ai == nil {
 		return nil // package has no path to lapi: nothing to enforce
 	}
 	c := &checker{
-		pass:  pass,
-		hh:    hh,
-		info:  types.NewPointer(ai),
-		ch:    pass.NamedType(analysis.LapiPath, "CompletionHandler"),
-		decls: pass.FuncIndex(),
+		pass: pass,
+		info: types.NewPointer(ai),
+		ch:   pass.NamedType(analysis.LapiPath, "CompletionHandler"),
 	}
-	seen := make(map[ast.Node]bool)
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			for _, root := range analysis.RootsOfType(pass.Pkg.Info, hh, n) {
-				c.checkRoot(root, seen)
-			}
-			return true
-		})
+	seen := make(map[*ast.BlockStmt]bool) // a handler registered twice is analyzed once
+	for _, root := range pass.HeaderHandlers() {
+		if !seen[root.Body] {
+			seen[root.Body] = true
+			c.checkHandler(root)
+		}
 	}
 	return nil
 }
 
 type checker struct {
-	pass  *analysis.Pass
-	hh    types.Type // lapi.HeaderHandler
-	info  types.Type // *lapi.AmInfo
-	ch    types.Type // lapi.CompletionHandler
-	decls map[*types.Func]analysis.FuncBody
-}
-
-// checkRoot analyzes one handler-valued expression: a function literal in
-// place, or a reference to a named function whose declaration is indexed.
-func (c *checker) checkRoot(root ast.Expr, seen map[ast.Node]bool) {
-	switch e := ast.Unparen(root).(type) {
-	case *ast.FuncLit:
-		if !seen[e] {
-			seen[e] = true
-			c.checkHandler(e.Type, e.Body, c.pass.Pkg)
-		}
-	default:
-		fn, _ := analysis.ObjectOf(c.pass.Pkg.Info, root).(*types.Func)
-		if fn == nil {
-			return
-		}
-		if fd, ok := c.decls[fn]; ok && !seen[fd.Decl] {
-			seen[fd.Decl] = true
-			c.checkHandler(fd.Decl.Type, fd.Body, fd.Pkg)
-		}
-	}
+	pass *analysis.Pass
+	info types.Type // *lapi.AmInfo
+	ch   types.Type // lapi.CompletionHandler
 }
 
 // state is the may-set of locals aliasing the pooled packet.
@@ -108,9 +81,10 @@ type handlerScope struct {
 }
 
 // checkHandler analyzes one header-handler body.
-func (c *checker) checkHandler(ft *ast.FuncType, body *ast.BlockStmt, pkg *analysis.Package) {
+func (c *checker) checkHandler(root analysis.Root) {
+	pkg := root.Pkg
 	h := &handlerScope{c: c, pkg: pkg}
-	for _, field := range ft.Params.List {
+	for _, field := range root.Type.Params.List {
 		for _, name := range field.Names {
 			if obj := pkg.Info.Defs[name]; obj != nil && types.Identical(obj.Type(), c.info) {
 				h.infoObj = obj
@@ -120,8 +94,8 @@ func (c *checker) checkHandler(ft *ast.FuncType, body *ast.BlockStmt, pkg *analy
 	if h.infoObj == nil {
 		return // unnamed or absent info parameter: nothing can alias UHdr
 	}
-	h.escaping = h.escapingFuncLits(body)
-	h.analyze(body, state{})
+	h.escaping = analysis.OutlivesDispatch(pkg.Info, c.ch, root.Body)
+	h.analyze(root.Body, state{})
 }
 
 // analyze runs the alias dataflow over one body (the handler itself, or a
@@ -305,36 +279,4 @@ func (h *handlerScope) uhdrSelector(e ast.Expr) bool {
 func (h *handlerScope) aliasIdent(e ast.Expr, s state) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && s[h.pkg.Info.Uses[id]]
-}
-
-// escapingFuncLits collects function literals in body that run after the
-// handler returns: literals assignable to lapi.CompletionHandler, literals
-// spawned by a go statement, and literals handed to exec.Runtime.Go/After.
-func (h *handlerScope) escapingFuncLits(body *ast.BlockStmt) map[ast.Node]bool {
-	skip := make(map[ast.Node]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			if h.c.ch != nil {
-				if t := h.pkg.Info.TypeOf(n); t != nil && types.AssignableTo(t, h.c.ch) {
-					skip[n] = true
-				}
-			}
-		case *ast.GoStmt:
-			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-				skip[lit] = true
-			}
-		case *ast.CallExpr:
-			fn := analysis.Callee(h.pkg.Info, n)
-			if analysis.IsMethodOf(fn, analysis.ExecPath, "Runtime", "Go", "After") {
-				for _, arg := range n.Args {
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-						skip[lit] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return skip
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
+	"path/filepath"
 
 	"golapi/internal/analysis"
 	"golapi/internal/analysis/concurrency"
@@ -118,18 +119,9 @@ func firstRace(m *concurrency.Model, obj *types.Var, accs []*concurrency.Access)
 			msg := fmt.Sprintf(
 				"possible data race on %s: written by %s (holding %s) and %s by %s at %s:%d (holding %s) with no happens-before edge",
 				obj.Name(), m.ClassName(cw), w.Locks, verb, m.ClassName(co),
-				shortFile(pos.Filename), pos.Line, o.Locks)
+				filepath.Base(pos.Filename), pos.Line, o.Locks)
 			return finding{pkg: w.Unit.Pkg, pos: w.Pos, msg: msg}, true
 		}
 	}
 	return finding{}, false
-}
-
-func shortFile(name string) string {
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '/' {
-			return name[i+1:]
-		}
-	}
-	return name
 }

@@ -7,13 +7,13 @@
 // byte-identical-output property the determinism gate checks.
 //
 // The pass finds every call to parallel.Map / parallel.ForEach, takes the
-// job argument (a function literal or a named function), and walks its
-// static call graph across the module looking for assignments and ++/--
-// statements whose written operand is rooted at a package-scope variable
-// (the root covers field, index and dereference chains, so writes to a
-// package-level slice's elements or a package-level struct's fields are
-// caught too). Reads are not flagged: immutable package-level tables are
-// the normal way to share sweep configuration.
+// job argument (a function literal or a named function), and searches its
+// static call graph across the module (analysis.Search) for assignments
+// and ++/-- statements whose written operand is rooted at a package-scope
+// variable (the root covers field, index and dereference chains, so writes
+// to a package-level slice's elements or a package-level struct's fields
+// are caught too). Reads are not flagged: immutable package-level tables
+// are the normal way to share sweep configuration.
 //
 // Intentional shared state (e.g. mutex-guarded caches) is suppressed per
 // line with //lapivet:ignore shardshare <reason>.
@@ -23,7 +23,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"golapi/internal/analysis"
 )
@@ -42,22 +41,18 @@ func run(pass *analysis.Pass) error {
 	if pass.Lookup(ParallelPath) == nil {
 		return nil // package has no path to the executor: nothing to enforce
 	}
-	w := &walker{
-		pass:   pass,
-		idx:    pass.FuncIndex(),
-		writes: make(map[*types.Func]*writeResult),
-	}
+	s := pass.NewSearch(packageWrite, nil)
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			if !ok || !isSweepEntry(analysis.Callee(pass.Pkg.Info, call)) || len(call.Args) < 3 {
 				return true
 			}
-			fn := analysis.Callee(pass.Pkg.Info, call)
-			if !isSweepEntry(fn) || len(call.Args) < 3 {
-				return true
+			if root, ok := pass.RootOf(call.Args[len(call.Args)-1]); ok {
+				s.Check(root, func(pos token.Pos, p analysis.Path) {
+					pass.Reportf(pos, "sweep job writes package-level state %s%s (jobs run concurrently on sweep workers; keep sweep points self-contained or guard the state and suppress)", p.What, p.Via())
+				})
 			}
-			w.checkJob(call.Args[len(call.Args)-1])
 			return true
 		})
 	}
@@ -70,114 +65,27 @@ func isSweepEntry(fn *types.Func) bool {
 		(fn.Name() == "Map" || fn.Name() == "ForEach")
 }
 
-type walker struct {
-	pass   *analysis.Pass
-	idx    map[*types.Func]analysis.FuncBody
-	writes map[*types.Func]*writeResult
-	active []*types.Func // cycle guard for reach()
-}
-
-// writeResult records whether a function can write a package-level variable,
-// which one, and via which chain of callees.
-type writeResult struct {
-	varName string   // qualified variable, e.g. "bench.cache"
-	chain   []string // call chain from the function to the write, exclusive
-	found   bool
-}
-
-// checkJob analyzes one job-valued argument of a sweep call.
-func (w *walker) checkJob(arg ast.Expr) {
-	switch e := ast.Unparen(arg).(type) {
-	case *ast.FuncLit:
-		w.checkBody(e.Body, w.pass.Pkg, func(pos token.Pos, r *writeResult) {
-			w.report(pos, r)
-		})
-	default:
-		fn, _ := analysis.ObjectOf(w.pass.Pkg.Info, arg).(*types.Func)
-		if fn == nil {
-			return
+// packageWrite reports the writes at n to package-level variables. A
+// nested sweep call is not followed: its job is checked at its own site.
+func packageWrite(n ast.Node, pkg *analysis.Package, hit func(token.Pos, string)) bool {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		if n.Tok == token.DEFINE {
+			return false // := declares new locals; it cannot write a package var
 		}
-		if r := w.reach(fn); r.found {
-			w.report(arg.Pos(), &writeResult{
-				varName: r.varName,
-				chain:   append([]string{fn.Name()}, r.chain...),
-				found:   true,
-			})
-		}
-	}
-}
-
-// report emits the diagnostic for a shared-state write.
-func (w *walker) report(pos token.Pos, r *writeResult) {
-	via := ""
-	if len(r.chain) > 0 {
-		via = " via " + strings.Join(r.chain, " → ")
-	}
-	w.pass.Reportf(pos, "sweep job writes package-level state %s%s (jobs run concurrently on sweep workers; keep sweep points self-contained or guard the state and suppress)", r.varName, via)
-}
-
-// checkBody scans one body for writes to package-level variables and for
-// calls that transitively perform one, invoking found for each.
-func (w *walker) checkBody(body *ast.BlockStmt, pkg *analysis.Package, found func(token.Pos, *writeResult)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				return true // := declares new locals; it cannot write a package var
-			}
-			for _, lhs := range n.Lhs {
-				if v := pkgVarRoot(pkg.Info, lhs); v != nil {
-					found(lhs.Pos(), &writeResult{varName: qualified(v), found: true})
-				}
-			}
-		case *ast.IncDecStmt:
-			if v := pkgVarRoot(pkg.Info, n.X); v != nil {
-				found(n.X.Pos(), &writeResult{varName: qualified(v), found: true})
-			}
-		case *ast.CallExpr:
-			fn := analysis.Callee(pkg.Info, n)
-			if fn == nil || isSweepEntry(fn) {
-				return true // nested sweep calls are checked at their own site
-			}
-			if r := w.reach(fn); r.found {
-				found(n.Pos(), &writeResult{
-					varName: r.varName,
-					chain:   append([]string{fn.Name()}, r.chain...),
-					found:   true,
-				})
+		for _, lhs := range n.Lhs {
+			if v := pkgVarRoot(pkg.Info, lhs); v != nil {
+				hit(lhs.Pos(), qualified(v))
 			}
 		}
-		return true
-	})
-}
-
-// reach reports (memoized) whether fn's body can write a package-level
-// variable, directly or through its callees.
-func (w *walker) reach(fn *types.Func) *writeResult {
-	if r, ok := w.writes[fn]; ok {
-		return r
-	}
-	for _, a := range w.active {
-		if a == fn {
-			return &writeResult{} // recursion: resolved by the outer visit
+	case *ast.IncDecStmt:
+		if v := pkgVarRoot(pkg.Info, n.X); v != nil {
+			hit(n.X.Pos(), qualified(v))
 		}
+	case *ast.CallExpr:
+		return isSweepEntry(analysis.Callee(pkg.Info, n))
 	}
-	fb, ok := w.idx[fn]
-	if !ok {
-		r := &writeResult{}
-		w.writes[fn] = r
-		return r
-	}
-	w.active = append(w.active, fn)
-	r := &writeResult{}
-	w.checkBody(fb.Body, fb.Pkg, func(_ token.Pos, inner *writeResult) {
-		if !r.found {
-			*r = *inner
-		}
-	})
-	w.active = w.active[:len(w.active)-1]
-	w.writes[fn] = r
-	return r
+	return false
 }
 
 // pkgVarRoot resolves the base of a written expression — unwrapping field
@@ -187,13 +95,13 @@ func (w *walker) reach(fn *types.Func) *writeResult {
 func pkgVarRoot(info *types.Info, e ast.Expr) *types.Var {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if v, ok := info.Uses[e].(*types.Var); ok && isPkgLevel(v) {
+		if v, ok := info.Uses[e].(*types.Var); ok && analysis.IsPkgLevel(v) {
 			return v
 		}
 	case *ast.SelectorExpr:
 		// Qualified reference otherpkg.Var, else a field chain v.f — recurse
 		// into the receiver.
-		if v, ok := info.Uses[e.Sel].(*types.Var); ok && isPkgLevel(v) {
+		if v, ok := info.Uses[e.Sel].(*types.Var); ok && analysis.IsPkgLevel(v) {
 			return v
 		}
 		return pkgVarRoot(info, e.X)
@@ -205,12 +113,6 @@ func pkgVarRoot(info *types.Info, e ast.Expr) *types.Var {
 		return pkgVarRoot(info, e.X)
 	}
 	return nil
-}
-
-// isPkgLevel reports whether v is declared at package scope (fields and
-// locals have other parents).
-func isPkgLevel(v *types.Var) bool {
-	return v != nil && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // qualified renders a package variable as pkgname.Var for diagnostics.

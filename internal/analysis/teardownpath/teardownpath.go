@@ -55,19 +55,9 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	r := &runner{pass: pass, ops: ops}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					r.check(n.Body)
-				}
-			case *ast.FuncLit:
-				r.check(n.Body)
-			}
-			return true
-		})
-	}
+	pass.Bodies(func(_ *types.Func, _ *types.Signature, body *ast.BlockStmt) {
+		r.check(body)
+	})
 	return nil
 }
 

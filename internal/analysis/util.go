@@ -230,6 +230,22 @@ func IdentObject(info *types.Info, e ast.Expr) types.Object {
 	return info.ObjectOf(id)
 }
 
+// IsNil reports whether e is the untyped nil literal.
+func IsNil(info *types.Info, e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	_, isNil := info.Uses[id].(*types.Nil)
+	return isNil
+}
+
+// IsPkgLevel reports whether v is declared at package scope (fields and
+// locals have other parents).
+func IsPkgLevel(v *types.Var) bool {
+	return v != nil && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
 // BaseObject returns the object of the identifier at the base of a
 // (possibly nested) slice or index expression, or of e itself when it is
 // an identifier; nil otherwise.

@@ -3,8 +3,12 @@ package ga_test
 import (
 	"testing"
 
+	"golapi/internal/cluster"
 	"golapi/internal/exec"
 	"golapi/internal/ga"
+	"golapi/internal/mpi"
+	"golapi/internal/mpl"
+	"golapi/internal/switchnet"
 )
 
 func TestTinyArrayEmptyBlocks(t *testing.T) {
@@ -179,4 +183,89 @@ func TestSingleRowPatchAcrossColumnOwners(t *testing.T) {
 		}
 		w.Sync(ctx)
 	})
+}
+
+// TestMPLSmallRequestBuffer scatters and gathers more subscripts to one
+// owner than one MPL request holds: the backend must split them into
+// requests that fit the server's buffer and give the LAPI backend's
+// results.
+func TestMPLSmallRequestBuffer(t *testing.T) {
+	const dim, n = 16, 40 // 2x2 grid: rank 3 owns rows and columns 8..15
+	rows, cols, vals := make([]int, n), make([]int, n), make([]float64, n)
+	for k := range vals {
+		rows[k], cols[k], vals[k] = 8+k/8, 8+k%8, float64(k)+0.25
+	}
+	results := map[string][]float64{}
+	for _, be := range []struct {
+		name     string
+		maxBytes int
+	}{{"LAPI", 0}, {"MPL", 104}} {
+		results[be.name] = make([]float64, n)
+		main := func(ctx exec.Context, w *ga.World) {
+			a, err := w.Create(ctx, dim, dim)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if w.Self() == 0 {
+				if err := a.Scatter(ctx, rows, cols, vals); err != nil {
+					t.Error(err)
+				}
+			}
+			w.Sync(ctx)
+			if w.Self() == 1 {
+				if err := a.Gather(ctx, rows, cols, results[be.name]); err != nil {
+					t.Error(err)
+				}
+			}
+			w.Sync(ctx)
+		}
+		if be.maxBytes == 0 {
+			runLAPIWorld(t, 4, main)
+			continue
+		}
+		runMPLWorldConfig(t, 4, be.maxBytes, func(ctx exec.Context, w *ga.World, err error) {
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			main(ctx, w)
+		})
+	}
+	for k, want := range vals {
+		if got := results["MPL"][k]; got != want || results["LAPI"][k] != want {
+			t.Errorf("gather[%d]: MPL %g, LAPI %g, want %g", k, got, results["LAPI"][k], want)
+		}
+	}
+}
+
+// TestMPLRequestBufferTooSmall: a request buffer that holds no scatter
+// record is refused at creation (a put would otherwise split into empty
+// chunks forever).
+func TestMPLRequestBufferTooSmall(t *testing.T) {
+	runMPLWorldConfig(t, 2, 44, func(ctx exec.Context, w *ga.World, err error) {
+		if err == nil {
+			t.Error("NewMPLWorld accepted MaxRequestBytes=44, which holds no scatter record")
+		}
+	})
+}
+
+// runMPLWorldConfig runs main on an n-task MPL world whose request buffer
+// is maxBytes, handing it NewMPLWorld's result.
+func runMPLWorldConfig(t *testing.T, n, maxBytes int, main func(ctx exec.Context, w *ga.World, err error)) {
+	t.Helper()
+	mcfg := mpi.DefaultConfig()
+	mcfg.EagerLimit = mcfg.MaxEagerLimit
+	c, err := cluster.NewSimMPL(n, switchnet.DefaultConfig(), mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ga.DefaultConfig()
+	cfg.MaxRequestBytes = maxBytes
+	if err := c.Run(func(ctx exec.Context, mt *mpl.Task) {
+		w, err := ga.NewMPLWorld(ctx, mt, cfg)
+		main(ctx, w, err)
+	}); err != nil {
+		t.Fatal(err)
+	}
 }

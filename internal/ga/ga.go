@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"golapi/internal/exec"
+	"golapi/internal/progress"
 )
 
 // Patch is an inclusive rectangular section of a global array, GA-style.
@@ -111,12 +112,7 @@ func DefaultConfig() Config {
 
 // charge sleeps for the modelled time of copying n bytes.
 func (c Config) charge(ctx exec.Context, n int) {
-	if c.MemcpyBandwidth <= 0 || n <= 0 {
-		return
-	}
-	if d := time.Duration(float64(n) / c.MemcpyBandwidth * float64(time.Second)); d > 0 {
-		ctx.Sleep(d)
-	}
+	progress.ChargeCopy(ctx, n, c.MemcpyBandwidth)
 }
 
 // backend is the communication substrate behind a World. Both backends

@@ -109,7 +109,8 @@ func (b *mplBackend) release() {
 // eager limit: the paper attributes the baseline's early put advantage to
 // MPL's "much larger buffer space".
 func NewMPLWorld(ctx exec.Context, t *mpl.Task, cfg Config) (*World, error) {
-	if cfg.MaxRequestBytes <= gaHdrSize {
+	if cfg.MaxRequestBytes < gaHdrSize+scatterRecord {
+		// Every request must carry at least one record or one element.
 		return nil, fmt.Errorf("ga: MaxRequestBytes=%d too small", cfg.MaxRequestBytes)
 	}
 	b := &mplBackend{
@@ -268,25 +269,38 @@ func (b *mplBackend) get(ctx exec.Context, a *Array, owner int, sub Patch, buf [
 
 // --- scatter / gather -----------------------------------------------------------
 
+// scatter and gather split their subscripts into requests of at most
+// maxDataBytes, as sendPatches splits a put; gather merges the replies.
 func (b *mplBackend) scatter(ctx exec.Context, a *Array, owner int, idx []int32, vals []float64) error {
-	msg := b.newRequest(gaHdr{op: gaScatter, handle: uint16(a.handle), count: uint32(len(vals))}, len(vals)*scatterRecord)
-	packSubscripts(msg[gaHdrSize:], idx, vals)
-	return b.send(ctx, owner, msg)
+	per := b.maxDataBytes() / scatterRecord
+	for k0 := 0; k0 < len(vals); k0 += per {
+		part := vals[k0:min(k0+per, len(vals))]
+		msg := b.newRequest(gaHdr{op: gaScatter, handle: uint16(a.handle), count: uint32(len(part))}, len(part)*scatterRecord)
+		packSubscripts(msg[gaHdrSize:], idx[2*k0:2*(k0+len(part))], part)
+		if err := b.send(ctx, owner, msg); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (b *mplBackend) gather(ctx exec.Context, a *Array, owner int, idx []int32, out []float64) error {
-	msg := b.newRequest(gaHdr{op: gaGatherReq, handle: uint16(a.handle), count: uint32(len(out))}, len(out)*gatherRecord)
-	packSubscripts(msg[gaHdrSize:], idx, nil)
-	if err := b.send(ctx, owner, msg); err != nil {
-		return err
+	per := b.maxDataBytes() / gatherRecord
+	for k0 := 0; k0 < len(out); k0 += per {
+		part := out[k0:min(k0+per, len(out))]
+		msg := b.newRequest(gaHdr{op: gaGatherReq, handle: uint16(a.handle), count: uint32(len(part))}, len(part)*gatherRecord)
+		packSubscripts(msg[gaHdrSize:], idx[2*k0:2*(k0+len(part))], nil)
+		if err := b.send(ctx, owner, msg); err != nil {
+			return err
+		}
+		reply, err := b.recvReply(ctx, owner, len(part)*8)
+		if err != nil {
+			return err
+		}
+		b.cfg.charge(ctx, len(reply))
+		unpackRow(part, 0, reply, len(part))
+		b.scratch.give(reply)
 	}
-	reply, err := b.recvReply(ctx, owner, len(out)*8)
-	if err != nil {
-		return err
-	}
-	b.cfg.charge(ctx, len(reply))
-	unpackRow(out, 0, reply, len(out))
-	b.scratch.give(reply)
 	return nil
 }
 

@@ -135,14 +135,6 @@ func (c Config) validate(maxPacket int) error {
 	return nil
 }
 
-// copyCost returns the modelled time to copy n bytes.
-func (c Config) copyCost(n int) time.Duration {
-	if c.MemcpyBandwidth <= 0 || n <= 0 {
-		return 0
-	}
-	return time.Duration(float64(n) / c.MemcpyBandwidth * float64(time.Second))
-}
-
 // Query identifies a Qenv item (paper Table 1, LAPI_Qenv).
 type Query int
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"golapi/internal/exec"
+	"golapi/internal/progress"
 	"golapi/internal/stats"
 	"golapi/internal/trace"
 )
@@ -174,9 +175,7 @@ func (t *Task) sendChunked(ctx exec.Context, tgt int, om *outMsg, first, rest he
 		// Model the copy into LAPI's retransmit buffers. The physical
 		// copy into the packets happens either way; only the cost is
 		// conditional.
-		if c := t.cfg.copyCost(msgBytes); c > 0 {
-			ctx.Sleep(c)
-		}
+		progress.ChargeCopy(ctx, msgBytes, t.cfg.MemcpyBandwidth)
 		t.Counters.Add(stats.CopiesBytes, int64(msgBytes))
 	}
 

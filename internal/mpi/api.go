@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"golapi/internal/exec"
+	"golapi/internal/progress"
 	"golapi/internal/stats"
 )
 
@@ -69,9 +70,7 @@ func (t *Task) isend(ctx exec.Context, dst, tag int, data []byte) *Request {
 			if end > len(data) {
 				end = len(data)
 			}
-			if c := t.cfg.copyCost(end - off); c > 0 {
-				ctx.Sleep(c)
-			}
+			progress.ChargeCopy(ctx, end-off, t.cfg.MemcpyBandwidth)
 			if t.cfg.SendOverhead > 0 {
 				ctx.Sleep(t.cfg.SendOverhead)
 			}

@@ -120,10 +120,3 @@ func (c Config) validate(maxPacket int) error {
 	}
 	return nil
 }
-
-func (c Config) copyCost(n int) time.Duration {
-	if c.MemcpyBandwidth <= 0 || n <= 0 {
-		return 0
-	}
-	return time.Duration(float64(n) / c.MemcpyBandwidth * float64(time.Second))
-}

@@ -205,9 +205,7 @@ func (t *Task) handleEager(ctx exec.Context, src int, h wireHeader, payload []by
 		// (§4) — is charged per packet: it pipelines with reception,
 		// so its real effect is to raise the receiver's per-packet
 		// CPU cost (and cap eager bandwidth below LAPI's).
-		if c := t.cfg.copyCost(len(payload)); c > 0 {
-			ctx.Sleep(c)
-		}
+		progress.ChargeCopy(ctx, len(payload), t.cfg.MemcpyBandwidth)
 		t.Counters.Add(stats.CopiesBytes, int64(len(payload)))
 		copy(im.early[h.offset:], payload)
 		im.recvd += len(payload)

@@ -33,6 +33,18 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// ChargeCopy sleeps ctx for the modelled time of copying n bytes at
+// bandwidth bytes/sec; a bandwidth of 0 makes copies free. LAPI's internal
+// buffering, MPI's and GA's pack and unpack copies are all priced here.
+func ChargeCopy(ctx exec.Context, n int, bandwidth float64) {
+	if bandwidth <= 0 || n <= 0 {
+		return
+	}
+	if d := time.Duration(float64(n) / bandwidth * float64(time.Second)); d > 0 {
+		ctx.Sleep(d)
+	}
+}
+
 // Engine is one task's progress engine, embedded by value and started by
 // Init. Like the task around it, it runs serialized on its runtime.
 type Engine struct {
