@@ -160,3 +160,28 @@ func registerTwice(t *lapi.Task) {
 	t.RegisterHandler(syncHandler) // want `header handler must not block: reaches \(\*Task\)\.Barrier via syncHandler`
 	t.RegisterHandler(syncHandler) // want `header handler must not block: reaches \(\*Task\)\.Barrier via syncHandler`
 }
+
+// cycleAfterCut reaches Fence through cycA from one handler and through
+// cycB, which reaches it only via cycA, from the next. The first search
+// enters cycB from cycA and is cut there at cycA, before cycA's Fence is
+// seen; that cut result is not kept, so the second handler is flagged too.
+// The first report is suppressed: this fixture pins the second.
+func cycleAfterCut(t *lapi.Task) {
+	t.RegisterHandler(func(tk *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
+		cycA(tk) //lapivet:ignore handlerblock searched first, so that cycB's cut search precedes the handler below
+		return lapi.AddrNil, nil
+	})
+	t.RegisterHandler(func(tk *lapi.Task, info *lapi.AmInfo) (lapi.Addr, lapi.CompletionHandler) {
+		cycB(tk) // want `header handler must not block: reaches \(\*Task\)\.Fence via cycB → cycA`
+		return lapi.AddrNil, nil
+	})
+}
+
+func cycA(t *lapi.Task) {
+	cycB(t)
+	t.Fence(nil)
+}
+
+func cycB(t *lapi.Task) {
+	cycA(t)
+}

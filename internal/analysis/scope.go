@@ -105,13 +105,16 @@ func OutlivesDispatch(info *types.Info, ch types.Type, body *ast.BlockStmt) map[
 
 // A Search finds, from a function body, the first node a pass looks for —
 // in the body itself, or in the body of any static callee reached through
-// FuncIndex — and the callee chain that leads there. Results are memoized
-// per function; a callee already on the search stack counts as no finding,
-// and the outer visit resolves it.
+// FuncIndex — and the callee chain that leads there. A callee already on
+// the search stack counts as no finding, and the outer visit resolves it.
+// Results are memoized per function, except a function that found nothing
+// while the guard cut the search at one of its callers: that caller's
+// finding may yet lie on the path it cut.
 type Search struct {
 	idx    map[*types.Func]FuncBody
 	memo   map[*types.Func]Path
 	active []*types.Func
+	cut    int // lowest stack index the guard has cut at since the current frame began
 	skip   func(body *ast.BlockStmt, pkg *Package) map[ast.Node]bool
 	visit  func(n ast.Node, pkg *Package, hit func(token.Pos, string)) bool
 }
@@ -185,12 +188,15 @@ func (s *Search) reach(fn *types.Func) Path {
 	if p, ok := s.memo[fn]; ok {
 		return p
 	}
-	for _, a := range s.active {
+	for i, a := range s.active {
 		if a == fn {
+			s.cut = min(s.cut, i)
 			return Path{}
 		}
 	}
 	var p Path
+	d, outer := len(s.active), s.cut
+	s.cut = d
 	if fb, ok := s.idx[fn]; ok {
 		s.active = append(s.active, fn)
 		s.scan(fb.Body, fb.Pkg, func(_ token.Pos, inner Path) {
@@ -198,9 +204,12 @@ func (s *Search) reach(fn *types.Func) Path {
 				p = inner
 			}
 		})
-		s.active = s.active[:len(s.active)-1]
+		s.active = s.active[:d]
 	}
-	s.memo[fn] = p
+	if p.What != "" || s.cut >= d {
+		s.memo[fn] = p
+	}
+	s.cut = min(outer, s.cut)
 	return p
 }
 

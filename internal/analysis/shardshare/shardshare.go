@@ -41,7 +41,7 @@ func run(pass *analysis.Pass) error {
 	if pass.Lookup(ParallelPath) == nil {
 		return nil // package has no path to the executor: nothing to enforce
 	}
-	s := pass.NewSearch(packageWrite, nil)
+	s := pass.NewSearch(packageWrite, nestedJobs)
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -66,7 +66,8 @@ func isSweepEntry(fn *types.Func) bool {
 }
 
 // packageWrite reports the writes at n to package-level variables. A
-// nested sweep call is not followed: its job is checked at its own site.
+// nested sweep call is not followed, nor is its job literal entered
+// (nestedJobs): the job is checked at its own call's site.
 func packageWrite(n ast.Node, pkg *analysis.Package, hit func(token.Pos, string)) bool {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
@@ -86,6 +87,26 @@ func packageWrite(n ast.Node, pkg *analysis.Package, hit func(token.Pos, string)
 		return isSweepEntry(analysis.Callee(pkg.Info, n))
 	}
 	return false
+}
+
+// nestedJobs returns the function-literal arguments of the sweep calls in
+// body, which a search does not enter.
+func nestedJobs(body *ast.BlockStmt, pkg *analysis.Package) map[ast.Node]bool {
+	var jobs map[ast.Node]bool
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isSweepEntry(analysis.Callee(pkg.Info, call)) {
+			for _, arg := range call.Args {
+				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+					if jobs == nil {
+						jobs = make(map[ast.Node]bool)
+					}
+					jobs[lit] = true
+				}
+			}
+		}
+		return true
+	})
+	return jobs
 }
 
 // pkgVarRoot resolves the base of a written expression — unwrapping field

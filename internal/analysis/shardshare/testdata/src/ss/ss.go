@@ -141,3 +141,15 @@ func viaCycle(px *parallel.Executor) error {
 		return nil
 	})
 }
+
+// nestedSweep runs a sweep inside a sweep job. The inner job's write is
+// reported once, at the inner call's own site: the outer job's search does
+// not enter the inner literal.
+func nestedSweep(px *parallel.Executor) error {
+	return parallel.ForEach(px, 2, func(i int) error {
+		return parallel.ForEach(px, 2, func(j int) error {
+			counter = j // want `sweep job writes package-level state ss\.counter`
+			return nil
+		})
+	})
+}

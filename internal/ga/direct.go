@@ -1,60 +1,95 @@
 package ga
 
-// Direct-access exports for layers that build their own one-sided
-// protocols on LAPI while borrowing GA's collective allocation, block
-// distribution, and address exchange — the gateway (internal/gateway) is
-// the first such layer. All of these are LAPI-backend-only views: the MPL
-// backend keeps its storage private, so every function degrades to
-// ok=false there and callers must fall back to the portable GA operations.
-//
-// The exposed representation is the backend's real one: array blocks and
-// counter words are stored as big-endian 8-byte values in the owning
-// task's LAPI heap (the Task.ReadInt64/ReadFloat64 convention), so bytes
-// moved with raw LAPI Put/Get against these addresses interoperate with
-// GA's own put/get/acc and with LAPI Rmw.
+// Row operations for clients that hold data in GA's own storage format —
+// big-endian float64s, the encoding of every block in the owners' LAPI
+// heaps — such as the gateway (internal/gateway), whose wire format it is.
+// A row segment maps onto each owner's block as one contiguous run, so
+// each remote piece is one LAPI Put, one Get, or one accumulate request to
+// GA's own request handler, straight from or into the caller's bytes with
+// no pack copy; a piece this task owns is applied in place by
+// Config.apply, as the owner would apply a request. All three are
+// LAPI-backend-only: the MPL backend has no remote memory to address, so
+// they return an error there.
 
-import "golapi/internal/lapi"
+import (
+	"fmt"
 
-// LocalBlock returns the calling task's block of a — its patch in global
-// indices and the raw storage (big-endian float64s, row-major with the
-// block's column count as leading dimension). ok is false on non-LAPI
-// backends or when this task owns no elements of a.
-//
-// The returned slice aliases the live block: writes are visible to remote
-// gets immediately. Callers run serialized on the task's runtime, so
-// mutating it is safe exactly where calling GA operations is.
-func (a *Array) LocalBlock() (Patch, []byte, bool) {
-	b, ok := a.w.b.(*lapiBackend)
-	if !ok {
-		return Patch{}, nil, false
-	}
-	local, blk := b.block(a)
-	return local, blk, len(blk) > 0
+	"golapi/internal/exec"
+	"golapi/internal/lapi"
+)
+
+// PutRow stores data, len(data)/8 big-endian float64s, into elements
+// [col, col+len(data)/8) of row. It returns once every owner holds them.
+func (a *Array) PutRow(ctx exec.Context, row, col int, data []byte) error {
+	return a.rowOp(ctx, gaPut, row, col, 0, data)
 }
 
-// RowSpan decomposes the row segment [col, col+count) of row into
-// owner-contiguous pieces and invokes fn once per piece with the owning
-// rank, the remote address of the piece's first element, the piece's
-// offset (in elements) from col, and its element count. Segments within
-// one owner's block are contiguous in the owner's storage, so each piece
-// is one raw LAPI Put/Get. Returns false (without calling fn) on non-LAPI
-// backends or if the segment lies outside the array.
-func (a *Array) RowSpan(row, col, count int, fn func(owner int, addr lapi.Addr, off, elems int)) bool {
+// GetRow fills out, len(out)/8 big-endian float64s, from elements
+// [col, col+len(out)/8) of row. It returns once out is filled.
+func (a *Array) GetRow(ctx exec.Context, row, col int, out []byte) error {
+	return a.rowOp(ctx, gaGetReq, row, col, 0, out)
+}
+
+// AccRow atomically adds alpha times data, big-endian float64s, to
+// elements [col, col+len(data)/8) of row, like Acc. It returns once every
+// owner has folded its piece in.
+func (a *Array) AccRow(ctx exec.Context, row, col int, alpha float64, data []byte) error {
+	return a.rowOp(ctx, gaAcc, row, col, alpha, data)
+}
+
+// rowOp runs one row operation on the pieces decompose cuts the segment
+// into, waiting on one borrowed counter: the target completion counter of
+// a Put or an accumulate, the origin counter of a Get.
+func (a *Array) rowOp(ctx exec.Context, op byte, row, col int, alpha float64, data []byte) error {
 	b, ok := a.w.b.(*lapiBackend)
 	if !ok {
-		return false
+		return fmt.Errorf("ga: row operations need the LAPI backend")
 	}
-	if row < 0 || row >= a.rows || col < 0 || count <= 0 || col+count > a.cols {
-		return false
+	p := Patch{RLo: row, RHi: row, CLo: col, CHi: col + len(data)/8 - 1}
+	if err := a.checkPatch(p); err != nil || len(data)%8 != 0 {
+		return fmt.Errorf("ga: row segment %v of %d bytes outside %dx%d array", p, len(data), a.rows, a.cols)
 	}
-	for start := col; start < col+count; {
-		gc := start / a.blockC
-		end := min((gc+1)*a.blockC, col+count)
-		owner := (row/a.blockR)*a.gridC + gc
-		fn(owner, b.remoteAddr(a, owner, row, start), start-col, end-start)
-		start = end
+	in := b.info(a.handle)
+	cntr := b.borrowCntr()
+	defer b.returnCntr(cntr)
+	issued := 0
+	var err error
+	var subs [4]subRequest
+	for _, s := range a.decompose(p, subs[:0]) {
+		piece := data[(s.sub.CLo-col)*8 : (s.sub.CHi+1-col)*8]
+		h := gaHdr{op: op, handle: uint16(a.handle), sub: s.sub, alpha: alpha}
+		if s.owner == b.self() {
+			if op == gaAcc {
+				b.accMu.lock(ctx)
+			}
+			b.cfg.apply(ctx, h, piece, in.block, in.local, func(int) []byte { return piece })
+			if op == gaAcc {
+				b.accMu.unlock()
+			}
+			continue
+		}
+		addr := b.remoteAddr(a, s.owner, row, s.sub.CLo)
+		switch op {
+		case gaPut:
+			err = b.t.Put(ctx, s.owner, addr, piece, lapi.NoCounter, nil, cntr)
+		case gaGetReq:
+			err = b.t.Get(ctx, s.owner, addr, piece, lapi.NoCounter, cntr)
+		default:
+			// Amsend copies the header into its first packet before it
+			// returns, so the header buffer goes back at once.
+			hdr := h.encode(b.scratch.borrow(gaHdrSize))
+			err = b.t.Amsend(ctx, s.owner, b.reqH, hdr, piece, lapi.NoCounter, nil, cntr)
+			b.scratch.give(hdr)
+		}
+		if err != nil {
+			break
+		}
+		issued++
 	}
-	return true
+	if issued > 0 {
+		b.t.Waitcntr(ctx, cntr, issued)
+	}
+	return err
 }
 
 // Location returns the rank hosting the shared counter and the remote

@@ -29,6 +29,7 @@ package ga
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"golapi/internal/exec"
@@ -182,6 +183,9 @@ type Array struct {
 func (w *World) Create(ctx exec.Context, rows, cols int) (*Array, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("ga: Create(%d,%d): dimensions must be positive", rows, cols)
+	}
+	if len(w.arrays) > math.MaxUint16 {
+		return nil, fmt.Errorf("ga: Create: a request names its array in 16 bits, and %d exist", len(w.arrays))
 	}
 	gr, gc := processGrid(w.N())
 	a := &Array{

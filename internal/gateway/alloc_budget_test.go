@@ -56,6 +56,7 @@ func TestGatewayAllocBudget(t *testing.T) {
 	}{
 		{"put", func() error { _, err := c.Put(ah, 2, 8, vals); return err }},
 		{"get", func() error { _, err := c.Get(ah, 2, 8, out); return err }},
+		{"acc", func() error { _, err := c.Acc(ah, 2, 8, 0.5, vals); return err }},
 		{"readinc", func() error { _, _, err := c.ReadInc(ch, 1); return err }},
 	}
 	for _, tc := range ops {

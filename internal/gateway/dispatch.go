@@ -1,14 +1,13 @@
 package gateway
 
-// The dispatch core: opcode → one-sided LAPI operations, following the
-// paper's completion discipline. Writes (Put, Acc) wait on the cmpl
-// counter — remote completion acknowledged — before answering, so a
-// client's next request observes its own writes anywhere in the mesh.
-// Reads (Get, ReadInc) wait on the org counter — data landed at the
-// origin. Segments that fall inside the home rank's own block short-cut
-// to a memcpy: the wire format is big-endian float64s, exactly the LAPI
-// backend's storage format, so the fast path is a straight copy with no
-// per-element conversion.
+// The dispatch core: an array opcode is one of internal/ga's row
+// operations, a read-and-increment one LAPI Rmw, following the paper's
+// completion discipline. Writes (Put, Acc) return once every owner has
+// applied the data, so a client's next request observes its own writes
+// anywhere in the mesh; reads (Get, ReadInc) once the data has landed at
+// the home rank. The wire format is big-endian float64s, GA's own block
+// format, so a payload goes to the owners, and a Get's answer lands in the
+// response frame, with no per-element conversion.
 
 import (
 	"encoding/binary"
@@ -19,7 +18,7 @@ import (
 	"golapi/internal/lapi"
 )
 
-func (s *session) exec(ctx exec.Context, req *request, org, cmpl *lapi.Counter) {
+func (s *session) exec(ctx exec.Context, req *request) {
 	if req.protoErr {
 		s.respond(req, proto.StatusProtocol, 0, nil)
 		return
@@ -41,14 +40,10 @@ func (s *session) exec(ctx exec.Context, req *request, org, cmpl *lapi.Counter) 
 		s.respond(req, proto.StatusOK, uint64(s.srv.served.Load()), nil)
 	case proto.OpOpen:
 		s.execOpen(req)
-	case proto.OpPut:
-		s.execPut(ctx, req, cmpl)
-	case proto.OpGet:
-		s.execGet(ctx, req, org)
-	case proto.OpAcc:
-		s.execAcc(ctx, req, cmpl)
+	case proto.OpPut, proto.OpGet, proto.OpAcc:
+		s.execRow(ctx, req)
 	case proto.OpReadInc:
-		s.execReadInc(ctx, req, org)
+		s.execReadInc(ctx, req)
 	default:
 		// Unreachable: read marks unknown opcodes protoErr, and serve
 		// runs OpCreate through execCreate.
@@ -109,150 +104,42 @@ func (s *session) execOpen(req *request) {
 	s.respond(req, proto.StatusNotFound, 0, nil)
 }
 
-func (s *session) execPut(ctx exec.Context, req *request, cmpl *lapi.Counter) {
+// execRow runs a Put, Get or Acc as the ga row operation of the same name
+// on the home rank's view of the array.
+func (s *session) execRow(ctx exec.Context, req *request) {
 	obj, st := s.resolve(req, proto.KindArray)
+	if st == proto.StatusOK && !obj.segBounds(&req.h) {
+		st = proto.StatusBadPatch
+	}
 	if st != proto.StatusOK {
 		s.respond(req, st, 0, nil)
 		return
 	}
-	if !obj.segBounds(&req.h) {
-		s.respond(req, proto.StatusBadPatch, 0, nil)
-		return
-	}
-	row, col, count := int(req.h.Row), int(req.h.Col), int(req.h.Count)
-	rank := s.rs.idx
-	if off, ok := obj.localSeg(rank, row, col, count); ok {
-		copy(obj.block[rank][off:off+count*8], req.payload)
-		s.respond(req, proto.StatusOK, 0, nil)
-		return
-	}
-	issued := 0
-	var opErr error
-	obj.arrs[rank].RowSpan(row, col, count, func(owner int, addr lapi.Addr, off, elems int) {
-		piece := req.payload[off*8 : (off+elems)*8]
-		if owner == rank {
-			loff, _ := obj.localSeg(rank, row, col+off, elems)
-			copy(obj.block[rank][loff:loff+elems*8], piece)
+	a, row, col := obj.arrs[s.rs.idx], int(req.h.Row), int(req.h.Col)
+	var err error
+	switch req.h.Op {
+	case proto.OpPut:
+		err = a.PutRow(ctx, row, col, req.payload)
+	case proto.OpAcc:
+		err = a.AccRow(ctx, row, col, math.Float64frombits(binary.BigEndian.Uint64(req.payload)), req.payload[8:])
+	default:
+		frame := s.rs.ep.Alloc(proto.HeaderSize + int(req.h.Count)*8)
+		s.srv.frames.Add(1)
+		if err = a.GetRow(ctx, row, col, frame[proto.HeaderSize:]); err == nil {
+			s.respond(req, proto.StatusOK, 0, frame)
 			return
 		}
-		if err := s.rs.t.Put(ctx, owner, addr, piece, lapi.NoCounter, nil, cmpl); err != nil {
-			opErr = err
-			return
-		}
-		issued++
-	})
-	if issued > 0 {
-		s.rs.t.Waitcntr(ctx, cmpl, issued)
-	}
-	if opErr != nil {
-		s.respond(req, proto.StatusBusy, 0, nil)
-		return
-	}
-	s.respond(req, proto.StatusOK, 0, nil)
-}
-
-func (s *session) execGet(ctx exec.Context, req *request, org *lapi.Counter) {
-	obj, st := s.resolve(req, proto.KindArray)
-	if st != proto.StatusOK {
-		s.respond(req, st, 0, nil)
-		return
-	}
-	if !obj.segBounds(&req.h) {
-		s.respond(req, proto.StatusBadPatch, 0, nil)
-		return
-	}
-	row, col, count := int(req.h.Row), int(req.h.Col), int(req.h.Count)
-	rank := s.rs.idx
-	frame := s.rs.ep.Alloc(proto.HeaderSize + count*8)
-	s.srv.frames.Add(1)
-	data := frame[proto.HeaderSize:]
-	if off, ok := obj.localSeg(rank, row, col, count); ok {
-		copy(data, obj.block[rank][off:off+count*8])
-		s.respond(req, proto.StatusOK, 0, frame)
-		return
-	}
-	issued := 0
-	var opErr error
-	obj.arrs[rank].RowSpan(row, col, count, func(owner int, addr lapi.Addr, off, elems int) {
-		piece := data[off*8 : (off+elems)*8]
-		if owner == rank {
-			loff, _ := obj.localSeg(rank, row, col+off, elems)
-			copy(piece, obj.block[rank][loff:loff+elems*8])
-			return
-		}
-		// Remote pieces land straight in the response frame.
-		if err := s.rs.t.Get(ctx, owner, addr, piece, lapi.NoCounter, org); err != nil {
-			opErr = err
-			return
-		}
-		issued++
-	})
-	if issued > 0 {
-		s.rs.t.Waitcntr(ctx, org, issued)
-	}
-	if opErr != nil {
 		s.rs.ep.Release(frame)
 		s.srv.frames.Add(-1)
-		s.respond(req, proto.StatusBusy, 0, nil)
-		return
 	}
-	s.respond(req, proto.StatusOK, 0, frame)
-}
-
-func (s *session) execAcc(ctx exec.Context, req *request, cmpl *lapi.Counter) {
-	obj, st := s.resolve(req, proto.KindArray)
-	if st != proto.StatusOK {
-		s.respond(req, st, 0, nil)
-		return
-	}
-	if !obj.segBounds(&req.h) {
-		s.respond(req, proto.StatusBadPatch, 0, nil)
-		return
-	}
-	row, col, count := int(req.h.Row), int(req.h.Col), int(req.h.Count)
-	rank := s.rs.idx
-	alphaBits := binary.BigEndian.Uint64(req.payload[0:8])
-	data := req.payload[8:]
-	if _, ok := obj.localSeg(rank, row, col, count); ok {
-		obj.accLocal(rank, row, col, math.Float64frombits(alphaBits), data)
-		s.respond(req, proto.StatusOK, 0, nil)
-		return
-	}
-	issued := 0
-	var opErr error
-	var uhdr [accUhdrSize]byte
-	binary.BigEndian.PutUint32(uhdr[0:4], req.h.Handle)
-	binary.BigEndian.PutUint64(uhdr[16:24], alphaBits)
-	obj.arrs[rank].RowSpan(row, col, count, func(owner int, addr lapi.Addr, off, elems int) {
-		piece := data[off*8 : (off+elems)*8]
-		if owner == rank {
-			obj.accLocal(rank, row, col+off, math.Float64frombits(alphaBits), piece)
-			return
-		}
-		// uhdr and udata gather into the wire packet inside Amsend, so the
-		// stack uhdr and the pooled payload may be reused immediately.
-		binary.BigEndian.PutUint32(uhdr[4:8], uint32(row))
-		binary.BigEndian.PutUint32(uhdr[8:12], uint32(col+off))
-		binary.BigEndian.PutUint32(uhdr[12:16], uint32(elems))
-		if err := s.rs.t.Amsend(ctx, owner, s.rs.accH, uhdr[:], piece, lapi.NoCounter, nil, cmpl); err != nil {
-			opErr = err
-			return
-		}
-		issued++
-	})
-	if issued > 0 {
-		// cmpl fires after the target's completion handler has folded the
-		// piece in — the accumulate is visible mesh-wide when we answer.
-		s.rs.t.Waitcntr(ctx, cmpl, issued)
-	}
-	if opErr != nil {
+	if err != nil {
 		s.respond(req, proto.StatusBusy, 0, nil)
 		return
 	}
 	s.respond(req, proto.StatusOK, 0, nil)
 }
 
-func (s *session) execReadInc(ctx exec.Context, req *request, org *lapi.Counter) {
+func (s *session) execReadInc(ctx exec.Context, req *request) {
 	obj, st := s.resolve(req, proto.KindCounter)
 	if st != proto.StatusOK {
 		s.respond(req, st, 0, nil)
@@ -275,10 +162,10 @@ func (s *session) execReadInc(ctx exec.Context, req *request, org *lapi.Counter)
 		s.respond(req, proto.StatusOK, uint64(v), nil)
 		return
 	}
-	if err := s.rs.t.Rmw(ctx, lapi.RmwFetchAndAdd, obj.ctrOwner, obj.ctrAddr, delta, 0, &req.prev, org); err != nil {
+	prev, err := s.rs.t.RmwSync(ctx, lapi.RmwFetchAndAdd, obj.ctrOwner, obj.ctrAddr, delta, 0)
+	if err != nil {
 		s.respond(req, proto.StatusBusy, 0, nil)
 		return
 	}
-	s.rs.t.Waitcntr(ctx, org, 1)
-	s.respond(req, proto.StatusOK, uint64(req.prev), nil)
+	s.respond(req, proto.StatusOK, uint64(prev), nil)
 }

@@ -6,11 +6,12 @@
 //
 // This is the layering the paper argues for, turned into a serving stack:
 // clients speak a small request/response protocol to the gateway; the
-// gateway translates each opcode into one-sided LAPI operations (Put, Get,
-// Rmw, Amsend) with completion tracked by counters, against arrays whose
-// allocation, distribution, and address exchange come from internal/ga and
-// whose control plane (startup barrier, shutdown aggregation) comes from
-// internal/collective.
+// gateway translates each array opcode into one of internal/ga's row
+// operations, which are one-sided LAPI operations (Put, Get, and an Amsend
+// of GA's own accumulate request) with completion tracked by counters, and
+// a read-and-increment into a LAPI Rmw on the counter's word. Bring-up is
+// ga.NewLAPIWorld, whose closing barrier has every rank up before any client
+// is served, and the shutdown sum is one lapi.ExchangeWord.
 //
 // Concurrency model. The mesh is a cluster.TCPJob: one exec.RealRuntime
 // (serialization domain) per rank. Everything that touches rank state —
@@ -20,7 +21,7 @@
 // goroutine per client session and the accept loop) are plain goroutines
 // that enter a rank's domain only through RealRuntime.Do — a session runs
 // each request to completion on its own goroutine under the rank lock —
-// or, for the collective steps (bring-up, Create, Close's allreduce),
+// or, for the collective steps (bring-up, Create, Close's sum),
 // through everyRank, which runs one short activity per rank and joins
 // them. Each of those activities ends with its step, so nothing of the
 // control plane stays parked between steps.
@@ -31,14 +32,12 @@
 package gateway
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 
 	"golapi/internal/cluster"
-	"golapi/internal/collective"
 	"golapi/internal/exec"
 	"golapi/internal/ga"
 	"golapi/internal/lapi"
@@ -95,13 +94,13 @@ type Server struct {
 	sessWG   sync.WaitGroup // session goroutines
 	acceptWG sync.WaitGroup // accept loop
 
-	// meshServed is the collective allreduce of per-rank served counts,
-	// valid after Close.
+	// meshServed is the sum of per-rank served counts, exchanged across
+	// the mesh; valid after Close.
 	meshServed atomic.Int64
 }
 
-// New builds the mesh, brings every rank's GA world and collective
-// communicator up, and starts accepting clients.
+// New builds the mesh, brings every rank's GA world up, and starts
+// accepting clients.
 func New(cfg Config) (*Server, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("gateway: Ranks must be positive, got %d", cfg.Ranks)
@@ -135,7 +134,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	errs := make([]error, cfg.Ranks)
 	srv.everyRank("gate-up", func(ctx exec.Context, rs *rankState) {
-		errs[rs.idx] = rs.bringUp(ctx)
+		rs.w, errs[rs.idx] = ga.NewLAPIWorld(ctx, rs.t, gaConfig())
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -168,8 +167,8 @@ func (srv *Server) Served() int64 { return srv.served.Load() }
 // churn test uses it to prove abrupt disconnects leak nothing.
 func (srv *Server) InflightFrames() int64 { return srv.frames.Load() }
 
-// MeshServed returns the collective sum of per-rank served counts,
-// aggregated with an Allreduce at shutdown. Valid after Close.
+// MeshServed returns the sum of per-rank served counts, exchanged across
+// the mesh at shutdown. Valid after Close.
 func (srv *Server) MeshServed() int64 { return srv.meshServed.Load() }
 
 // RndvMsgs sums, across the mesh, the messages that took the rendezvous
@@ -206,8 +205,8 @@ func (srv *Server) dropConn(conn net.Conn) {
 }
 
 // Close drains the gateway: stop accepting, sever clients, wait for every
-// session to wind down, aggregate per-rank counts with a collective
-// allreduce, and shut the mesh down.
+// session to wind down, sum the per-rank counts over the mesh, and shut the
+// mesh down.
 func (srv *Server) Close() error {
 	if srv.closing.Swap(true) {
 		return nil
@@ -224,10 +223,13 @@ func (srv *Server) Close() error {
 	// its next read or write fails and it exits.
 	srv.sessWG.Wait()
 	srv.everyRank("gate-close", func(ctx exec.Context, rs *rankState) {
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(rs.served.Load()))
-		if err := rs.comm.Allreduce(ctx, buf[:], collective.OpSumI64); err == nil && rs.idx == 0 {
-			srv.meshServed.Store(int64(binary.BigEndian.Uint64(buf[:])))
+		words, err := rs.t.ExchangeWord(ctx, uint64(rs.served.Load()))
+		if err == nil && rs.idx == 0 {
+			var sum int64
+			for _, w := range words {
+				sum += int64(w)
+			}
+			srv.meshServed.Store(sum)
 		}
 	})
 	srv.shutdownMesh()
@@ -242,9 +244,9 @@ func (srv *Server) shutdownMesh() {
 	}
 }
 
-// gaConfig is the zero-cost GA configuration for the gateway's control
-// plane: the mesh runs on real wall-clock runtimes, so every modeled cost
-// must be zero or it would be slept for real.
+// gaConfig is the zero-cost GA configuration of the gateway's worlds: the
+// mesh runs on real wall-clock runtimes, so every modeled cost must be zero
+// or it would be slept for real.
 func gaConfig() ga.Config {
 	return ga.Config{
 		MemcpyBandwidth:   0, // free
@@ -252,8 +254,4 @@ func gaConfig() ga.Config {
 		DirectSwitchBytes: 512 * 1024,
 		RequestOverhead:   0,
 	}
-}
-
-func commConfig() collective.Config {
-	return collective.Config{MaxBytes: 4096, RingThreshold: 65536}
 }

@@ -42,7 +42,6 @@ type request struct {
 	// protoErr marks a framing violation: respond StatusProtocol with this
 	// request's seq, then close the session.
 	protoErr bool
-	prev     int64 // Rmw landing slot
 }
 
 type session struct {
@@ -133,13 +132,7 @@ func (s *session) read() bool {
 }
 
 // run executes s.req under the home rank's lock.
-func (s *session) run(ctx exec.Context) {
-	org := s.rs.borrowCounter()
-	cmpl := s.rs.borrowCounter()
-	s.exec(ctx, &s.req, org, cmpl)
-	s.rs.returnCounter(org)
-	s.rs.returnCounter(cmpl)
-}
+func (s *session) run(ctx exec.Context) { s.exec(ctx, &s.req) }
 
 // respond finishes req: releases its payload and builds the response
 // frame in s.frame for serve to write. frame, when non-nil, already holds

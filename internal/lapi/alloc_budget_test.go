@@ -26,6 +26,12 @@ import (
 // value: a new allocation on this path should be a decision, not drift.
 const simPutAllocBudget = 2.0
 
+// simRmwAllocBudget bounds a FetchAndAdd RmwSync: the same 2 as PutSync
+// (the request packet's record and the reply's), now that the previous
+// value lands in the pooled slot the call borrows with its counter (3
+// while it was a local moved to the heap on every call).
+const simRmwAllocBudget = 2.0
+
 // simGetStridedAllocBudget bounds a 4-block GetStrided plus its Waitcntr:
 // the same 2 as a contiguous Get, now that the target gathers the vector
 // straight into its reply packets instead of packing it into a buffer it
@@ -53,6 +59,18 @@ func TestSimPutAllocBudget(t *testing.T) {
 		t.Errorf("sim 4-byte PutSync: %.1f allocs/op, budget %.1f — pooled hot path regressed", avg, simPutAllocBudget)
 	}
 	t.Logf("sim 4-byte PutSync: %.1f allocs/op (budget %.1f)", avg, simPutAllocBudget)
+}
+
+func TestSimRmwAllocBudget(t *testing.T) {
+	avg := simAllocsPerOp(t, nil, func(ctx exec.Context, lt *lapi.Task, tgt lapi.Addr) {
+		if _, err := lt.RmwSync(ctx, lapi.RmwFetchAndAdd, 1, tgt, 1, 0); err != nil {
+			t.Error(err)
+		}
+	})
+	if avg > simRmwAllocBudget {
+		t.Errorf("sim FetchAndAdd RmwSync: %.1f allocs/op, budget %.1f — blocking-call slot regressed", avg, simRmwAllocBudget)
+	}
+	t.Logf("sim FetchAndAdd RmwSync: %.1f allocs/op (budget %.1f)", avg, simRmwAllocBudget)
 }
 
 func TestSimGetStridedAllocBudget(t *testing.T) {

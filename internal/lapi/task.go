@@ -24,7 +24,7 @@ type Task struct {
 	mem       arena
 	counters  []*Counter
 	handlers  []HeaderHandler
-	blockPool []*Counter // free-list for the blocking-call wrappers
+	blockPool []*blockSlot // free-list for the blocking-call wrappers
 
 	// The receive queue, the dispatcher and the progress mode (§2.1).
 	progress.Engine
