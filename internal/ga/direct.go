@@ -62,18 +62,17 @@ func (a *Array) rowOp(ctx exec.Context, op byte, row, col int, alpha float64, da
 			if op == gaAcc {
 				b.accMu.lock(ctx)
 			}
-			b.cfg.apply(ctx, h, piece, in.block, in.local, func(int) []byte { return piece })
+			b.cfg.apply(ctx, &h, piece, in.block, in.local, func(int) []byte { return piece })
 			if op == gaAcc {
 				b.accMu.unlock()
 			}
 			continue
 		}
-		addr := b.remoteAddr(a, s.owner, row, s.sub.CLo)
 		switch op {
 		case gaPut:
-			err = b.t.Put(ctx, s.owner, addr, piece, lapi.NoCounter, nil, cntr)
+			err = b.t.Put(ctx, s.owner, b.remoteAddr(a, s.owner, row, s.sub.CLo), piece, lapi.NoCounter, nil, cntr)
 		case gaGetReq:
-			err = b.t.Get(ctx, s.owner, addr, piece, lapi.NoCounter, cntr)
+			err = b.t.Get(ctx, s.owner, b.remoteAddr(a, s.owner, row, s.sub.CLo), piece, lapi.NoCounter, cntr)
 		default:
 			// Amsend copies the header into its first packet before it
 			// returns, so the header buffer goes back at once.

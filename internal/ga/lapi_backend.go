@@ -393,14 +393,7 @@ func (b *lapiBackend) newCounter(ctx exec.Context, c *SharedCounter) error {
 }
 
 func (b *lapiBackend) readInc(ctx exec.Context, c *SharedCounter, inc int64) (int64, error) {
-	org := b.borrowCntr()
-	defer b.returnCntr(org)
-	var prev int64
-	if err := b.t.Rmw(ctx, lapi.RmwFetchAndAdd, c.owner, lapi.Addr(c.loc), inc, 0, &prev, org); err != nil {
-		return 0, err
-	}
-	b.t.Waitcntr(ctx, org, 1)
-	return prev, nil
+	return b.t.RmwSync(ctx, lapi.RmwFetchAndAdd, c.owner, lapi.Addr(c.loc), inc, 0)
 }
 
 func (b *lapiBackend) newMutexes(ctx exec.Context, m *MutexSet) error {
@@ -429,16 +422,13 @@ func (b *lapiBackend) newMutexes(ctx exec.Context, m *MutexSet) error {
 // lock acquires a global mutex by spinning on a remote compare-and-swap
 // (the paper's simple RMW-based synchronization, §3).
 func (b *lapiBackend) lock(ctx exec.Context, m *MutexSet, i int) error {
-	org := b.borrowCntr()
-	defer b.returnCntr(org)
 	owner := m.mutexOwner(i)
 	backoff := 5 * time.Microsecond
 	for {
-		var prev int64
-		if err := b.t.Rmw(ctx, lapi.RmwCompareAndSwap, owner, lapi.Addr(m.locs[i]), 1, 0, &prev, org); err != nil {
+		prev, err := b.t.RmwSync(ctx, lapi.RmwCompareAndSwap, owner, lapi.Addr(m.locs[i]), 1, 0)
+		if err != nil {
 			return err
 		}
-		b.t.Waitcntr(ctx, org, 1)
 		if prev == 0 {
 			return nil
 		}
@@ -450,13 +440,10 @@ func (b *lapiBackend) lock(ctx exec.Context, m *MutexSet, i int) error {
 }
 
 func (b *lapiBackend) unlock(ctx exec.Context, m *MutexSet, i int) error {
-	org := b.borrowCntr()
-	defer b.returnCntr(org)
-	var prev int64
-	if err := b.t.Rmw(ctx, lapi.RmwSwap, m.mutexOwner(i), lapi.Addr(m.locs[i]), 0, 0, &prev, org); err != nil {
+	prev, err := b.t.RmwSync(ctx, lapi.RmwSwap, m.mutexOwner(i), lapi.Addr(m.locs[i]), 0, 0)
+	if err != nil {
 		return err
 	}
-	b.t.Waitcntr(ctx, org, 1)
 	if prev != 1 {
 		return fmt.Errorf("ga: Unlock(%d): mutex was not held (value %d)", i, prev)
 	}
@@ -507,7 +494,10 @@ func (b *lapiBackend) handleRequest(t *lapi.Task, info *lapi.AmInfo) (lapi.Addr,
 
 // completeRequest applies a request at its owner. Accumulates take accMu,
 // since completion handlers run concurrently (§2.1); a get or gather reply
-// travels as an active message behind its own header.
+// travels as an active message behind its own header (reply). On the real
+// runtime a completion handler starts on a fresh goroutine's small stack,
+// so this frame and apply's are kept lean — the reply is a call of its own
+// and apply takes pointers — or every request would pay a stack copy.
 func (b *lapiBackend) completeRequest(ctx exec.Context, t *lapi.Task, src int, h gaHdr, buf lapi.Addr, n int) {
 	var data []byte
 	if n > 0 {
@@ -520,16 +510,19 @@ func (b *lapiBackend) completeRequest(ctx exec.Context, t *lapi.Task, src int, h
 	}
 	in := b.info(int(h.handle))
 	var msg []byte
-	if !b.cfg.apply(ctx, h, data, in.block, in.local, func(n int) []byte {
+	if b.cfg.apply(ctx, &h, data, in.block, in.local, func(n int) []byte {
 		msg = b.scratch.borrow(gaHdrSize + n)
 		return msg[gaHdrSize:]
 	}) {
-		return
+		b.reply(ctx, t, src, &h, msg)
 	}
-	// The reply fires the requester's counter. Its buffer goes back as
-	// soon as Amsend returns, having been copied into packets; the
-	// completion counter makes this task's own Fence count the reply
-	// (DESIGN.md §7).
+}
+
+// reply sends a get or gather answer, msg, to the requester src: the reply
+// fires the requester's counter. Its buffer goes back as soon as Amsend
+// returns, having been copied into packets; the completion counter makes
+// this task's own Fence count the reply (DESIGN.md §7).
+func (b *lapiBackend) reply(ctx exec.Context, t *lapi.Task, src int, h *gaHdr, msg []byte) {
 	rh := gaHdr{op: h.op + 1, id: h.id, cntr: h.cntr}
 	if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), msg[gaHdrSize:], lapi.RemoteCounter(h.cntr), nil, b.track(src)); err != nil {
 		panic(fmt.Sprintf("ga: rank %d: reply to %d: %v", t.Self(), src, err))

@@ -442,7 +442,7 @@ func (b *mplBackend) serve(ctx exec.Context, st mpi.Status) {
 	default:
 		in := b.info(int(h.handle))
 		var reply []byte
-		if b.cfg.apply(ctx, h, b.serveBuf[gaHdrSize:st.Len], in.block, in.local, func(n int) []byte {
+		if b.cfg.apply(ctx, &h, b.serveBuf[gaHdrSize:st.Len], in.block, in.local, func(n int) []byte {
 			reply = b.scratch.borrow(n)
 			return reply
 		}) {

@@ -84,12 +84,12 @@ func loadFrom(dst []byte, block []byte, local, sub Patch) {
 
 // accumulateInto applies block[e] += alpha*src[e] elementwise over sub.
 func accumulateInto(block []byte, local, sub Patch, src []byte, alpha float64) {
+	n := sub.Cols() * 8
 	for r := 0; r < sub.Rows(); r++ {
-		dst := blockIndex(local, sub.RLo+r, sub.CLo)
-		for c := 0; c < sub.Cols(); c++ {
-			cur := getF64(block[dst+c*8:])
-			add := getF64(src[(r*sub.Cols()+c)*8:])
-			putF64(block[dst+c*8:], cur+alpha*add)
+		add := src[r*n : (r+1)*n]
+		dst := block[blockIndex(local, sub.RLo+r, sub.CLo):][:len(add)]
+		for i := 0; i+8 <= len(add); i += 8 {
+			putF64(dst[i:], getF64(dst[i:])+alpha*getF64(add[i:]))
 		}
 	}
 }

@@ -113,7 +113,7 @@ func subscript(data []byte, k, rec int, local Patch) (int, []byte) {
 // get or gather answer is the copy into the reply message. The answer goes
 // into reply(n), an n-byte buffer of the caller's, and apply returns true
 // when the caller has such a reply to send.
-func (c Config) apply(ctx exec.Context, h gaHdr, data, block []byte, local Patch, reply func(n int) []byte) bool {
+func (c *Config) apply(ctx exec.Context, h *gaHdr, data, block []byte, local Patch, reply func(n int) []byte) bool {
 	switch h.op {
 	case gaPut:
 		c.charge(ctx, len(data))
