@@ -91,3 +91,20 @@ func TestCreatePublishesBlockBeforeExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCreateRefusesA17BitHandle: every GA request names its array in a
+// 16-bit header field, so the 65 537th array of a world would alias the
+// first at its owners. Create refuses it.
+func TestCreateRefusesA17BitHandle(t *testing.T) {
+	runLAPIDirect(t, 1, func(ctx exec.Context, w *ga.World, _ *lapi.Task, _ func() int64) {
+		for k := 0; k < 1<<16; k++ {
+			if _, err := w.Create(ctx, 1, 1); err != nil {
+				t.Errorf("Create #%d: %v", k, err)
+				return
+			}
+		}
+		if _, err := w.Create(ctx, 1, 1); err == nil {
+			t.Error("Create accepted array 65537")
+		}
+	})
+}
