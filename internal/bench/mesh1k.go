@@ -67,6 +67,13 @@ func mesh1kLCG(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// mesh1kExpand fills dst with x's bytes, least significant first, repeated.
+func mesh1kExpand(dst []byte, x uint64) {
+	for i := range dst {
+		dst[i] = byte(x >> (8 * (uint(i) % 8)))
+	}
+}
+
 // mesh1kUniform: every rank issues rounds synchronous puts to
 // pseudo-random peers, landing in its own per-source slot.
 func mesh1kUniform(rounds int, done []time.Duration) func(ctx exec.Context, t *lapi.Task) {
@@ -147,9 +154,7 @@ func mesh1kAllreduce(done []time.Duration, fail func(string)) func(ctx exec.Cont
 			panic(err)
 		}
 		val := make([]byte, mesh1kSlot)
-		for i := range val {
-			val[i] = byte(mesh1kLCG(uint64(self)) >> (8 * (uint(i) % 8)))
-		}
+		mesh1kExpand(val, mesh1kLCG(uint64(self)))
 		for l := 0; l < levels; l++ {
 			partner := self ^ (1 << l)
 			if err := t.PutSync(ctx, partner, addrs[partner]+lapi.Addr(l*mesh1kSlot), val, cntrs[l].ID()); err != nil {
@@ -164,12 +169,13 @@ func mesh1kAllreduce(done []time.Duration, fail func(string)) func(ctx exec.Cont
 				val[i] ^= slot[i]
 			}
 		}
-		var want [mesh1kSlot]byte
+		// XOR commutes with the byte expansion: fold the words, then expand.
+		var fold uint64
 		for r := 0; r < n; r++ {
-			for i := range want {
-				want[i] ^= byte(mesh1kLCG(uint64(r)) >> (8 * (uint(i) % 8)))
-			}
+			fold ^= mesh1kLCG(uint64(r))
 		}
+		var want [mesh1kSlot]byte
+		mesh1kExpand(want[:], fold)
 		for i := range val {
 			if val[i] != want[i] {
 				fail(fmt.Sprintf("rank %d: allreduce byte %d = %#x, want %#x", self, i, val[i], want[i]))

@@ -43,4 +43,9 @@ type Runtime interface {
 	After(d time.Duration, fn func())
 	// Go spawns fn as a new serialized, blocking-capable activity.
 	Go(name string, fn func(Context))
+	// Lend runs fn as a blocking-capable activity on the calling one, which
+	// must already be serialized on the runtime (a transport upcall), and
+	// reports whether it did. A runtime whose activities cannot borrow the
+	// caller's stack runs nothing and returns false.
+	Lend(fn func(Context)) bool
 }

@@ -90,6 +90,15 @@ func (r *RealRuntime) Do(fn func(Context)) {
 	fn(&r.ctx)
 }
 
+// Lend implements Runtime: fn runs on the caller's goroutine, which already
+// holds the runtime lock (an After, Post or PostPacket callback, say), so this
+// is Do without taking the lock. fn's Context may Wait and Sleep; the lock
+// is released meanwhile and held again when Lend returns.
+func (r *RealRuntime) Lend(fn func(Context)) bool {
+	fn(&r.ctx)
+	return true
+}
+
 // Go implements Runtime.
 func (r *RealRuntime) Go(name string, fn func(Context)) {
 	r.wg.Add(1)

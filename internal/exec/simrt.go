@@ -36,6 +36,10 @@ func (r *SimRuntime) Go(name string, fn func(Context)) {
 	r.eng.Go(name, func(p *sim.Proc) { fn((*simContext)(p)) })
 }
 
+// Lend implements Runtime: a simulated activity needs a process of its own,
+// so nothing runs and the caller takes its usual path.
+func (r *SimRuntime) Lend(fn func(Context)) bool { return false }
+
 type simCond struct {
 	c *sim.Cond
 }

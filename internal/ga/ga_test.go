@@ -3,6 +3,7 @@ package ga_test
 import (
 	"math"
 	"testing"
+	"time"
 
 	"golapi/internal/cluster"
 	"golapi/internal/exec"
@@ -383,6 +384,74 @@ func TestFenceMakesPutsVisible(t *testing.T) {
 		}
 		w.Sync(ctx)
 	})
+}
+
+// TestFenceWaitsForOwnOpsNotReplies: a Fence covers this task's own
+// operations even while it also serves a peer. Rank 0 accumulates into
+// rank 1's block and fences; copies are slow (1 ms per element), so rank 1
+// applies the accumulate long after rank 0's fence has started. Meanwhile
+// rank 1 gathers an element of rank 0's, and rank 0's reply completes
+// first. That reply must not release the fence, or the Get right after it
+// reads the element before the accumulate lands.
+func TestFenceWaitsForOwnOpsNotReplies(t *testing.T) {
+	cfg := ga.DefaultConfig()
+	cfg.MemcpyBandwidth = 8e3 // one element per millisecond
+	c, err := cluster.NewSimDefault(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cols = 100
+	err = c.Run(func(ctx exec.Context, lt *lapi.Task) {
+		w, err := ga.NewLAPIWorld(ctx, lt, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		a, err := w.Create(ctx, 2, 2*cols)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		theirs := a.Distribution(1 - w.Self())
+		if theirs.Cols() < cols {
+			t.Errorf("rank %d: peer block %+v, want rows of %d elements", w.Self(), theirs, cols)
+			return
+		}
+		row := ga.Patch{RLo: theirs.RLo, RHi: theirs.RLo, CLo: theirs.CLo, CHi: theirs.CLo + cols - 1}
+		if w.Self() == 0 {
+			// 100 ms to pack, then 100 ms at rank 1 to apply.
+			ones := make([]float64, cols)
+			for k := range ones {
+				ones[k] = 1
+			}
+			if err := a.Acc(ctx, row, ones, cols, 1); err != nil {
+				t.Error(err)
+			}
+			if err := w.Fence(ctx); err != nil {
+				t.Error(err)
+			}
+			got := make([]float64, 1)
+			if err := a.Get(ctx, ga.Patch{RLo: row.RLo, RHi: row.RLo, CLo: row.CLo, CHi: row.CLo}, got, 1); err != nil {
+				t.Error(err)
+			}
+			if got[0] != 1 {
+				t.Errorf("element (%d,%d) = %g right after the fence, want 1: the fence returned before its accumulate completed",
+					row.RLo, row.CLo, got[0])
+			}
+		} else {
+			// Gather from rank 0 once its fence has started, with the
+			// accumulate still being applied here.
+			ctx.Sleep(150 * time.Millisecond)
+			out := make([]float64, 1)
+			if err := a.Gather(ctx, []int{theirs.RLo}, []int{theirs.CLo}, out); err != nil {
+				t.Error(err)
+			}
+		}
+		w.Sync(ctx)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestLocalAccess(t *testing.T) {

@@ -45,6 +45,12 @@ type lapiBackend struct {
 	// counter down to zero.
 	nodeCntr   []*lapi.Counter
 	nodeIssued []int
+	// The same pair for the get and gather replies this task sends as an
+	// owner. They have a pair of their own: a reply completing on the
+	// node's counter would stand in for one of this task's operations
+	// still in flight there, and Fence would return before it completed.
+	replyCntr   []*lapi.Counter
+	replyIssued []int
 
 	// Counter free-list: blocking calls borrow a counter and return it.
 	cntrPool []*lapi.Counter
@@ -92,8 +98,11 @@ func NewLAPIWorld(ctx exec.Context, t *lapi.Task, cfg Config) (*World, error) {
 	b.repH = t.RegisterHandler(b.handleReply)
 	b.nodeCntr = make([]*lapi.Counter, t.N())
 	b.nodeIssued = make([]int, t.N())
+	b.replyCntr = make([]*lapi.Counter, t.N())
+	b.replyIssued = make([]int, t.N())
 	for i := range b.nodeCntr {
 		b.nodeCntr[i] = t.NewCounter()
+		b.replyCntr[i] = t.NewCounter()
 	}
 	w := &World{cfg: cfg, b: b}
 	b.w = w
@@ -159,6 +168,13 @@ func (b *lapiBackend) remoteAddr(a *Array, owner, i, j int) lapi.Addr {
 func (b *lapiBackend) track(owner int) *lapi.Counter {
 	b.nodeIssued[owner]++
 	return b.nodeCntr[owner]
+}
+
+// trackReply records a get or gather reply sent to dst for Fence, apart
+// from this task's own operations (see replyCntr).
+func (b *lapiBackend) trackReply(dst int) *lapi.Counter {
+	b.replyIssued[dst]++
+	return b.replyCntr[dst]
 }
 
 // --- put -----------------------------------------------------------------
@@ -452,11 +468,19 @@ func (b *lapiBackend) unlock(ctx exec.Context, m *MutexSet, i int) error {
 
 // --- fence, barrier, local access -------------------------------------------
 
+// fence waits, node by node, for the operations and then the replies
+// issued toward the node when fence reached it; what is issued while it
+// waits is left to the next fence.
 func (b *lapiBackend) fence(ctx exec.Context) error {
 	for r := 0; r < b.n(); r++ {
-		if k := b.nodeIssued[r]; k > 0 {
+		k, kr := b.nodeIssued[r], b.replyIssued[r]
+		if k > 0 {
 			b.t.Waitcntr(ctx, b.nodeCntr[r], k)
 			b.nodeIssued[r] -= k
+		}
+		if kr > 0 {
+			b.t.Waitcntr(ctx, b.replyCntr[r], kr)
+			b.replyIssued[r] -= kr
 		}
 	}
 	return nil
@@ -521,10 +545,10 @@ func (b *lapiBackend) completeRequest(ctx exec.Context, t *lapi.Task, src int, h
 // reply sends a get or gather answer, msg, to the requester src: the reply
 // fires the requester's counter. Its buffer goes back as soon as Amsend
 // returns, having been copied into packets; the completion counter makes
-// this task's own Fence count the reply (DESIGN.md §7).
+// this task's own Fence wait for the reply too (DESIGN.md §7).
 func (b *lapiBackend) reply(ctx exec.Context, t *lapi.Task, src int, h *gaHdr, msg []byte) {
 	rh := gaHdr{op: h.op + 1, id: h.id, cntr: h.cntr}
-	if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), msg[gaHdrSize:], lapi.RemoteCounter(h.cntr), nil, b.track(src)); err != nil {
+	if err := t.Amsend(ctx, src, b.repH, rh.encode(msg), msg[gaHdrSize:], lapi.RemoteCounter(h.cntr), nil, b.trackReply(src)); err != nil {
 		panic(fmt.Sprintf("ga: rank %d: reply to %d: %v", t.Self(), src, err))
 	}
 	b.scratch.give(msg)

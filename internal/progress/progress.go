@@ -17,7 +17,9 @@ import (
 type Mode int
 
 const (
-	// Interrupt (the paper's typical mode): an arrival wakes the dispatcher.
+	// Interrupt (the paper's typical mode): an arrival wakes the dispatcher,
+	// or, when the interrupt is free and the runtime lends the delivering
+	// activity, drains the queue there.
 	Interrupt Mode = iota
 	// Polling: progress happens only inside library calls.
 	Polling
@@ -48,11 +50,15 @@ func ChargeCopy(ctx exec.Context, n int, bandwidth float64) {
 // Engine is one task's progress engine, embedded by value and started by
 // Init. Like the task around it, it runs serialized on its runtime.
 type Engine struct {
+	rt            exec.Runtime
 	self          int
 	interruptCost time.Duration
 	counters      *stats.Counters
 	tracer        *trace.Tracer
 	receive       func(ctx exec.Context, src int, pkt []byte)
+	// drainFn is the drain method value, bound once so a lent drain does
+	// not allocate a closure per packet.
+	drainFn func(ctx exec.Context)
 
 	// rx[rxHead:] is the pending queue; its backing array is reused.
 	rx       []packet
@@ -74,8 +80,9 @@ type packet struct {
 // costs interruptCost, counted in counters and traced on a non-nil tracer.
 func (e *Engine) Init(rt exec.Runtime, tr fabric.Transport, lib string, mode Mode, interruptCost time.Duration,
 	counters *stats.Counters, tracer *trace.Tracer, receive func(ctx exec.Context, src int, pkt []byte)) {
-	e.self, e.mode, e.interruptCost = tr.Self(), mode, interruptCost
+	e.rt, e.self, e.mode, e.interruptCost = rt, tr.Self(), mode, interruptCost
 	e.counters, e.tracer, e.receive = counters, tracer, receive
+	e.drainFn = e.drain
 	e.rxCond, e.progress = rt.NewCond(), rt.NewCond()
 	tr.SetDeliver(e.deliver)
 	rt.Go(fmt.Sprintf("%s-dispatcher-%d", lib, e.self), e.dispatch)
@@ -133,12 +140,19 @@ func (e *Engine) Poll(ctx exec.Context) {
 	e.drain(ctx)
 }
 
-// deliver is the transport upcall.
+// deliver is the transport upcall. In interrupt mode with a free interrupt
+// the arrival drains the queue itself on the delivering activity when the
+// runtime lends it one (the real runtime's reader goroutine), saving the
+// hand-off to the dispatcher; otherwise the dispatcher is woken.
 func (e *Engine) deliver(src int, pkt []byte) {
 	if e.closed {
 		return
 	}
 	e.rx = append(e.rx, packet{src: src, pkt: pkt})
+	if e.mode == Interrupt && e.interruptCost == 0 && !e.draining && e.rt.Lend(e.drainFn) {
+		e.progress.Broadcast()
+		return
+	}
 	e.rxCond.Broadcast()
 	e.progress.Broadcast()
 }

@@ -180,3 +180,130 @@ func TestUntilPollsBeforeChecking(t *testing.T) {
 		t.Errorf("polls = %d, want 2: Until polls once even when already done", n)
 	}
 }
+
+// probeRuntime is a real runtime that counts the waits of the dispatcher
+// (the one activity the engine spawns) and how often it returned from one.
+type probeRuntime struct {
+	*exec.RealRuntime
+	waits, wakes int
+}
+
+func (r *probeRuntime) Go(name string, fn func(exec.Context)) {
+	r.RealRuntime.Go(name, func(ctx exec.Context) { fn(waitCounter{ctx, r}) })
+}
+
+type waitCounter struct {
+	exec.Context
+	rt *probeRuntime
+}
+
+func (c waitCounter) Wait(cond exec.Cond) {
+	c.rt.waits++
+	c.Context.Wait(cond)
+	c.rt.wakes++
+}
+
+// parked returns once the dispatcher is waiting, and how often it has been
+// woken.
+func (r *probeRuntime) parked() int {
+	for {
+		var waits, wakes int
+		r.Post(func() { waits, wakes = r.waits, r.wakes })
+		if waits > wakes {
+			return wakes
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// newRealTask is newTask on a real runtime, with the given interrupt cost.
+func newRealTask(mode progress.Mode, cost time.Duration) (*task, *probeRuntime) {
+	rt := &probeRuntime{RealRuntime: exec.NewRealRuntime()}
+	t := &task{tr: &fakeTransport{}}
+	t.Init(rt, t.tr, "test", mode, cost, &t.counters, nil, t.receive)
+	return t, rt
+}
+
+// stop closes the engine and waits for its dispatcher to exit.
+func (t *task) stop(rt *probeRuntime) {
+	rt.Post(func() { t.Close() })
+	rt.Drain()
+}
+
+// TestLentDrainRunsOnDeliveringGoroutine: on a real runtime, in interrupt
+// mode with a free interrupt, each arrival is received before the
+// transport's upcall returns, and the dispatcher is never woken.
+func TestLentDrainRunsOnDeliveringGoroutine(t *testing.T) {
+	tk, rt := newRealTask(progress.Interrupt, 0)
+	rt.parked()
+	for i := byte(1); i <= 3; i++ {
+		rt.PostPacket(tk.tr.deliver, 1, []byte{i})
+		var got string
+		rt.Post(func() { got = string(tk.got) })
+		if want := string([]byte{1, 2, 3}[:i]); got != want {
+			t.Fatalf("after delivering packet %d: received %v, want %v", i, []byte(got), []byte(want))
+		}
+	}
+	var released int
+	rt.Post(func() { released = tk.tr.released })
+	if wakes := rt.parked(); wakes != 0 || released != 3 {
+		t.Errorf("dispatcher woke %d times, %d packets released; want 0 and 3", wakes, released)
+	}
+	if n := tk.counters.Get(stats.Interrupts); n != 0 {
+		t.Errorf("interrupts = %d, want 0 at zero cost", n)
+	}
+	tk.stop(rt)
+}
+
+// TestDispatcherKeepsItsArrivals: a priced interrupt, polling mode and an
+// arrival inside a drain each leave the packet queued when the upcall
+// returns; the dispatcher, a poll or the running drain takes it.
+func TestDispatcherKeepsItsArrivals(t *testing.T) {
+	t.Run("InterruptCost", func(t *testing.T) {
+		tk, rt := newRealTask(progress.Interrupt, time.Microsecond)
+		rt.parked()
+		recvd := make(chan struct{})
+		tk.onRecv = func(exec.Context) { close(recvd) }
+		var queued int
+		rt.Post(func() { tk.tr.deliver(1, []byte{1}); queued = 1 - len(tk.got) })
+		<-recvd
+		if wakes := rt.parked(); queued != 1 || wakes == 0 {
+			t.Errorf("queued %d at the upcall's return, dispatcher woke %d times; want 1 and at least 1", queued, wakes)
+		}
+		if n := tk.counters.Get(stats.Interrupts); n != 1 {
+			t.Errorf("interrupts = %d, want 1", n)
+		}
+		tk.stop(rt)
+	})
+	t.Run("Polling", func(t *testing.T) {
+		tk, rt := newRealTask(progress.Polling, 0)
+		var queued int
+		rt.Post(func() { tk.tr.deliver(1, []byte{1}); queued = 1 - len(tk.got) })
+		rt.Do(tk.Poll)
+		var got string
+		rt.Post(func() { got = string(tk.got) })
+		if queued != 1 || got != "\x01" {
+			t.Errorf("queued %d at the upcall's return, received %v after a poll; want 1 and [1]", queued, []byte(got))
+		}
+		tk.stop(rt)
+	})
+	t.Run("InsideDrain", func(t *testing.T) {
+		tk, rt := newRealTask(progress.Interrupt, 0)
+		depth, maxDepth := 0, 0
+		tk.onRecv = func(exec.Context) {
+			depth++
+			maxDepth = max(maxDepth, depth)
+			if tk.got[len(tk.got)-1] == 1 {
+				tk.tr.deliver(1, []byte{2}) // an arrival while this drain runs
+			}
+			depth--
+		}
+		rt.PostPacket(tk.tr.deliver, 1, []byte{1})
+		var got string
+		rt.Post(func() { got = string(tk.got) })
+		if got != "\x01\x02" || maxDepth != 1 {
+			t.Errorf("received %v at depth %d, want [1 2] at depth 1: the running drain takes the arrival", []byte(got), maxDepth)
+		}
+		tk.stop(rt)
+	})
+}

@@ -17,25 +17,26 @@ import (
 // over loopback TCP, counted across all goroutines (origin dispatcher,
 // write loop, reader, target).
 //
-// 4 B, the eager path: measured 3.0 when the buffer pool landed (down from
-// 10 before it); ~2x headroom so scheduler-dependent variance doesn't
-// flake, while a return to per-packet make([]byte) (several allocs per
-// message each way) still trips it.
+// Both paths measure 0.0, and AllocsPerRun reports whole allocations per
+// run, so a 2x headroom rule has nothing to double: each budget is the
+// smallest count above the measurement, and one stray allocation per
+// message trips it.
+//
+// 4 B, the eager path: pooled frames on both sides, one buffered read per
+// frame and the drain on the reader goroutine. A closure built per send or
+// per arrival trips it.
 //
 // 1 MiB, the rendezvous path (eight times the 128 KB TCP crossover): RTS,
 // CTS, then one writev from the caller's slice landed straight in the
-// target region — no pool buffer on either side. Measured 0.0, and
-// AllocsPerRun reports whole allocations per run, so the 2x rule has
-// nothing to double: the budget is the smallest count above the
-// measurement. One stray allocation per message trips it; chunking 1 MiB
-// through fresh buffers (16 packets each way) would many times over.
+// target region — no pool buffer on either side. Chunking 1 MiB through
+// fresh buffers (16 packets each way) would trip it many times over.
 var tcpPutAllocBudgets = []struct {
 	name   string
 	size   int
 	rndv   bool // the size must sit on this side of the task's crossover
 	budget float64
 }{
-	{"4B", 4, false, 6.0},
+	{"4B", 4, false, 1.0},
 	{"1MiB", 1 << 20, true, 1.0},
 }
 

@@ -6,8 +6,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"golapi/internal/exec"
 )
 
 // FuzzReadFrame drives readLoop — and through it readDirect — over one end
@@ -53,14 +51,7 @@ func FuzzReadFrame(f *testing.F) {
 		direct(directSubheader+4, token, 0, []byte{7, 7, 7, 7})...))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		e := &Endpoint{
-			rt:        exec.NewRealRuntime(),
-			n:         2,
-			maxPacket: maxPacket,
-			conns:     make([]*conn, 2),
-			posted:    make(map[postKey]*region),
-		}
-		e.dispatchFn = e.dispatch
+		e := pipeEndpoint(maxPacket)
 		e.deliver = func(_ int, data []byte) {
 			if len(data) > maxPacket {
 				t.Errorf("delivered a %d-byte frame, MaxPacket %d", len(data), maxPacket)

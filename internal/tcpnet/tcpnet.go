@@ -12,6 +12,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -575,17 +576,23 @@ func (e *Endpoint) writeLoop(cn *conn) {
 	}
 }
 
+// readLoop reads cn's frames through one classMid buffer, so a burst of
+// small frames costs one read syscall instead of two per frame. A read of at
+// least the buffer's size into an empty buffer goes straight to the socket
+// (bufio's own rule), so a large payload or direct frame still lands in its
+// destination with at most one buffer's worth copied.
 func (e *Endpoint) readLoop(peer int, cn *conn) {
 	defer e.wg.Done()
+	br := bufio.NewReaderSize(cn.c, classMid)
 	var lenBuf [4]byte
 	var sub [directSubheader]byte // hoisted: ReadFull's interface call would heap-escape a per-call array
 	for {
-		if _, err := io.ReadFull(cn.c, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return
 		}
 		raw := binary.BigEndian.Uint32(lenBuf[:])
 		if raw&directFlag != 0 {
-			if !e.readDirect(peer, cn, sub[:], int(raw&^directFlag)) {
+			if !e.readDirect(peer, br, sub[:], int(raw&^directFlag)) {
 				return
 			}
 			continue
@@ -595,7 +602,7 @@ func (e *Endpoint) readLoop(peer int, cn *conn) {
 			return // corrupt stream; drop the connection
 		}
 		data := pool.get(int(n))
-		if _, err := io.ReadFull(cn.c, data); err != nil {
+		if _, err := io.ReadFull(br, data); err != nil {
 			pool.put(data)
 			return
 		}
@@ -606,15 +613,16 @@ func (e *Endpoint) readLoop(peer int, cn *conn) {
 
 // readDirect lands one direct frame straight into its pre-posted region:
 // subheader, then a ReadFull whose destination IS the user buffer — the
-// payload never touches the frame pool. Returns false to drop the
+// payload never touches the frame pool, and at most what the connection's
+// reader had buffered ahead is copied. Returns false to drop the
 // connection (missing region or out-of-bounds placement means a corrupt or
 // misbehaving peer; the causal RTS/CTS handshake rules those out for
 // well-formed traffic).
-func (e *Endpoint) readDirect(peer int, cn *conn, sub []byte, n int) bool {
+func (e *Endpoint) readDirect(peer int, br *bufio.Reader, sub []byte, n int) bool {
 	if n < directSubheader {
 		return false
 	}
-	if _, err := io.ReadFull(cn.c, sub); err != nil {
+	if _, err := io.ReadFull(br, sub); err != nil {
 		return false
 	}
 	token := binary.BigEndian.Uint64(sub[0:8])
@@ -634,7 +642,7 @@ func (e *Endpoint) readDirect(peer int, cn *conn, sub []byte, n int) bool {
 	if r == nil || off < 0 || off+plen > len(buf) {
 		return false
 	}
-	if _, err := io.ReadFull(cn.c, buf[off:off+plen]); err != nil {
+	if _, err := io.ReadFull(br, buf[off:off+plen]); err != nil {
 		return false
 	}
 	e.mu.Lock()
