@@ -1,16 +1,26 @@
 package concurrency
 
 import (
+	"bytes"
+	"fmt"
+	"go/token"
+	"io"
+	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"golapi/internal/analysis"
 )
 
 // loadModel builds the concurrency model over the cm fixture package.
-func loadModel(t *testing.T) *Model {
+func loadModel(t *testing.T) *Model { return loadFixture(t, "cm") }
+
+// loadFixture builds the concurrency model over one fixture package.
+func loadFixture(t *testing.T, fixture string) *Model {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", "cm")
+	dir := filepath.Join("testdata", "src", fixture)
 	l, err := analysis.NewLoader(dir)
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
@@ -238,5 +248,90 @@ func TestDoDomain(t *testing.T) {
 	}
 	if !anyConcurrent(t, m, "outside") {
 		t.Error("outside: the write outside Do and Post is not reported concurrent with the Post callback")
+	}
+}
+
+// TestModelGolden pins the model itself, not only the race passes'
+// messages: for each fixture, every spawn and, per unit, its goroutine
+// classes, its entry lockset and its call edges (site line, target,
+// serialized), against testdata/model.golden. On a mismatch the actual
+// dump is left in $TMPDIR/lapivet-model.golden.
+func TestModelGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, fixture := range []string{"cm", "cr"} {
+		m := loadFixture(t, fixture)
+		fmt.Fprintf(&buf, "== %s\n", fixture)
+		dumpModel(&buf, m, func(p token.Pos) string {
+			pos := m.Fset.Position(p)
+			return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
+		})
+	}
+	got := buf.Bytes()
+	want, err := os.ReadFile(filepath.Join("testdata", "model.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	out := filepath.Join(os.TempDir(), "lapivet-model.golden")
+	if err := os.WriteFile(out, got, 0o644); err == nil {
+		t.Logf("actual output written to %s", out)
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("model differs from testdata/model.golden at line %d:\n got: %s\nwant: %s", i+1, g, w)
+		}
+	}
+}
+
+// dumpModel writes every spawn, then one line per unit in m.Units order
+// (its classes and entry lockset) followed by one line per call edge, with
+// positions rendered by at.
+func dumpModel(w io.Writer, m *Model, at func(token.Pos) string) {
+	unit := func(u *Unit) string { return u.Name() + "@" + at(u.Body.Pos()) }
+	class := func(c ClassID) string {
+		if s := m.SpawnOf(c); s != nil {
+			return fmt.Sprintf("#%d %s@%s", c, s.Kind, at(s.Pos))
+		}
+		return "#0 main"
+	}
+	for _, s := range m.Spawns {
+		fmt.Fprintf(w, "spawn %s parent=%s root=%s serialized=%t joined=%t inloop=%t",
+			class(s.Class), unit(s.Parent), unit(s.Root), s.Serialized, s.Joined, s.InLoop)
+		if s.JoinPos.IsValid() {
+			fmt.Fprintf(w, " join=%s", at(s.JoinPos))
+		}
+		fmt.Fprintln(w)
+	}
+	for _, u := range m.Units {
+		var classes, locks []string
+		for _, c := range classList(u) {
+			classes = append(classes, class(c))
+		}
+		for o := range u.Entry {
+			name := o.Name()
+			if o.Pos().IsValid() {
+				name += "@" + at(o.Pos())
+			}
+			locks = append(locks, name)
+		}
+		sort.Strings(locks)
+		fmt.Fprintf(w, "unit %s classes=[%s] entry={%s}\n", unit(u), strings.Join(classes, ", "), strings.Join(locks, " "))
+		for _, e := range u.edges {
+			fmt.Fprintf(w, "  %s -> %s", at(e.site.Pos()), unit(e.to))
+			if e.serialized {
+				fmt.Fprint(w, " serialized")
+			}
+			fmt.Fprintln(w)
+		}
 	}
 }
