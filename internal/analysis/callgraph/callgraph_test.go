@@ -1,8 +1,11 @@
 package callgraph_test
 
 import (
+	"fmt"
+	"go/ast"
 	"go/types"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"golapi/internal/analysis"
@@ -25,7 +28,7 @@ func load(t *testing.T) (*analysis.Package, *callgraph.Graph) {
 	capture := &analysis.Analyzer{
 		Name: "capture",
 		Run: func(pass *analysis.Pass) error {
-			g = callgraph.Build(pass)
+			g = callgraph.Get(pass)
 			return nil
 		},
 	}
@@ -74,6 +77,58 @@ func TestEdges(t *testing.T) {
 	}
 	if got := g.Calls[m]; len(got) != 1 || got[0] != c {
 		t.Errorf("Calls[t.m] = %v, want [c]", got)
+	}
+}
+
+// firstCall returns the first call expression in fn's body.
+func firstCall(t *testing.T, g *callgraph.Graph, fn *types.Func) *ast.CallExpr {
+	t.Helper()
+	var call *ast.CallExpr
+	ast.Inspect(g.Funcs[fn].Body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok && call == nil {
+			call = c
+		}
+		return call == nil
+	})
+	if call == nil {
+		t.Fatalf("no call in %s", fn.Name())
+	}
+	return call
+}
+
+// TestResolve: a call resolves to its static callee, to every module
+// implementation of a module interface's method, or to every value bound
+// to the field it calls through; a call through a parameter nothing is
+// stored into resolves to nothing.
+func TestResolve(t *testing.T) {
+	pkg, g := load(t)
+	edges := func(name string) []string {
+		var out []string
+		for _, e := range g.Resolve(pkg, firstCall(t, g, fn(t, pkg, name))) {
+			via := ""
+			if e.Via != nil {
+				via = " via " + e.Via.Name()
+			}
+			name := strings.ReplaceAll(e.To.Fn.FullName(), pkg.Path+".", "")
+			out = append(out, fmt.Sprintf("%d %s%s", e.Kind, name, via))
+		}
+		return out
+	}
+	for _, c := range []struct {
+		fn   string
+		want []string
+	}{
+		{"a", []string{fmt.Sprintf("%d b", callgraph.Static)}},
+		{"viaInterface", []string{
+			fmt.Sprintf("%d (sq).area", callgraph.Interface),
+			fmt.Sprintf("%d (tri).area", callgraph.Interface),
+		}},
+		{"viaField", []string{fmt.Sprintf("%d c via fn", callgraph.Bound)}},
+		{"viaValue", nil},
+	} {
+		if got := edges(c.fn); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("Resolve in %s = %v, want %v", c.fn, got, c.want)
+		}
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package cg is the callgraph unit-test fixture: a small DAG, a method,
-// a call through a function value (no edge), and a two-function cycle.
+// a call through a function value (no edge), a two-function cycle, and
+// the two dynamic resolutions: interface dispatch and a bound field.
 package cg
 
 func a() {
@@ -21,3 +22,24 @@ func viaValue(f func()) { f() } // dynamic: no edge
 func loop1() { loop2() }
 
 func loop2() { loop1() }
+
+// shape is a module interface with two implementations: a call through it
+// resolves to both.
+type shape interface{ area() int }
+
+type sq struct{}
+type tri struct{}
+
+func (sq) area() int  { return 1 }
+func (tri) area() int { return 2 }
+
+func viaInterface(s shape) int { return s.area() }
+
+// holder.fn is bound to c by a composite literal: a call through the field
+// resolves to c.
+type holder struct{ fn func() }
+
+func viaField() {
+	h := holder{fn: c}
+	h.fn()
+}

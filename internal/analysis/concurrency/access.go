@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"golapi/internal/analysis"
+	"golapi/internal/analysis/callgraph"
 )
 
 type accessKey struct {
@@ -27,7 +28,8 @@ type accessKey struct {
 // already be resolved.
 func (m *Model) collectAccesses(u *Unit) {
 	c := &collector{m: m, u: u, info: u.Pkg.Info, seen: make(map[accessKey]bool)}
-	m.walkWithLocks(u, func(leaf ast.Node, locks LockSet, rangeBind map[*ast.AssignStmt]ast.Expr, atExit bool) {
+	rangeBind := u.graphOf().RangeBind
+	m.replayLocks(u, u.Entry, func(leaf ast.Node, locks LockSet, atExit bool) {
 		// Deferred calls replayed in the Exit block run at function end:
 		// their release operations (defer wg.Done, defer close) must sort
 		// after every in-body access for the happens-before position rules.
@@ -63,10 +65,7 @@ func (m *Model) freshLocals(u *Unit) map[*types.Var]bool {
 			fresh[v] = true
 		}
 	}
-	ast.Inspect(u.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && m.rootLit[lit] {
-			return false
-		}
+	m.inspect(u.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if n.Tok == token.DEFINE {
@@ -107,26 +106,22 @@ func (m *Model) resolveFreshness() {
 	for _, s := range m.Spawns {
 		opaque[s.Root] = true
 	}
-	for _, targets := range m.bindings {
-		for _, t := range targets {
-			opaque[t] = true
-		}
+	for _, u := range m.boundUnits() {
+		opaque[u] = true
 	}
-	for _, impls := range m.ifaceImpls {
-		for _, t := range impls {
-			opaque[t] = true
+	for _, u := range m.Units {
+		for _, e := range u.edges {
+			if e.kind == callgraph.Interface {
+				opaque[e.to] = true
+			}
 		}
 	}
 	for round := 0; round < 3; round++ {
-		sites := make(map[*types.Var]int)
 		dirty := make(map[*types.Var]bool)
-		owner := make(map[*types.Var]*Unit)
+		owner := make(map[*types.Var]*Unit) // every parameter with a call site
 		for _, u := range m.Units {
 			info := u.Pkg.Info
-			ast.Inspect(u.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok && m.rootLit[lit] {
-					return false
-				}
+			m.inspect(u.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -145,7 +140,6 @@ func (m *Model) resolveFreshness() {
 				}
 				if recv := sig.Recv(); recv != nil {
 					owner[recv] = v
-					sites[recv]++
 					if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
 						if !m.freshExpr(u, sel.X) {
 							dirty[recv] = true
@@ -157,7 +151,6 @@ func (m *Model) resolveFreshness() {
 				for i := 0; i < sig.Params().Len() && i < len(call.Args); i++ {
 					p := sig.Params().At(i)
 					owner[p] = v
-					sites[p]++
 					if !m.freshExpr(u, call.Args[i]) {
 						dirty[p] = true
 					}
@@ -166,9 +159,9 @@ func (m *Model) resolveFreshness() {
 			})
 		}
 		changed := false
-		for p, n := range sites {
-			if n > 0 && !dirty[p] && !owner[p].fresh[p] {
-				owner[p].fresh[p] = true
+		for p, v := range owner {
+			if !dirty[p] && !v.fresh[p] {
+				v.fresh[p] = true
 				changed = true
 			}
 		}
@@ -253,19 +246,16 @@ type collector struct {
 func (c *collector) leaf(leaf ast.Node, locks LockSet, rangeBind map[*ast.AssignStmt]ast.Expr) {
 	writeSet := make(map[ast.Expr]bool)
 	consumed := make(map[ast.Node]bool)
-	ast.Inspect(leaf, func(n ast.Node) bool {
+	c.m.inspect(leaf, func(n ast.Node) bool {
 		if n == nil {
 			return false
 		}
 		switch x := n.(type) {
 		case *ast.FuncLit:
-			// Root literals are their own units; inline literals are
-			// attributed to this unit (they run, approximately, here),
-			// holding ⟨serialized⟩ when their signature says so.
-			if c.m.rootLit[x] {
-				return false
-			}
-			if c.m.serializedLit(c.info, x) && !locks.Has(SerializedLock) {
+			// Inline literals are attributed to this unit (they run,
+			// approximately, here), holding ⟨serialized⟩ when their
+			// signature says so.
+			if serializedLit(c.info, x) && !locks.Has(SerializedLock) {
 				c.leaf(x.Body, locks.with(SerializedLock), rangeBind)
 				return false
 			}
@@ -315,18 +305,15 @@ func (c *collector) leaf(leaf ast.Node, locks LockSet, rangeBind map[*ast.Assign
 // functions, and WaitGroup Done/Wait. Returns true when the subtree is
 // fully handled.
 func (c *collector) call(call *ast.CallExpr, locks LockSet, consumed map[ast.Node]bool) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" &&
-		len(call.Args) == 1 {
-		if _, isBuiltin := c.info.Uses[id].(*types.Builtin); isBuiltin {
-			c.sync(call.Args[0], SyncRelease, call.Pos())
-			return false
-		}
+	if ch := closedChan(c.info, call); ch != nil {
+		c.sync(ch, SyncRelease, call.Pos())
+		return false
 	}
 	fn := analysis.Callee(c.info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
-	if c.m.isPost(fn) {
+	if isPost(fn) {
 		// Post/PostArg/Do publish into the serialization domain under the
 		// runtime lock: everything written before the call happens-before
 		// any access made holding ⟨serialized⟩ — a session reading a
@@ -338,37 +325,19 @@ func (c *collector) call(call *ast.CallExpr, locks LockSet, consumed map[ast.Nod
 		c.u.Syncs = append(c.u.Syncs, SyncOp{Obj: SerializedLock, Kind: SyncRelease, Pos: pos})
 		return false
 	}
-	sig, _ := fn.Type().(*types.Signature)
-	switch fn.Pkg().Path() {
-	case "sync/atomic":
-		if sig != nil && sig.Recv() != nil {
-			return false // typed atomics (atomic.Int64, ...): intrinsically safe
+	if fn.Pkg().Path() == "sync/atomic" {
+		// Typed atomics (atomic.Int64, ...) are intrinsically safe.
+		if sig, _ := fn.Type().(*types.Signature); sig == nil || sig.Recv() == nil {
+			c.atomicCall(call, fn, locks, consumed)
 		}
-		c.atomicCall(call, fn, locks, consumed)
 		return false
-	case "sync":
-		if sig == nil || sig.Recv() == nil {
-			return false
-		}
-		recv := sig.Recv().Type()
-		if ptr, ok := recv.(*types.Pointer); ok {
-			recv = ptr.Elem()
-		}
-		named, ok := recv.(*types.Named)
-		if !ok || named.Obj().Name() != "WaitGroup" {
-			return false
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		switch fn.Name() {
-		case "Done":
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if analysis.IsMethodOf(fn, "sync", "WaitGroup", "Done") {
 			c.sync(sel.X, SyncRelease, call.Pos())
-		case "Wait":
+		} else if analysis.IsMethodOf(fn, "sync", "WaitGroup", "Wait") {
 			c.sync(sel.X, SyncAcquire, call.Pos())
 		}
-		return false
 	}
 	return false
 }
@@ -561,7 +530,7 @@ func isIntrinsicSync(t types.Type) bool {
 
 // sync records one release/acquire operation on a channel or WaitGroup.
 func (c *collector) sync(e ast.Expr, kind SyncKind, pos token.Pos) {
-	obj := chainObj(c.info, e)
+	obj := analysis.ChainObj(c.info, e)
 	if obj == nil {
 		return
 	}

@@ -1,56 +1,45 @@
-// Package concurrency is the static concurrency core under lapivet's race
-// passes (racefree, atomicmix, goteardown — invariants 12–14). It builds a
-// whole-module model of the program's goroutine structure and, on top of
-// the shared CFG/dataflow substrate, a happens-before/lockset approximation
-// of its synchronization:
+// Package concurrency is the static concurrency model under lapivet's race
+// passes (racefree, atomicmix, goteardown — invariants 12–14), built once
+// per module load (Pass.Shared) and shared by all three. Call resolution
+// belongs to internal/analysis/callgraph: the model follows all three kinds
+// of its edges (static, interface dispatch, bound function value) and adds
+// edges of its own only where a runtime API, not a call, runs the code.
+// What the model owns:
 //
-//   - Spawn sites: go statements, exec.Runtime.Go activities, sim.Engine.Go
-//     processes, Runtime.After / time.AfterFunc timers, and parallel.Map /
-//     parallel.ForEach sweep jobs. Each site is one goroutine class; a
-//     function's class set is every class that can be executing it,
-//     propagated over the static call graph (interface method calls are
-//     resolved to every module implementation, and dynamic calls through
-//     function-typed fields — the gateway's s.runFn Do callback —
-//     through a binding map of every function value stored into them).
+//   - Spawn classes. Each go statement, exec.Runtime.Go activity,
+//     sim.Engine.Go process, Runtime.After / time.AfterFunc timer,
+//     parallel.Map / ForEach sweep job and registered callback (SetDeliver,
+//     RegisterHandler, sim Schedule) mints one goroutine class, also when
+//     the function reaches the spawn API through in-module wrappers (spawn
+//     forwarding, forward.go). A unit's classes are every class that can
+//     be executing it, propagated over the edges.
 //
-//   - Locksets: a must-hold forward dataflow over each function's CFG
-//     (sync.Mutex / sync.RWMutex Lock/Unlock regions, with deferred
-//     unlocks replayed at exit by the CFG builder), joined by intersection
-//     at merges. Entry locksets are interprocedural: the intersection of
-//     the locksets observed at every static call site, to a fixpoint.
-//     Mutex identity is the mutex variable or field, instance-blind.
+//   - Serialized edges. Post/PostArg/PostPacket/PostDone and RealRuntime.Do
+//     run their argument under the runtime's big lock (internal/exec
+//     contract), and parallel.Hooks barrier callbacks run with every engine
+//     parked: both are edges whose callee holds the pseudo-lock
+//     ⟨serialized⟩, as do runtime activities, simulated processes (the
+//     engine resumes one coroutine at a time), registered callbacks, the
+//     exec and sim packages themselves, and any function taking an
+//     exec.Context or *sim.Proc. Distinct runtime instances collapse into
+//     the one pseudo-lock: objects move between runtimes by message, which
+//     buflifetime checks.
 //
-//   - The serialization domains of this codebase are modeled as one
-//     pseudo-lock ⟨serialized⟩: code spawned via exec.Runtime.Go, posted
-//     via Post/PostArg/PostPacket/PostDone/After, or run on the caller's
-//     goroutine via RealRuntime.Do runs under the runtime's big lock
-//     (internal/exec contract); sim.Engine processes are
-//     coroutines that the engine's hub resumes one at a time (a process
-//     runs only between the hub's next and its own yield); parallel.Hooks
-//     barrier callbacks (Barrier, OnQuiesce, TakeOutbox) run with every
-//     engine parked — the epoch-barrier seam that orders shard outbox
-//     writes against ResolveSpine reads; and callbacks handed to
-//     registration surfaces (SetDeliver, RegisterHandler, Schedule) are
-//     invoked on the owning runtime's domain. Distinct runtime instances
-//     are collapsed into the one pseudo-lock: cross-runtime sharing of a
-//     single object is out of scope here (objects move between runtimes by
-//     message, which buflifetime checks).
+//   - Locksets: a must-hold forward dataflow over each unit's CFG
+//     (sync.Mutex / RWMutex regions, deferred unlocks replayed at exit),
+//     intersected at merges; a unit's entry lockset is the intersection
+//     over its call sites, to a fixpoint. Mutex identity is the variable
+//     or field, instance-blind.
 //
-//   - Happens-before edges beyond locks: constructor freshness (accesses
-//     through a local built from a composite literal or new in the same
-//     function), pre-spawn program order (an access in the spawning
-//     function textually before the go/Go statement precedes everything
-//     the spawned goroutine does), fork-join (sweep jobs and goroutines
-//     joined by a WaitGroup Add/Done/Wait or a done-channel close/receive
-//     in the spawning function), and release/acquire publication (a
-//     channel send/close or WaitGroup.Done after the access in one class,
-//     matched by a receive/Wait before the access in the other).
+//   - Happens-before beyond locks: constructor freshness, pre-spawn program
+//     order, fork-join (sweep jobs; WaitGroup or done-channel joins), and
+//     release/acquire publication (a send, close or Done matched by a
+//     receive or Wait; a Post matched by the domain's entry).
 //
-// The model is deliberately a *may*-happens-before over *must*-locksets:
-// a reported pair has no evident synchronization of any kind, which keeps
-// the race passes quiet on correctly synchronized code; absence of a
-// report is not a proof of race freedom. The whole model is built once per
-// module load (Pass.Shared) and shared by all three passes.
+// The model is a may-happens-before over must-locksets: a reported pair
+// has no evident synchronization of any kind, which keeps the race passes
+// quiet on correctly synchronized code; no report is no proof of race
+// freedom.
 package concurrency
 
 import (
@@ -59,18 +48,12 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 
 	"golapi/internal/analysis"
+	"golapi/internal/analysis/callgraph"
 	"golapi/internal/analysis/cfg"
-)
-
-// Import paths of the runtime layers whose synchronization the model
-// understands.
-const (
-	ExecPath     = "golapi/internal/exec"
-	SimPath      = "golapi/internal/sim"
-	ParallelPath = "golapi/internal/parallel"
 )
 
 // A ClassID identifies one goroutine class. MainClass is the program's
@@ -100,20 +83,12 @@ const (
 	SpawnEscape
 )
 
+var spawnKinds = [...]string{"go statement", "runtime activity", "simulated process",
+	"timer callback", "sweep job", "registered callback"}
+
 func (k SpawnKind) String() string {
-	switch k {
-	case SpawnGo:
-		return "go statement"
-	case SpawnRT:
-		return "runtime activity"
-	case SpawnSim:
-		return "simulated process"
-	case SpawnAfter:
-		return "timer callback"
-	case SpawnSweep:
-		return "sweep job"
-	case SpawnEscape:
-		return "registered callback"
+	if k >= 0 && int(k) < len(spawnKinds) {
+		return spawnKinds[k]
 	}
 	return "goroutine"
 }
@@ -192,18 +167,26 @@ func (u *Unit) Name() string {
 	return "func literal"
 }
 
-// An edge is one resolved call: static, interface-resolved, or dynamic
-// through a function-value binding.
+// An edge is one call of another unit: resolved by the call graph, or
+// the model's own (a Post*/Do, a parallel.Hooks callback, a function
+// value passed to an ordinary call).
 type edge struct {
-	site       ast.Node // the *ast.CallExpr (or binding expr) at the caller
+	site       ast.Node // the *ast.CallExpr (or Hooks value) at the caller
 	to         *Unit
-	serialized bool // call is routed through Post*/hooks: callee holds ⟨serialized⟩
+	kind       callgraph.Kind // how the call graph resolved it; Static for the model's own
+	serialized bool           // routed through Post*/Do/Hooks: callee holds ⟨serialized⟩
 }
 
 // A callerSite is one inbound call: who calls a unit, and where.
 type callerSite struct {
 	unit *Unit
 	pos  token.Pos
+}
+
+// A covKey names one caller-side publication query.
+type covKey struct {
+	u       *Unit
+	release bool
 }
 
 // A SyncKind classifies one synchronization operation.
@@ -243,22 +226,23 @@ type Access struct {
 // Model is the whole-module concurrency model.
 type Model struct {
 	Fset   *token.FileSet
-	Units  []*Unit // declared functions then bound literals, source order
+	Units  []*Unit // declared functions then literal units, in creation order
 	Spawns []*Spawn
 
-	unitOf  map[*types.Func]*Unit
+	g      *callgraph.Graph
+	unitOf map[*types.Func]*Unit
+	// litUnit holds the literals that are units of their own (spawned,
+	// bound, posted, registered, hooked); any other literal is inline code
+	// of its enclosing unit.
 	litUnit map[*ast.FuncLit]*Unit
-	rootLit map[*ast.FuncLit]bool
-	// bindings maps a function-typed field/variable to the units whose
-	// values are stored into it anywhere in the module.
-	bindings map[types.Object][]*Unit
+	// hooks holds the parallel.Hooks callback fields: a Hooks callback runs
+	// from its literal's serialized edge, not from RunEpochs' calls.
+	hooks map[types.Object]bool
+	// called marks units something in the module calls, spawns or binds.
+	called map[*Unit]bool
 	// closed records channel fields/variables that some module code
 	// closes; a range over a never-closed channel cannot terminate.
-	closed  map[types.Object]bool
-	spawnBy map[ClassID]*Spawn
-	// ifaceImpls memoizes interface-method resolution.
-	ifaceImpls map[*types.Func][]*Unit
-	namedTypes []*types.Named
+	closed map[types.Object]bool
 	// callers is the reverse call graph: for each unit, the units that
 	// call it and the call-site positions (for after-the-spawn walks).
 	callers map[*Unit][]callerSite
@@ -266,11 +250,10 @@ type Model struct {
 	// into (s.out = ch, cmd{res: res}): sends on one and receives on
 	// the other are the same channel for release/acquire matching.
 	chanAlias map[types.Object]types.Object
-	// covRel/covAcq memoize caller-side publication: for a unit, the
-	// releases that follow (resp. acquires that precede) every call chain
-	// reaching it. loopSpans memoizes loop statement extents per unit.
-	covRel    map[*Unit][]ownedSync
-	covAcq    map[*Unit][]ownedSync
+	// cov memoizes caller-side publication: for a unit, the releases that
+	// follow (or acquires that precede) every call chain reaching it.
+	// loopSpans memoizes loop statement extents per unit.
+	cov       map[covKey][]ownedSync
 	loopSpans map[*Unit][][2]token.Pos
 	// forward maps function-typed parameters to the spawn kind their
 	// arguments run under (interprocedural spawn forwarding, forward.go).
@@ -278,8 +261,6 @@ type Model struct {
 	// origins maps each unit to the program roots (func main units) that
 	// can reach it; empty/absent means no known program (ambient-only).
 	origins map[*Unit]map[*Unit]bool
-
-	execPkg, simPkg, parallelPkg *types.Package
 }
 
 // Get returns the module's concurrency model, built once per load and
@@ -289,11 +270,16 @@ func Get(pass *analysis.Pass) *Model {
 }
 
 // SpawnOf returns the spawn site of a class, or nil for MainClass.
-func (m *Model) SpawnOf(c ClassID) *Spawn { return m.spawnBy[c] }
+func (m *Model) SpawnOf(c ClassID) *Spawn {
+	if c <= MainClass || int(c) > len(m.Spawns) {
+		return nil
+	}
+	return m.Spawns[c-1]
+}
 
 // ClassName renders a class for diagnostics.
 func (m *Model) ClassName(c ClassID) string {
-	s := m.spawnBy[c]
+	s := m.SpawnOf(c)
 	if s == nil {
 		return "the main goroutine"
 	}
@@ -303,51 +289,33 @@ func (m *Model) ClassName(c ClassID) string {
 
 func build(pass *analysis.Pass) *Model {
 	m := &Model{
-		Fset:       pass.Fset,
-		unitOf:     make(map[*types.Func]*Unit),
-		litUnit:    make(map[*ast.FuncLit]*Unit),
-		rootLit:    make(map[*ast.FuncLit]bool),
-		bindings:   make(map[types.Object][]*Unit),
-		closed:     make(map[types.Object]bool),
-		spawnBy:    make(map[ClassID]*Spawn),
-		ifaceImpls: make(map[*types.Func][]*Unit),
-		callers:    make(map[*Unit][]callerSite),
-		chanAlias:  make(map[types.Object]types.Object),
+		Fset:      pass.Fset,
+		g:         callgraph.Get(pass),
+		unitOf:    make(map[*types.Func]*Unit),
+		litUnit:   make(map[*ast.FuncLit]*Unit),
+		hooks:     make(map[types.Object]bool),
+		closed:    make(map[types.Object]bool),
+		callers:   make(map[*Unit][]callerSite),
+		chanAlias: make(map[types.Object]types.Object),
+		cov:       make(map[covKey][]ownedSync),
+		loopSpans: make(map[*Unit][][2]token.Pos),
 	}
-	if p := pass.Lookup(ExecPath); p != nil {
-		m.execPkg = p
-	}
-	if p := pass.Lookup(SimPath); p != nil {
-		m.simPkg = p
-	}
-	if p := pass.Lookup(ParallelPath); p != nil {
-		m.parallelPkg = p
-	}
-
-	// Declared units, in deterministic source order.
-	idx := pass.FuncIndex()
-	fns := make([]*types.Func, 0, len(idx))
-	for fn := range idx {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool {
-		pi, pj := m.Fset.Position(fns[i].Pos()), m.Fset.Position(fns[j].Pos())
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
+	if h, ok := pass.NamedType(analysis.ParallelPath, "Hooks").(*types.Named); ok {
+		st := h.Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			m.hooks[st.Field(i)] = true
 		}
-		return pi.Offset < pj.Offset
-	})
-	for _, fn := range fns {
-		fb := idx[fn]
+	}
+	for _, fn := range m.g.All() {
+		fb := m.g.Funcs[fn]
 		u := &Unit{Fn: fn, Body: fb.Body, Pkg: fb.Pkg, Classes: map[ClassID]bool{}}
 		m.unitOf[fn] = u
 		m.Units = append(m.Units, u)
 	}
-	m.collectNamedTypes(pass)
 
-	// Phase A: spawn sites, bindings, escapes, closed channels. Scans the
-	// full body of every declared unit (literals included): a spawn inside
-	// an inline literal still creates a class.
+	// Phase A: spawn sites, bound literals, escapes, closed channels. Scans
+	// the full body of every declared unit (literals included): a spawn
+	// inside an inline literal still creates a class.
 	for _, u := range m.Units {
 		m.scanStructure(u)
 	}
@@ -362,7 +330,7 @@ func build(pass *analysis.Pass) *Model {
 	// to functions that hand their parameter to a spawn API (cluster's
 	// Run wrappers) become spawn roots of the summarized kind.
 	m.forward = m.forwardKinds()
-	m.applyForwarding(m.forward)
+	m.applyForwarding()
 
 	// Phase B: call edges, per unit, skipping subtrees of literals that
 	// became their own units.
@@ -370,10 +338,18 @@ func build(pass *analysis.Pass) *Model {
 		m.collectEdges(u)
 	}
 
+	m.called = make(map[*Unit]bool)
 	for _, u := range m.Units {
 		for _, e := range u.edges {
+			m.called[e.to] = true
 			m.callers[e.to] = append(m.callers[e.to], callerSite{unit: u, pos: e.site.Pos()})
 		}
+	}
+	for _, s := range m.Spawns {
+		m.called[s.Root] = true
+	}
+	for _, u := range m.boundUnits() {
+		m.called[u] = true
 	}
 	m.propagateClasses()
 	m.resolveOrigins()
@@ -392,45 +368,54 @@ func build(pass *analysis.Pass) *Model {
 	return m
 }
 
-// collectNamedTypes indexes every named non-interface type declared in the
-// module, for interface-method resolution.
-func (m *Model) collectNamedTypes(pass *analysis.Pass) {
-	for _, pkg := range pass.ModulePackages() {
-		scope := pkg.Types.Scope()
-		names := scope.Names()
-		for _, name := range names {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
-				continue
-			}
-			m.namedTypes = append(m.namedTypes, named)
-		}
+// unit returns the unit of a call target, making a literal one on first
+// use.
+func (m *Model) unit(t callgraph.Target) *Unit {
+	if t.Fn != nil {
+		return m.unitOf[t.Fn]
 	}
+	u := m.litUnit[t.Lit]
+	if u == nil {
+		u = &Unit{Lit: t.Lit, Body: t.Lit.Body, Pkg: t.Pkg, Classes: map[ClassID]bool{}}
+		m.litUnit[t.Lit] = u
+		m.Units = append(m.Units, u)
+	}
+	return u
 }
 
 // unitForExpr resolves a function-valued expression to a unit: a literal
-// (promoted to a root unit), a named function or method value, or a
-// method expression. Returns nil for parameters and other dynamic values.
+// (made a unit of its own) or a named function or method value. Returns
+// nil for parameters and other dynamic values.
 func (m *Model) unitForExpr(parent *Unit, e ast.Expr) *Unit {
-	e = ast.Unparen(e)
-	if lit, ok := e.(*ast.FuncLit); ok {
-		if u := m.litUnit[lit]; u != nil {
-			return u
-		}
-		u := &Unit{Lit: lit, Body: lit.Body, Pkg: parent.Pkg, Classes: map[ClassID]bool{}}
-		m.litUnit[lit] = u
-		m.rootLit[lit] = true
-		m.Units = append(m.Units, u)
-		return u
-	}
-	if fn, ok := analysis.ObjectOf(parent.Pkg.Info, e).(*types.Func); ok {
-		return m.unitOf[fn]
+	if t, ok := m.g.Value(parent.Pkg, e); ok {
+		return m.unit(t)
 	}
 	return nil
+}
+
+// inspect is ast.Inspect over n without the function literals that are
+// units of their own: their code is theirs, not n's unit's.
+func (m *Model) inspect(n ast.Node, f func(ast.Node) bool) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && m.litUnit[lit] != nil {
+			return false
+		}
+		return f(n)
+	})
+}
+
+// boundUnits returns the units of every function value the call graph
+// binds to a field or variable other than a parallel.Hooks callback.
+func (m *Model) boundUnits() []*Unit {
+	var out []*Unit
+	for obj, bs := range m.g.Bound {
+		if !m.hooks[obj] {
+			for _, b := range bs {
+				out = append(out, m.unit(b.To))
+			}
+		}
+	}
+	return out
 }
 
 // spawn records a new goroutine class.
@@ -454,111 +439,140 @@ func (m *Model) spawn(parent *Unit, root *Unit, pos token.Pos, kind SpawnKind, i
 		s.JoinPos = pos
 	}
 	m.Spawns = append(m.Spawns, s)
-	m.spawnBy[s.Class] = s
 	return s
 }
 
-// scanStructure walks one declared unit's full body for spawn sites,
-// function-value bindings, registration escapes, parallel.Hooks barrier
-// callbacks, and close() calls.
-func (m *Model) scanStructure(u *Unit) {
-	var loopDepth int
+// inspectLoops calls visit for every node under body, in ast.Inspect
+// order, with whether it sits in the body of a for or range statement.
+func inspectLoops(body *ast.BlockStmt, visit func(n ast.Node, inLoop bool)) {
+	depth := 0
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
+		var header []ast.Node
+		var loopBody *ast.BlockStmt
 		switch n := n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			loopDepth++
-			ast.Inspect(nodeBody(n), walk)
-			loopDepth--
-			// Conditions/operands: scanned conservatively as non-loop.
+		case nil:
 			return false
-		case *ast.GoStmt:
-			m.spawn(u, m.unitForExpr(u, n.Call.Fun), n.Pos(), SpawnGo, loopDepth > 0)
-			// Arguments (and a spawned literal's body) are scanned by the
-			// outer traversal; the Fun operand must not ALSO bind.
+		case *ast.ForStmt:
+			header, loopBody = []ast.Node{n.Init, n.Cond, n.Post}, n.Body
+		case *ast.RangeStmt:
+			header, loopBody = []ast.Node{n.Key, n.Value, n.X}, n.Body
+		default:
+			visit(n, depth > 0)
 			return true
+		}
+		for _, h := range header {
+			if h != nil {
+				ast.Inspect(h, walk)
+			}
+		}
+		depth++
+		ast.Inspect(loopBody, walk)
+		depth--
+		return false
+	}
+	ast.Inspect(body, walk)
+}
+
+// scanStructure walks one declared unit's full body for spawn sites,
+// registration escapes, parallel.Hooks barrier callbacks, the literals
+// the call graph binds, channel aliases and close() calls.
+func (m *Model) scanStructure(u *Unit) {
+	info := u.Pkg.Info
+	inspectLoops(u.Body, func(n ast.Node, inLoop bool) {
+		if kind, fn, ok := m.spawnSite(info, n); ok {
+			m.spawn(u, m.unitForExpr(u, fn), n.Pos(), kind, inLoop)
+			return
+		}
+		switch n := n.(type) {
 		case *ast.CallExpr:
-			m.scanCall(u, n, loopDepth > 0)
-			return true
+			m.scanCall(u, n, inLoop)
 		case *ast.AssignStmt:
+			for _, t := range m.g.Stores[n] {
+				m.unit(t)
+			}
 			for i, rhs := range n.Rhs {
 				if i < len(n.Lhs) {
-					m.bindFuncValue(u, n.Lhs[i], rhs)
 					m.bindChanAlias(u, n.Lhs[i], rhs)
 				}
 			}
-			return true
 		case *ast.CompositeLit:
+			for _, t := range m.g.Stores[n] {
+				m.unit(t)
+			}
 			m.scanCompositeLit(u, n)
-			return true
 		}
-		return true
-	}
-	ast.Inspect(u.Body, walk)
+	})
 }
 
-// nodeBody returns the body block of a loop statement.
-func nodeBody(n ast.Node) *ast.BlockStmt {
+// spawnSite classifies n as a spawn site: a go statement, or a call of a
+// spawn API (exec's Go and After, sim.Engine.Go, time.AfterFunc, a
+// parallel sweep). It returns the kind and the function-valued expression
+// whose code the new class runs.
+func (m *Model) spawnSite(info *types.Info, n ast.Node) (SpawnKind, ast.Expr, bool) {
 	switch n := n.(type) {
-	case *ast.ForStmt:
-		return n.Body
-	case *ast.RangeStmt:
-		return n.Body
+	case *ast.GoStmt:
+		return SpawnGo, n.Call.Fun, true
+	case *ast.CallExpr:
+		if job := analysis.SweepJob(info, n); job != nil {
+			return SpawnSweep, job, true
+		}
+		fn := analysis.Callee(info, n)
+		if fn == nil || len(n.Args) != 2 {
+			break
+		}
+		switch {
+		case inPkg(fn, analysis.ExecPath, "Go"):
+			return SpawnRT, n.Args[1], true
+		case inPkg(fn, analysis.SimPath, "Go"):
+			return SpawnSim, n.Args[1], true
+		case inPkg(fn, analysis.ExecPath, "After"), inPkg(fn, "time", "AfterFunc"):
+			return SpawnAfter, n.Args[1], true
+		}
+	}
+	return 0, nil, false
+}
+
+// scanCall records a close() call, or the callbacks a registration
+// surface takes, each of which escapes to a class of its own.
+func (m *Model) scanCall(u *Unit, call *ast.CallExpr, inLoop bool) {
+	info := u.Pkg.Info
+	if ch := closedChan(info, call); ch != nil {
+		if obj := analysis.ChainObj(info, ch); obj != nil {
+			m.closed[obj] = true
+		}
+	} else if fn := analysis.Callee(info, call); fn != nil && isRegistration(fn) {
+		for _, arg := range call.Args {
+			if t := info.TypeOf(arg); t != nil && isFunc(t) {
+				m.spawn(u, m.unitForExpr(u, arg), call.Pos(), SpawnEscape, inLoop)
+			}
+		}
+	}
+}
+
+// closedChan returns the channel a call of the builtin close closes, or
+// nil for any other call.
+func closedChan(info *types.Info, call *ast.CallExpr) ast.Expr {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && len(call.Args) == 1 {
+		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
+			return call.Args[0]
+		}
 	}
 	return nil
 }
 
-// scanCall classifies one call expression during the structure scan:
-// spawn APIs, post/registration surfaces, close().
-func (m *Model) scanCall(u *Unit, call *ast.CallExpr, inLoop bool) {
-	info := u.Pkg.Info
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			if obj := chainObj(info, call.Args[0]); obj != nil {
-				m.closed[obj] = true
-			}
-			return
-		}
-	}
-	fn := analysis.Callee(info, call)
-	if fn == nil {
-		return
-	}
-	switch {
-	case m.isExecGo(fn) && len(call.Args) == 2:
-		m.spawn(u, m.unitForExpr(u, call.Args[1]), call.Pos(), SpawnRT, inLoop)
-	case m.isSimGo(fn) && len(call.Args) == 2:
-		m.spawn(u, m.unitForExpr(u, call.Args[1]), call.Pos(), SpawnSim, inLoop)
-	case m.isExecAfter(fn) && len(call.Args) == 2:
-		m.spawn(u, m.unitForExpr(u, call.Args[1]), call.Pos(), SpawnAfter, inLoop)
-	case isTimeAfterFunc(fn) && len(call.Args) == 2:
-		m.spawn(u, m.unitForExpr(u, call.Args[1]), call.Pos(), SpawnAfter, inLoop)
-	case m.isSweepEntry(fn) && len(call.Args) >= 3:
-		m.spawn(u, m.unitForExpr(u, call.Args[len(call.Args)-1]), call.Pos(), SpawnSweep, inLoop)
-	case m.isRegistration(fn):
-		for _, arg := range call.Args {
-			if t := info.TypeOf(arg); t != nil {
-				if _, ok := t.Underlying().(*types.Signature); ok {
-					m.spawn(u, m.unitForExpr(u, arg), call.Pos(), SpawnEscape, inLoop)
-				}
-			}
-		}
-	}
-}
-
-// scanCompositeLit records function values stored into struct fields via
-// composite literals — both ordinary function-typed fields (bindings for
-// later dynamic calls) and parallel.Hooks barrier callbacks.
+// scanCompositeLit records channel-typed locals stored into fields, and
+// the serialized edges to parallel.Hooks barrier callbacks.
 func (m *Model) scanCompositeLit(u *Unit, lit *ast.CompositeLit) {
 	info := u.Pkg.Info
 	t := info.TypeOf(lit)
 	if t == nil {
 		return
 	}
-	isHooks := m.isHooksType(t)
 	if _, ok := t.Underlying().(*types.Struct); !ok {
 		return
 	}
+	hooks := isHooksType(t)
 	for _, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
@@ -568,54 +582,19 @@ func (m *Model) scanCompositeLit(u *Unit, lit *ast.CompositeLit) {
 		if !ok {
 			continue
 		}
-		fieldObj, ok := info.Uses[key].(*types.Var)
+		field, ok := info.Uses[key].(*types.Var)
 		if !ok {
 			continue
 		}
-		if _, isChan := fieldObj.Type().Underlying().(*types.Chan); isChan {
-			m.aliasChan(info, kv.Value, fieldObj)
-			continue
-		}
-		if _, isFn := fieldObj.Type().Underlying().(*types.Signature); !isFn {
-			continue
-		}
-		if tgt := m.unitForExpr(u, kv.Value); tgt != nil {
-			if isHooks {
-				// Barrier callbacks run with every engine parked: the
-				// epoch-barrier seam, on the serialization domain.
+		if _, isChan := field.Type().Underlying().(*types.Chan); isChan {
+			m.aliasChan(info, kv.Value, field)
+		} else if hooks && isFunc(field.Type()) {
+			// Barrier callbacks run with every engine parked: the
+			// epoch-barrier seam, on the serialization domain.
+			if tgt := m.unitForExpr(u, kv.Value); tgt != nil {
 				u.edges = append(u.edges, &edge{site: kv.Value, to: tgt, serialized: true})
-			} else {
-				m.bindings[fieldObj] = append(m.bindings[fieldObj], tgt)
 			}
 		}
-	}
-}
-
-// bindFuncValue records `x.field = fn` / `var = fn` bindings of function
-// values, so later dynamic calls (f(), Post(f, ...)) resolve.
-func (m *Model) bindFuncValue(u *Unit, lhs, rhs ast.Expr) {
-	info := u.Pkg.Info
-	t := info.TypeOf(rhs)
-	if t == nil {
-		return
-	}
-	if _, ok := t.Underlying().(*types.Signature); !ok {
-		return
-	}
-	obj := chainObj(info, lhs)
-	if obj == nil {
-		return
-	}
-	if v, ok := obj.(*types.Var); !ok || v.Name() == "_" {
-		_ = v
-		return
-	}
-	// Fields, package variables, and plain locals all bind: a local closure
-	// variable (kernel := func(...){...}) may be invoked from a spawned
-	// workload literal, so its literal must be a unit of its own rather
-	// than code attributed to the (differently-classed) enclosing function.
-	if tgt := m.unitForExpr(u, rhs); tgt != nil {
-		m.bindings[obj] = append(m.bindings[obj], tgt)
 	}
 }
 
@@ -631,7 +610,7 @@ func (m *Model) bindChanAlias(u *Unit, lhs, rhs ast.Expr) {
 	if _, ok := t.Underlying().(*types.Chan); !ok {
 		return
 	}
-	obj := chainObj(info, lhs)
+	obj := analysis.ChainObj(info, lhs)
 	if obj == nil {
 		return
 	}
@@ -644,7 +623,7 @@ func (m *Model) bindChanAlias(u *Unit, lhs, rhs ast.Expr) {
 // aliasChan maps the local channel variable in src (if any) to canonical
 // object canon.
 func (m *Model) aliasChan(info *types.Info, src ast.Expr, canon types.Object) {
-	local := chainObj(info, src)
+	local := analysis.ChainObj(info, src)
 	if local == nil || local == canon {
 		return
 	}
@@ -666,163 +645,76 @@ func (m *Model) canonChan(obj types.Object) types.Object {
 	return obj
 }
 
-// collectEdges resolves every call in a unit (skipping root-literal
-// subtrees, which are their own units) to callee units.
+// collectEdges records every call in a unit (skipping the subtrees of
+// other units' literals) as edges to callee units: what the call graph
+// resolves, plus the model's own Post*/Do edges and function values
+// passed to ordinary calls.
 func (m *Model) collectEdges(u *Unit) {
 	info := u.Pkg.Info
 	// A go statement's call is not a synchronous edge: the callee runs as
 	// its own class (already a spawn root), never on the caller's.
 	goCalls := make(map[*ast.CallExpr]bool)
-	ast.Inspect(u.Body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			goCalls[g.Call] = true
-		}
-		return true
-	})
-	ast.Inspect(u.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && m.rootLit[lit] && m.litUnit[lit] != u {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || goCalls[call] {
-			return true
-		}
-		if fn := analysis.Callee(info, call); fn != nil {
-			if m.isPost(fn) && len(call.Args) >= 1 {
-				// Post/PostArg/PostPacket/PostDone/Do run the posted
-				// function synchronously on the caller's goroutine, under
-				// the runtime lock (internal/exec contract).
-				if tgt := m.postTarget(u, call.Args[0]); tgt != nil {
-					for _, t := range tgt {
-						u.edges = append(u.edges, &edge{site: call, to: t, serialized: true})
-					}
-				}
-				return true
-			}
-			if to := m.unitOf[fn]; to != nil {
-				u.edges = append(u.edges, &edge{site: call, to: to})
-			} else if impls := m.interfaceImpls(fn); impls != nil {
-				for _, to := range impls {
-					u.edges = append(u.edges, &edge{site: call, to: to})
-				}
-			}
-			// Function-valued arguments passed to an ordinary in-module or
-			// stdlib call (sort.Slice, wallMs-style helpers) are treated
-			// as invoked synchronously at the call site — unless the
-			// callee's parameter forwards to a spawn API (cluster's Run
-			// wrappers), which phase A½ already modeled as a spawn.
-			if !m.isSpawnAPI(fn) && !m.isRegistration(fn) {
-				cps := calleeParams(m, fn)
-				for i, arg := range call.Args {
-					if i < len(cps) {
-						if _, fwd := m.forward[cps[i]]; fwd {
-							continue
-						}
-					}
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok && !m.rootLit[lit] {
-						continue // inline literal: body attributed to u
-					}
-					if t := info.TypeOf(arg); t != nil {
-						if _, isFn := t.Underlying().(*types.Signature); isFn {
-							if tgt := m.unitForExpr(u, arg); tgt != nil && tgt != u {
-								u.edges = append(u.edges, &edge{site: call, to: tgt})
-							}
-						}
-					}
-				}
-			}
-			return true
-		}
-		// Dynamic call through a bound function-typed field/variable.
-		if obj := chainObj(info, call.Fun); obj != nil {
-			for _, t := range m.bindings[obj] {
-				u.edges = append(u.edges, &edge{site: call, to: t})
+	m.inspect(u.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			goCalls[n.Call] = true
+		case *ast.CallExpr:
+			if !goCalls[n] {
+				m.callEdges(u, info, n)
 			}
 		}
 		return true
 	})
 }
 
-// postTarget resolves the first argument of a Post* call: a bound field,
-// a method value, or a literal.
-func (m *Model) postTarget(u *Unit, e ast.Expr) []*Unit {
-	if tgt := m.unitForExpr(u, e); tgt != nil {
-		return []*Unit{tgt}
-	}
-	if obj := chainObj(u.Pkg.Info, e); obj != nil {
-		return m.bindings[obj]
-	}
-	return nil
-}
-
-// interfaceImpls resolves an interface method to every implementing
-// method declared in the module.
-func (m *Model) interfaceImpls(fn *types.Func) []*Unit {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	rt := sig.Recv().Type()
-	if !types.IsInterface(rt) {
-		return nil
-	}
-	switch rt.(type) {
-	case *types.TypeParam, *types.Interface:
-		// A constraint method (u.Close() on a type parameter) or an
-		// anonymous-interface method would resolve to every module type
-		// with that signature, flooding unrelated types with the
-		// caller's class. Only named module interfaces are resolved.
-		return nil
-	}
-	if fn.Pkg() == nil || !inModule(fn.Pkg()) {
-		// Resolving stdlib interface methods (io.Closer.Close, ...) to
-		// every module implementation floods unrelated types with the
-		// caller's class; only module-declared interfaces are resolved.
-		return nil
-	}
-	if impls, ok := m.ifaceImpls[fn]; ok {
-		return impls
-	}
-	iface, ok := rt.Underlying().(*types.Interface)
-	if !ok {
-		m.ifaceImpls[fn] = nil
-		return nil
-	}
-	var impls []*Unit
-	for _, named := range m.namedTypes {
-		ptr := types.NewPointer(named)
-		if !types.Implements(named, iface) && !types.Implements(ptr, iface) {
-			continue
-		}
-		obj, _, _ := types.LookupFieldOrMethod(ptr, true, fn.Pkg(), fn.Name())
-		if method, ok := obj.(*types.Func); ok {
-			if u := m.unitOf[method]; u != nil {
-				impls = append(impls, u)
+// callEdges appends the edges of one call site to u.
+func (m *Model) callEdges(u *Unit, info *types.Info, call *ast.CallExpr) {
+	add := func(es []callgraph.Edge, serialized bool) {
+		for _, e := range es {
+			if !m.hooks[e.Via] {
+				u.edges = append(u.edges, &edge{site: call, to: m.unit(e.To), kind: e.Kind, serialized: serialized})
 			}
 		}
 	}
-	m.ifaceImpls[fn] = impls
-	return impls
+	fn := analysis.Callee(info, call)
+	if fn != nil && isPost(fn) && len(call.Args) >= 1 {
+		// Post/PostArg/PostPacket/PostDone/Do run the posted function
+		// under the runtime lock (internal/exec contract), Do on the
+		// caller's goroutine.
+		add(m.g.Values(u.Pkg, call.Args[0]), true)
+		return
+	}
+	add(m.g.Resolve(u.Pkg, call), false)
+	if fn == nil || m.modeled(fn) {
+		return
+	}
+	// Function-valued arguments passed to an ordinary in-module or stdlib
+	// call (sort.Slice, wallMs-style helpers) are treated as invoked
+	// synchronously at the call site — unless the callee's parameter
+	// forwards to a spawn API (cluster's Run wrappers), which phase A½
+	// already modeled as a spawn.
+	cps := m.calleeParams(fn)
+	for i, arg := range call.Args {
+		if i < len(cps) {
+			if _, fwd := m.forward[cps[i]]; fwd {
+				continue
+			}
+		}
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok && m.litUnit[lit] == nil {
+			continue // inline literal: body attributed to u
+		}
+		if t := info.TypeOf(arg); t != nil && isFunc(t) {
+			if tgt := m.unitForExpr(u, arg); tgt != nil && tgt != u {
+				u.edges = append(u.edges, &edge{site: call, to: tgt})
+			}
+		}
+	}
 }
 
 // propagateClasses seeds goroutine classes at spawn roots and main-class
 // roots (units nothing in the module calls or spawns) and propagates them
 // over the edges to a fixpoint.
 func (m *Model) propagateClasses() {
-	called := make(map[*Unit]bool)
-	for _, u := range m.Units {
-		for _, e := range u.edges {
-			called[e.to] = true
-		}
-	}
-	for _, s := range m.Spawns {
-		called[s.Root] = true
-	}
-	for _, targets := range m.bindings {
-		for _, t := range targets {
-			called[t] = true
-		}
-	}
 	work := make([]*Unit, 0, len(m.Units))
 	add := func(u *Unit, c ClassID) {
 		if !u.Classes[c] {
@@ -830,10 +722,14 @@ func (m *Model) propagateClasses() {
 			work = append(work, u)
 		}
 	}
+	var roots []*Unit
 	for _, u := range m.Units {
-		if !called[u] {
+		if !m.called[u] {
 			add(u, MainClass)
 			u.ambient = !u.programRoot()
+			if !u.ambient {
+				roots = append(roots, u)
+			}
 		}
 	}
 	for _, s := range m.Spawns {
@@ -849,28 +745,40 @@ func (m *Model) propagateClasses() {
 		}
 	}
 
-	// Propagate real-main-context along call edges: a unit's MainClass
-	// membership is genuine only when some chain from a real program root
-	// (func main / init) reaches it. MainClass seeded by an ambient root
-	// (uncalled API surface) is a closed-world artifact, and so is the
-	// MainClass it passes to its callees.
-	var frontier []*Unit
-	for _, u := range m.Units {
-		if u.Classes[MainClass] && !called[u] && !u.ambient {
-			u.mainReal = true
-			frontier = append(frontier, u)
+	// A unit's MainClass membership is genuine only when some chain from a
+	// real program root (func main / init) reaches it. MainClass seeded by
+	// an ambient root (uncalled API surface) is a closed-world artifact,
+	// and so is the MainClass it passes to its callees.
+	for u := range reach(map[*Unit]bool{}, nil, roots...) {
+		u.mainReal = true
+	}
+}
+
+// reach adds to seen every unit reachable from seeds over call edges and,
+// given spawnsFrom, from a spawning unit to the roots it spawns, and
+// returns seen. Units already in seen are not walked again.
+func reach(seen map[*Unit]bool, spawnsFrom map[*Unit][]*Spawn, seeds ...*Unit) map[*Unit]bool {
+	var work []*Unit
+	visit := func(u *Unit) {
+		if !seen[u] {
+			seen[u] = true
+			work = append(work, u)
 		}
 	}
-	for len(frontier) > 0 {
-		u := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
+	for _, u := range seeds {
+		visit(u)
+	}
+	for len(work) > 0 {
+		u := work[len(work)-1]
+		work = work[:len(work)-1]
 		for _, e := range u.edges {
-			if !e.to.mainReal {
-				e.to.mainReal = true
-				frontier = append(frontier, e.to)
-			}
+			visit(e.to)
+		}
+		for _, s := range spawnsFrom[u] {
+			visit(s.Root)
 		}
 	}
+	return seen
 }
 
 // resolveOrigins computes, for every unit, the set of program roots (func
@@ -888,40 +796,15 @@ func (m *Model) resolveOrigins() {
 	for _, s := range m.Spawns {
 		spawnsFrom[s.Parent] = append(spawnsFrom[s.Parent], s)
 	}
-	var work []*Unit
-	for _, u := range m.Units {
-		if u.Fn != nil && u.Fn.Name() == "main" && u.Pkg.Types.Name() == "main" {
-			m.origins[u] = map[*Unit]bool{u: true}
-			work = append(work, u)
+	for _, root := range m.Units {
+		if root.Fn == nil || root.Fn.Name() != "main" || root.Pkg.Types.Name() != "main" {
+			continue
 		}
-	}
-	flow := func(from, to *Unit) bool {
-		dst := m.origins[to]
-		if dst == nil {
-			dst = make(map[*Unit]bool)
-			m.origins[to] = dst
-		}
-		changed := false
-		for root := range m.origins[from] {
-			if !dst[root] {
-				dst[root] = true
-				changed = true
+		for u := range reach(map[*Unit]bool{}, spawnsFrom, root) {
+			if m.origins[u] == nil {
+				m.origins[u] = make(map[*Unit]bool)
 			}
-		}
-		return changed
-	}
-	for len(work) > 0 {
-		u := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, e := range u.edges {
-			if flow(u, e.to) {
-				work = append(work, e.to)
-			}
-		}
-		for _, s := range spawnsFrom[u] {
-			if flow(u, s.Root) {
-				work = append(work, s.Root)
-			}
+			m.origins[u][root] = true
 		}
 	}
 }
@@ -930,7 +813,7 @@ func (m *Model) resolveOrigins() {
 // class c, can happen: the origin set of the class's spawning unit (for
 // MainClass, of the accessing unit itself).
 func (m *Model) classOrigins(acc *Access, c ClassID) map[*Unit]bool {
-	if s := m.spawnBy[c]; s != nil {
+	if s := m.SpawnOf(c); s != nil {
 		return m.origins[s.Parent]
 	}
 	return m.origins[acc.Unit]
@@ -949,111 +832,50 @@ func (u *Unit) programRoot() bool {
 	return u.Fn.Name() == "main" && u.Pkg.Types.Name() == "main"
 }
 
-// chainObj resolves an expression to the identity object the concurrency
-// model tracks: the deepest field of a selector chain, or a package-level
-// or local variable. Instance-blind by construction.
-func chainObj(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if v, ok := info.Uses[e].(*types.Var); ok {
-			return v
-		}
-		if v, ok := info.Defs[e].(*types.Var); ok {
-			return v
-		}
-	case *ast.SelectorExpr:
-		if obj := info.Uses[e.Sel]; obj != nil {
-			return obj
-		}
-	case *ast.StarExpr:
-		return chainObj(info, e.X)
-	case *ast.IndexExpr:
-		return chainObj(info, e.X)
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return chainObj(info, e.X)
-		}
-	}
-	return nil
-}
-
 // --- API recognizers -------------------------------------------------------
 
-func (m *Model) isExecGo(fn *types.Func) bool {
-	return m.execPkg != nil && fn.Pkg() == m.execPkg && fn.Name() == "Go"
+// inPkg reports whether fn is declared in the package at path under one of
+// names (a function, or a method of any type there).
+func inPkg(fn *types.Func, path string, names ...string) bool {
+	return fn.Pkg() != nil && fn.Pkg().Path() == path && slices.Contains(names, fn.Name())
 }
 
-func (m *Model) isSimGo(fn *types.Func) bool {
-	return m.simPkg != nil && fn.Pkg() == m.simPkg && fn.Name() == "Go"
-}
-
-func (m *Model) isExecAfter(fn *types.Func) bool {
-	return m.execPkg != nil && fn.Pkg() == m.execPkg && fn.Name() == "After"
-}
-
-func isTimeAfterFunc(fn *types.Func) bool {
-	return fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "AfterFunc"
-}
-
-func (m *Model) isSweepEntry(fn *types.Func) bool {
-	return m.parallelPkg != nil && fn.Pkg() == m.parallelPkg &&
-		(fn.Name() == "Map" || fn.Name() == "ForEach")
-}
-
-func (m *Model) isPost(fn *types.Func) bool {
-	if m.execPkg == nil || fn.Pkg() != m.execPkg {
-		return false
-	}
-	switch fn.Name() {
-	case "Post", "PostArg", "PostPacket", "PostDone", "Do":
-		return true
-	}
-	return false
+// isPost reports whether fn runs its function argument on the runtime's
+// serialization domain: Post, PostArg, PostPacket, PostDone, Do.
+func isPost(fn *types.Func) bool {
+	return inPkg(fn, analysis.ExecPath, "Post", "PostArg", "PostPacket", "PostDone", "Do")
 }
 
 // isRegistration reports whether fn is a callback-registration surface:
 // the callback is stored and invoked later on the owning runtime's
 // serialization domain (SetDeliver, RegisterHandler, Schedule, ...).
-func (m *Model) isRegistration(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return false
-	}
+func isRegistration(fn *types.Func) bool {
 	name := fn.Name()
-	if len(name) >= 3 && name[:3] == "Set" && hasFuncParam(fn) {
-		return inModule(pkg)
+	if strings.HasPrefix(name, "Set") || strings.HasPrefix(name, "Register") {
+		return len(funcParams(fn)) > 0 && analysis.InModule(fn.Pkg())
 	}
-	if len(name) >= 8 && name[:8] == "Register" && hasFuncParam(fn) {
-		return inModule(pkg)
-	}
-	if m.simPkg != nil && pkg == m.simPkg && (name == "Schedule" || name == "ScheduleAt") {
-		return true
-	}
-	return false
+	return inPkg(fn, analysis.SimPath, "Schedule", "ScheduleAt")
 }
 
-func inModule(pkg *types.Package) bool {
-	const prefix = "golapi/"
-	p := pkg.Path()
-	return len(p) >= len(prefix) && p[:len(prefix)] == prefix
+// modeled reports whether the model handles fn's function arguments at
+// the call site: a spawn API, a post, or a registration.
+func (m *Model) modeled(fn *types.Func) bool {
+	return inPkg(fn, analysis.ExecPath, "Go", "After") || inPkg(fn, analysis.SimPath, "Go") ||
+		inPkg(fn, "time", "AfterFunc") || inPkg(fn, analysis.ParallelPath, "Map", "ForEach") ||
+		isPost(fn) || isRegistration(fn)
 }
 
-func hasFuncParam(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if _, ok := sig.Params().At(i).Type().Underlying().(*types.Signature); ok {
-			return true
-		}
-	}
-	return false
+// isHooksType reports whether t is parallel.Hooks: its callback fields run
+// at the epoch barrier with every shard engine parked.
+func isHooksType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == analysis.ParallelPath &&
+		named.Obj().Name() == "Hooks"
 }
 
-func (m *Model) isSpawnAPI(fn *types.Func) bool {
-	return m.isExecGo(fn) || m.isSimGo(fn) || m.isExecAfter(fn) || isTimeAfterFunc(fn) ||
-		m.isSweepEntry(fn) || m.isPost(fn)
+func isFunc(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Signature)
+	return ok
 }
 
 // contractualLocks returns the locks a unit holds by API contract,
@@ -1061,14 +883,9 @@ func (m *Model) isSpawnAPI(fn *types.Func) bool {
 // the serialization domains themselves (realrt's big lock, the engine's
 // one-at-a-time coroutine switch), and any function taking an exec.Context or
 // *sim.Proc may only run on its runtime's domain.
-func (m *Model) contractualLocks(u *Unit) LockSet {
+func contractualLocks(u *Unit) LockSet {
 	ls := LockSet{}
-	pkgPath := u.Pkg.Path
-	if pkgPath == ExecPath || pkgPath == SimPath {
-		ls.add(SerializedLock)
-		return ls
-	}
-	if m.takesSerializedCtx(u.signature()) {
+	if u.Pkg.Path == analysis.ExecPath || u.Pkg.Path == analysis.SimPath || serializedSig(u.signature()) {
 		ls.add(SerializedLock)
 	}
 	return ls
@@ -1080,20 +897,27 @@ func (m *Model) contractualLocks(u *Unit) LockSet {
 // activity, whatever the function that builds it holds: a workload body
 // returned by a constructor is called by the runtime, not by the
 // constructor.
-func (m *Model) serializedLit(info *types.Info, lit *ast.FuncLit) bool {
+func serializedLit(info *types.Info, lit *ast.FuncLit) bool {
 	sig, _ := info.TypeOf(lit).(*types.Signature)
-	return m.takesSerializedCtx(sig)
+	return serializedSig(sig)
 }
 
-// takesSerializedCtx reports whether sig has an exec.Context or *sim.Proc
+// serializedSig reports whether sig has an exec.Context or *sim.Proc
 // parameter.
-func (m *Model) takesSerializedCtx(sig *types.Signature) bool {
+func serializedSig(sig *types.Signature) bool {
 	if sig == nil {
 		return false
 	}
 	for i := 0; i < sig.Params().Len(); i++ {
-		if isSerializedCtxType(sig.Params().At(i).Type(), m.execPkg, m.simPkg) {
-			return true
+		t := sig.Params().At(i).Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+			switch path, name := named.Obj().Pkg().Path(), named.Obj().Name(); {
+			case path == analysis.ExecPath && name == "Context", path == analysis.SimPath && name == "Proc":
+				return true
+			}
 		}
 	}
 	return false
@@ -1104,30 +928,6 @@ func (u *Unit) signature() *types.Signature {
 		sig, _ := u.Fn.Type().(*types.Signature)
 		return sig
 	}
-	if u.Lit != nil {
-		if t := u.Pkg.Info.TypeOf(u.Lit); t != nil {
-			sig, _ := t.(*types.Signature)
-			return sig
-		}
-	}
-	return nil
-}
-
-// isSerializedCtxType reports whether t is exec.Context or *sim.Proc.
-func isSerializedCtxType(t types.Type, execPkg, simPkg *types.Package) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if execPkg != nil && obj.Pkg() == execPkg && obj.Name() == "Context" {
-		return true
-	}
-	if simPkg != nil && obj.Pkg() == simPkg && obj.Name() == "Proc" {
-		return true
-	}
-	return false
+	sig, _ := u.Pkg.Info.TypeOf(u.Lit).(*types.Signature)
+	return sig
 }

@@ -45,32 +45,15 @@ func (m *Model) forwardKinds() map[*types.Var]SpawnKind {
 				}
 			}
 			ast.Inspect(u.Body, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.GoStmt:
-					record(x.Call.Fun, SpawnGo)
-					return true
-				case *ast.CallExpr:
-					fn := analysis.Callee(info, x)
-					if fn == nil {
-						return true
-					}
-					switch {
-					case m.isExecGo(fn) && len(x.Args) == 2:
-						record(x.Args[1], SpawnRT)
-					case m.isSimGo(fn) && len(x.Args) == 2:
-						record(x.Args[1], SpawnSim)
-					case m.isExecAfter(fn) && len(x.Args) == 2:
-						record(x.Args[1], SpawnAfter)
-					case isTimeAfterFunc(fn) && len(x.Args) == 2:
-						record(x.Args[1], SpawnAfter)
-					case m.isSweepEntry(fn) && len(x.Args) >= 3:
-						record(x.Args[len(x.Args)-1], SpawnSweep)
-					default:
-						// Transitive: an argument fed into a parameter that
-						// itself forwards.
-						for i, cp := range calleeParams(m, fn) {
-							if kind, ok := forward[cp]; ok && i < len(x.Args) {
-								record(x.Args[i], kind)
+				if kind, arg, ok := m.spawnSite(info, n); ok {
+					record(arg, kind)
+				} else if call, ok := n.(*ast.CallExpr); ok {
+					// Transitive: an argument fed into a parameter that
+					// itself forwards.
+					if fn := analysis.Callee(info, call); fn != nil {
+						for i, cp := range m.calleeParams(fn) {
+							if kind, ok := forward[cp]; ok && i < len(call.Args) {
+								record(call.Args[i], kind)
 							}
 						}
 					}
@@ -88,42 +71,26 @@ func (m *Model) forwardKinds() map[*types.Var]SpawnKind {
 // applyForwarding creates spawn sites for function-valued arguments passed
 // into forwarding parameters: the argument's unit becomes a spawn root of
 // the summarized kind, anchored at the call expression.
-func (m *Model) applyForwarding(forward map[*types.Var]SpawnKind) {
-	if len(forward) == 0 {
-		return
-	}
+func (m *Model) applyForwarding() {
 	for _, u := range m.Units {
 		info := u.Pkg.Info
-		var loopDepth int
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.ForStmt, *ast.RangeStmt:
-				loopDepth++
-				ast.Inspect(nodeBody(x), walk)
-				loopDepth--
-				return false
-			case *ast.CallExpr:
-				fn := analysis.Callee(info, x)
-				if fn == nil {
-					return true
-				}
-				if m.isSpawnAPI(fn) || m.isRegistration(fn) || m.isPost(fn) {
-					return true // already modeled at the call site
-				}
-				for i, cp := range calleeParams(m, fn) {
-					kind, ok := forward[cp]
-					if !ok || i >= len(x.Args) {
-						continue
-					}
-					if root := m.unitForExpr(u, x.Args[i]); root != nil && root != u {
-						m.spawn(u, root, x.Pos(), kind, loopDepth > 0)
+		inspectLoops(u.Body, func(n ast.Node, inLoop bool) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return
+			}
+			fn := analysis.Callee(info, call)
+			if fn == nil || m.modeled(fn) {
+				return // already modeled at the call site
+			}
+			for i, cp := range m.calleeParams(fn) {
+				if kind, ok := m.forward[cp]; ok && i < len(call.Args) {
+					if root := m.unitForExpr(u, call.Args[i]); root != nil && root != u {
+						m.spawn(u, root, call.Pos(), kind, inLoop)
 					}
 				}
 			}
-			return true
-		}
-		ast.Inspect(u.Body, walk)
+		})
 	}
 }
 
@@ -136,23 +103,18 @@ func funcParams(fn *types.Func) []*types.Var {
 	}
 	var out []*types.Var
 	for i := 0; i < sig.Params().Len(); i++ {
-		p := sig.Params().At(i)
-		if _, isFn := p.Type().Underlying().(*types.Signature); isFn {
+		if p := sig.Params().At(i); isFunc(p.Type()) {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// calleeParams returns the positional parameter variables of an in-module
-// callee, or nil for out-of-module functions.
-func calleeParams(m *Model, fn *types.Func) []*types.Var {
-	u := m.unitOf[fn]
-	if u == nil {
-		return nil
-	}
+// calleeParams returns the positional parameter variables of a callee
+// with a body in the module, or nil for any other function.
+func (m *Model) calleeParams(fn *types.Func) []*types.Var {
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
+	if m.unitOf[fn] == nil || !ok {
 		return nil
 	}
 	out := make([]*types.Var, sig.Params().Len())
@@ -165,23 +127,11 @@ func calleeParams(m *Model, fn *types.Func) []*types.Var {
 // argForwards reports whether arg is parameter p itself or a function
 // literal capturing p (the Job.Run wrapper closure idiom).
 func argForwards(info *types.Info, arg ast.Expr, p *types.Var) bool {
-	arg = ast.Unparen(arg)
-	if id, ok := arg.(*ast.Ident); ok {
-		return info.Uses[id] == p
+	switch arg := ast.Unparen(arg).(type) {
+	case *ast.Ident:
+		return info.Uses[arg] == p
+	case *ast.FuncLit:
+		return analysis.Mentions(info, arg, p)
 	}
-	lit, ok := arg.(*ast.FuncLit)
-	if !ok {
-		return false
-	}
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == p {
-			found = true
-		}
-		return true
-	})
-	return found
+	return false
 }

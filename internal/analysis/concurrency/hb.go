@@ -16,17 +16,6 @@ import (
 	"golapi/internal/analysis/cfg"
 )
 
-// isHooksType reports whether t is parallel.Hooks: its callback fields run
-// at the epoch barrier with every shard engine parked.
-func (m *Model) isHooksType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return m.parallelPkg != nil && obj.Pkg() == m.parallelPkg && obj.Name() == "Hooks"
-}
-
 // joinSpawns marks spawns fork-joined with their parent: the spawned unit
 // releases (WaitGroup.Done, channel close/send) something the parent
 // acquires (Wait, receive) after the spawn site.
@@ -55,27 +44,8 @@ func (m *Model) joinSpawns() {
 // the spawn and its join: the only code the parent class can execute while
 // the joined class is alive.
 func (m *Model) joinWindow(s *Spawn) map[*Unit]bool {
-	if s.window != nil {
-		return s.window
-	}
-	s.window = make(map[*Unit]bool)
-	var frontier []*Unit
-	for _, e := range s.Parent.edges {
-		p := e.site.Pos()
-		if p > s.Pos && p < s.JoinPos && !s.window[e.to] {
-			s.window[e.to] = true
-			frontier = append(frontier, e.to)
-		}
-	}
-	for len(frontier) > 0 {
-		u := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for _, e := range u.edges {
-			if !s.window[e.to] {
-				s.window[e.to] = true
-				frontier = append(frontier, e.to)
-			}
-		}
+	if s.window == nil {
+		s.window = callsFrom(s.Parent, func(p token.Pos) bool { return p > s.Pos && p < s.JoinPos })
 	}
 	return s.window
 }
@@ -86,47 +56,38 @@ func (m *Model) joinWindow(s *Spawn) map[*Unit]bool {
 // rest of the model: another root calling the same constructor
 // concurrently with this spawn's class is not distinguished.
 func (m *Model) preWindow(s *Spawn) map[*Unit]bool {
-	if s.prewin != nil {
-		return s.prewin
-	}
-	s.prewin = make(map[*Unit]bool)
-	if s.InLoop {
+	if s.prewin == nil {
 		// A loop spawn has instances alive on the second iteration while
 		// the "pre-spawn" constructor code runs again: no safe window.
-		return s.prewin
-	}
-	var frontier []*Unit
-	for _, e := range s.Parent.edges {
-		if e.site.Pos() < s.Pos && !s.prewin[e.to] {
-			s.prewin[e.to] = true
-			frontier = append(frontier, e.to)
-		}
-	}
-	for len(frontier) > 0 {
-		u := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for _, e := range u.edges {
-			if !s.prewin[e.to] {
-				s.prewin[e.to] = true
-				frontier = append(frontier, e.to)
-			}
-		}
+		s.prewin = callsFrom(s.Parent, func(p token.Pos) bool { return !s.InLoop && p < s.Pos })
 	}
 	return s.prewin
 }
 
-// inJoinWindow reports whether access b can execute while joined spawn s
-// is alive: in the parent between spawn and join, or in a unit the parent
-// calls from inside that window. With no known join position everything
-// overlaps.
-func (m *Model) inJoinWindow(s *Spawn, b *Access) bool {
+// callsFrom returns the units reachable from those call sites of u whose
+// position satisfies in.
+func callsFrom(u *Unit, in func(token.Pos) bool) map[*Unit]bool {
+	var seeds []*Unit
+	for _, e := range u.edges {
+		if in(e.site.Pos()) {
+			seeds = append(seeds, e.to)
+		}
+	}
+	return reach(map[*Unit]bool{}, nil, seeds...)
+}
+
+// inWindow reports whether code of unit u at pos can execute while joined
+// spawn s is alive: in the parent between spawn and join, or in a unit the
+// parent calls from inside that window. With no known join position
+// everything overlaps.
+func (m *Model) inWindow(s *Spawn, u *Unit, pos token.Pos) bool {
 	if s.JoinPos == 0 {
 		return true
 	}
-	if b.Unit == s.Parent {
-		return b.Pos > s.Pos && b.Pos < s.JoinPos
+	if u == s.Parent {
+		return pos > s.Pos && pos < s.JoinPos
 	}
-	return m.joinWindow(s)[b.Unit]
+	return m.joinWindow(s)[u]
 }
 
 // NoReturn reports whether the unit's exit is statically unreachable, with
@@ -138,23 +99,14 @@ func (u *Unit) NoReturn() (bool, string) { return u.noReturn, u.noReason }
 // builder already models those) or transitively (every path calls a unit
 // that never returns, or ranges over a channel nothing ever closes).
 func (m *Model) markNoReturn() {
-	noRet := make(map[*Unit]bool)
-	for round := 0; round < 5; round++ {
-		changed := false
+	for round, changed := 0, true; round < 5 && changed; round++ {
+		changed = false
 		for _, u := range m.Units {
-			if noRet[u] {
-				continue
+			if !u.noReturn {
+				if ok, reason := m.exitReachable(u); !ok {
+					u.noReturn, u.noReason, changed = true, reason, true
+				}
 			}
-			ok, reason := m.exitReachable(u, noRet)
-			if !ok {
-				noRet[u] = true
-				u.noReturn = true
-				u.noReason = reason
-				changed = true
-			}
-		}
-		if !changed {
-			break
 		}
 	}
 }
@@ -162,7 +114,7 @@ func (m *Model) markNoReturn() {
 // exitReachable walks u's CFG from the entry, cutting block successors at
 // calls to never-returning units and the head→after edge of ranges over
 // never-closed channels, and reports whether the exit block survives.
-func (m *Model) exitReachable(u *Unit, noRet map[*Unit]bool) (bool, string) {
+func (m *Model) exitReachable(u *Unit) (bool, string) {
 	g := u.graphOf()
 	cuts, cutReasons := m.rangeCuts(u, g)
 	reason := ""
@@ -183,7 +135,7 @@ func (m *Model) exitReachable(u *Unit, noRet map[*Unit]bool) (bool, string) {
 		}
 		terminated := false
 		for _, leaf := range b.Nodes {
-			if r := m.leafNoReturnCall(u, leaf, noRet); r != "" {
+			if r := m.leafNoReturnCall(u, leaf); r != "" {
 				terminated = true
 				if reason == "" {
 					reason = r
@@ -215,12 +167,8 @@ func (m *Model) exitReachable(u *Unit, noRet map[*Unit]bool) (bool, string) {
 // forever instead), so it is cut from the reachability walk.
 func (m *Model) rangeCuts(u *Unit, g *cfg.Graph) (map[*cfg.Block]*cfg.Block, map[*cfg.Block]string) {
 	info := u.Pkg.Info
-	var ops []ast.Expr
-	names := make(map[ast.Expr]string)
-	ast.Inspect(u.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && m.rootLit[lit] {
-			return false
-		}
+	names := make(map[ast.Node]string) // range operand -> channel name
+	m.inspect(u.Body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return true
@@ -232,15 +180,14 @@ func (m *Model) rangeCuts(u *Unit, g *cfg.Graph) (map[*cfg.Block]*cfg.Block, map
 		if _, isChan := t.Underlying().(*types.Chan); !isChan {
 			return true
 		}
-		obj := chainObj(info, rs.X)
+		obj := analysis.ChainObj(info, rs.X)
 		if obj == nil || m.closed[m.canonChan(obj)] {
 			return true // unresolvable operand, or something closes it
 		}
-		ops = append(ops, rs.X)
 		names[rs.X] = obj.Name()
 		return true
 	})
-	if len(ops) == 0 {
+	if len(names) == 0 {
 		return nil, nil
 	}
 	cuts := make(map[*cfg.Block]*cfg.Block)
@@ -249,22 +196,19 @@ func (m *Model) rangeCuts(u *Unit, g *cfg.Graph) (map[*cfg.Block]*cfg.Block, map
 		if len(blk.Nodes) == 0 {
 			continue
 		}
-		last := blk.Nodes[len(blk.Nodes)-1]
-		for _, op := range ops {
-			if last != op {
+		name, ok := names[blk.Nodes[len(blk.Nodes)-1]]
+		if !ok {
+			continue
+		}
+		// The operand leaf flows straight into the range head.
+		for _, head := range blk.Succs {
+			if head.Kind != "range.head" {
 				continue
 			}
-			// The operand leaf flows straight into the range head.
-			for _, head := range blk.Succs {
-				if head.Kind != "range.head" {
-					continue
-				}
-				for _, after := range head.Succs {
-					if after.Kind == "range.after" {
-						cuts[head] = after
-						reasons[head] = fmt.Sprintf(
-							"ranges over channel %s, which nothing closes", names[op])
-					}
+			for _, after := range head.Succs {
+				if after.Kind == "range.after" {
+					cuts[head] = after
+					reasons[head] = fmt.Sprintf("ranges over channel %s, which nothing closes", name)
 				}
 			}
 		}
@@ -275,16 +219,14 @@ func (m *Model) rangeCuts(u *Unit, g *cfg.Graph) (map[*cfg.Block]*cfg.Block, map
 // leafNoReturnCall reports (with a reason) whether the leaf contains a
 // call to a unit known not to return. Spawned and deferred calls do not
 // block the current goroutine here.
-func (m *Model) leafNoReturnCall(u *Unit, leaf ast.Node, noRet map[*Unit]bool) string {
+func (m *Model) leafNoReturnCall(u *Unit, leaf ast.Node) string {
 	info := u.Pkg.Info
 	reason := ""
-	ast.Inspect(leaf, func(n ast.Node) bool {
+	m.inspect(leaf, func(n ast.Node) bool {
 		if reason != "" {
 			return false
 		}
 		switch x := n.(type) {
-		case *ast.FuncLit:
-			return !m.rootLit[x]
 		case *ast.GoStmt, *ast.DeferStmt:
 			return false
 		case *ast.CallExpr:
@@ -292,7 +234,7 @@ func (m *Model) leafNoReturnCall(u *Unit, leaf ast.Node, noRet map[*Unit]bool) s
 			if fn == nil {
 				return true
 			}
-			if v := m.unitOf[fn]; v != nil && noRet[v] {
+			if v := m.unitOf[fn]; v != nil && v.noReturn {
 				reason = fmt.Sprintf("calls %s, which never returns", fn.Name())
 				return false
 			}
@@ -307,17 +249,12 @@ func (m *Model) leafNoReturnCall(u *Unit, leaf ast.Node, noRet map[*Unit]bool) s
 // loopSpansOf returns (memoized) the extents of loop statements in u's
 // body, excluding nested root literals (separate units).
 func (m *Model) loopSpansOf(u *Unit) [][2]token.Pos {
-	if m.loopSpans == nil {
-		m.loopSpans = make(map[*Unit][][2]token.Pos)
-	}
 	if spans, ok := m.loopSpans[u]; ok {
 		return spans
 	}
 	spans := [][2]token.Pos{}
-	ast.Inspect(u.Body, func(n ast.Node) bool {
+	m.inspect(u.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.FuncLit:
-			return !m.rootLit[x]
 		case *ast.ForStmt, *ast.RangeStmt:
 			spans = append(spans, [2]token.Pos{x.Pos(), x.End()})
 		}
@@ -337,18 +274,6 @@ func (m *Model) inLoopPos(u *Unit, pos token.Pos) bool {
 	return false
 }
 
-// loopEnd returns the end of the outermost loop of u enclosing pos, or pos
-// itself when pos is not inside a loop.
-func (m *Model) loopEnd(u *Unit, pos token.Pos) token.Pos {
-	out := pos
-	for _, sp := range m.loopSpansOf(u) {
-		if pos >= sp[0] && pos < sp[1] && sp[1] > out {
-			out = sp[1]
-		}
-	}
-	return out
-}
-
 // mainView computes (memoized) the main-goroutine timeline around a
 // singleton spawn: `after` holds units reachable from call sites that
 // execute once the spawned class exists (post-spawn sites in the spawner
@@ -358,53 +283,40 @@ func (m *Model) loopEnd(u *Unit, pos token.Pos) token.Pos {
 // NoPos (the body re-runs while the class is alive, nothing is safely
 // before). Units in neither set completed before the spawn call.
 func (m *Model) mainView(s *Spawn) (after map[*Unit]bool, best map[*Unit]token.Pos) {
-	if s.mafter != nil {
-		return s.mafter, s.mbest
-	}
-	after = make(map[*Unit]bool)
-	best = make(map[*Unit]token.Pos)
-	s.mafter, s.mbest = after, best
-
-	var addAfter func(u *Unit)
-	addAfter = func(u *Unit) {
-		if after[u] {
-			return
-		}
-		after[u] = true
-		for _, e := range u.edges {
-			addAfter(e.to)
+	if s.mafter == nil {
+		s.mbest = m.callChains([]callerSite{{s.Parent, s.Pos}}, false, true)
+		s.mafter = make(map[*Unit]bool)
+		for u, p := range s.mbest {
+			for _, e := range u.edges {
+				if e.site.Pos() > p {
+					reach(s.mafter, nil, e.to)
+				}
+			}
 		}
 	}
+	return s.mafter, s.mbest
+}
 
-	type item struct {
-		u   *Unit
-		pos token.Pos
-	}
-	work := []item{{s.Parent, s.Pos}}
-	if m.inLoopPos(s.Parent, s.Pos) {
-		work[0].pos = token.NoPos
-	}
+// callChains walks the call chains into the seed sites backward, caller
+// by caller, and returns for each unit on them the earliest chain call
+// position in it (the latest, when latest is set). With loops set, a site
+// inside a loop counts as NoPos: the loop runs the call again.
+func (m *Model) callChains(seeds []callerSite, latest, loops bool) map[*Unit]token.Pos {
+	bound := make(map[*Unit]token.Pos)
+	work := append([]callerSite(nil), seeds...)
 	for len(work) > 0 {
 		it := work[len(work)-1]
 		work = work[:len(work)-1]
-		if old, seen := best[it.u]; seen && old <= it.pos {
+		if loops && m.inLoopPos(it.unit, it.pos) {
+			it.pos = token.NoPos
+		}
+		if old, seen := bound[it.unit]; seen && (latest && old >= it.pos || !latest && old <= it.pos) {
 			continue
 		}
-		best[it.u] = it.pos
-		for _, e := range it.u.edges {
-			if e.site.Pos() > it.pos {
-				addAfter(e.to)
-			}
-		}
-		for _, cs := range m.callers[it.u] {
-			p := cs.pos
-			if m.inLoopPos(cs.unit, p) {
-				p = token.NoPos
-			}
-			work = append(work, item{cs.unit, p})
-		}
+		bound[it.unit] = it.pos
+		work = append(work, m.callers[it.unit]...)
 	}
-	return after, best
+	return bound
 }
 
 // --- caller-side publication -----------------------------------------------
@@ -425,57 +337,21 @@ type ownedSync struct {
 // / receive-in-loop rendezvous pairs iteration n's release with iteration
 // n's acquire, which is the idiom this rule exists for.
 func (m *Model) coveringSyncs(u *Unit, release bool) []ownedSync {
-	cache := &m.covAcq
-	if release {
-		cache = &m.covRel
-	}
-	if *cache == nil {
-		*cache = make(map[*Unit][]ownedSync)
-	}
-	if out, ok := (*cache)[u]; ok {
+	key := covKey{u, release}
+	if out, ok := m.cov[key]; ok {
 		return out
 	}
-	(*cache)[u] = nil // cycle guard while walking
-
-	// bound[v]: for releases, the latest chain site in v (ops must follow
+	// For releases, the latest chain site in each unit (ops must follow
 	// it); for acquires, the earliest (ops must precede it).
-	bound := make(map[*Unit]token.Pos)
-	type item struct {
-		u   *Unit
-		pos token.Pos
-	}
-	var work []item
-	for _, cs := range m.callers[u] {
-		work = append(work, item{cs.unit, cs.pos})
-	}
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		if old, seen := bound[it.u]; seen {
-			if release && old >= it.pos {
-				continue
-			}
-			if !release && old <= it.pos {
-				continue
-			}
-		}
-		bound[it.u] = it.pos
-		for _, cs := range m.callers[it.u] {
-			work = append(work, item{cs.unit, cs.pos})
-		}
-	}
 	var out []ownedSync
-	for v, p := range bound {
+	for v, p := range m.callChains(m.callers[u], release, false) {
 		for _, op := range v.Syncs {
-			if release && op.Kind == SyncRelease && op.Pos > p {
-				out = append(out, ownedSync{v, op})
-			}
-			if !release && op.Kind == SyncAcquire && op.Pos < p {
+			if release && op.Kind == SyncRelease && op.Pos > p || !release && op.Kind == SyncAcquire && op.Pos < p {
 				out = append(out, ownedSync{v, op})
 			}
 		}
 	}
-	(*cache)[u] = out
+	m.cov[key] = out
 	return out
 }
 
@@ -568,13 +444,13 @@ func (m *Model) comboConcurrent(a *Access, ca ClassID, b *Access, cb ClassID) bo
 		// A fork-joined class only overlaps its parent's (singleton) class
 		// inside the spawn→join window: reads after wg.Wait — in the parent
 		// or anything it calls later — cannot race the joined goroutines.
-		ja, jb := m.spawnBy[ca], m.spawnBy[cb]
+		ja, jb := m.SpawnOf(ca), m.SpawnOf(cb)
 		if ja != nil && ja.Joined && ja.Kind != SpawnSweep &&
-			ja.Parent.Classes[cb] && !m.multiInstance(cb) && !m.inJoinWindow(ja, b) {
+			ja.Parent.Classes[cb] && !m.multiInstance(cb) && !m.inWindow(ja, b.Unit, b.Pos) {
 			return false
 		}
 		if jb != nil && jb.Joined && jb.Kind != SpawnSweep &&
-			jb.Parent.Classes[ca] && !m.multiInstance(ca) && !m.inJoinWindow(jb, a) {
+			jb.Parent.Classes[ca] && !m.multiInstance(ca) && !m.inWindow(jb, a.Unit, a.Pos) {
 			return false
 		}
 		// Two fork-joined classes whose parents both run on the singleton
@@ -584,11 +460,11 @@ func (m *Model) comboConcurrent(a *Access, ca ClassID, b *Access, cb ClassID) bo
 		if ja != nil && ja.Joined && jb != nil && jb.Joined &&
 			mainOnly(ja.Parent) && mainOnly(jb.Parent) {
 			return ja.Parent.Classes[cb] || jb.Parent.Classes[ca] ||
-				m.spawnInWindow(ja, jb) || m.spawnInWindow(jb, ja)
+				m.inWindow(ja, jb.Parent, jb.Pos) || m.inWindow(jb, ja.Parent, ja.Pos)
 		}
 		return true
 	}
-	s := m.spawnBy[ca]
+	s := m.SpawnOf(ca)
 	if s == nil || !s.InLoop {
 		return false
 	}
@@ -613,22 +489,9 @@ func mainOnly(u *Unit) bool {
 	return len(u.Classes) == 1 && u.Classes[MainClass]
 }
 
-// spawnInWindow reports whether spawn other's site can execute while
-// joined spawn s is alive: same parent inside the window, or in a unit the
-// parent calls from the window.
-func (m *Model) spawnInWindow(s, other *Spawn) bool {
-	if s.JoinPos == 0 {
-		return true
-	}
-	if other.Parent == s.Parent {
-		return other.Pos > s.Pos && other.Pos < s.JoinPos
-	}
-	return m.joinWindow(s)[other.Parent]
-}
-
 // sweepOf returns c's spawn when it is a sweep job, else nil.
 func (m *Model) sweepOf(c ClassID) *Spawn {
-	if s := m.spawnBy[c]; s != nil && s.Kind == SpawnSweep {
+	if s := m.SpawnOf(c); s != nil && s.Kind == SpawnSweep {
 		return s
 	}
 	return nil
@@ -637,7 +500,7 @@ func (m *Model) sweepOf(c ClassID) *Spawn {
 // multiInstance reports whether more than one goroutine of class c can be
 // alive at once (its spawn statement sits in a loop).
 func (m *Model) multiInstance(c ClassID) bool {
-	s := m.spawnBy[c]
+	s := m.SpawnOf(c)
 	return s != nil && s.InLoop
 }
 
@@ -654,7 +517,7 @@ func (m *Model) multiInstance(c ClassID) bool {
 //     (receive, range, Wait) on the same channel/WaitGroup before b in
 //     b's unit.
 func (m *Model) ordered(a *Access, ca ClassID, b *Access, cb ClassID) bool {
-	if s := m.spawnBy[cb]; s != nil && ca != cb {
+	if s := m.SpawnOf(cb); s != nil && ca != cb {
 		if s.Parent == a.Unit && a.Pos < s.Pos {
 			return true
 		}
@@ -683,7 +546,7 @@ func (m *Model) ordered(a *Access, ca ClassID, b *Access, cb ClassID) bool {
 			}
 		}
 	}
-	if s := m.spawnBy[ca]; s != nil && s.Kind == SpawnSweep {
+	if s := m.SpawnOf(ca); s != nil && s.Kind == SpawnSweep {
 		if s.Parent == b.Unit && b.Pos > s.Pos && ca != cb {
 			return true
 		}
@@ -735,7 +598,7 @@ func (m *Model) ordered(a *Access, ca ClassID, b *Access, cb ClassID) bool {
 // owning struct; nesting of the struct itself is not modeled.
 func (m *Model) FieldMisaligned64(obj *types.Var) bool {
 	sizes := &types.StdSizes{WordSize: 4, MaxAlign: 4}
-	for _, named := range m.namedTypes {
+	for _, named := range m.g.Named {
 		st, ok := named.Underlying().(*types.Struct)
 		if !ok {
 			continue

@@ -120,10 +120,8 @@ type Computer struct {
 func New(pass *analysis.Pass, ops Ops) *Computer {
 	return pass.Shared("summary/"+ops.Name(), func() any {
 		c := &Computer{
-			ops: ops,
-			graph: pass.Shared("callgraph", func() any {
-				return callgraph.Build(pass)
-			}).(*callgraph.Graph),
+			ops:   ops,
+			graph: callgraph.Get(pass),
 			sums:  make(map[*types.Func]Summary),
 			open:  make(map[*types.Func]bool),
 			chans: make(map[types.Object]bool),

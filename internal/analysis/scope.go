@@ -9,8 +9,9 @@ import (
 
 // Mechanisms several passes share: the code a function-valued expression
 // runs (Root), the header-handler scope of §2.1 (HeaderHandlers,
-// OutlivesDispatch), the memoized interprocedural search (Search) and the
-// every-body driver (Bodies).
+// OutlivesDispatch), the spawn recognizers (RuntimeCallback, SweepJob),
+// the memoized interprocedural search (Search) and the every-body driver
+// (Bodies).
 
 // A Root is a function-valued expression resolved to the code it runs: a
 // literal in place, or a function the module declares (Fn), found through
@@ -68,6 +69,18 @@ func RuntimeCallback(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
+}
+
+// SweepJob returns the job argument when call is parallel.Map or
+// parallel.ForEach, whose job runs concurrently on the sweep's workers;
+// nil otherwise.
+func SweepJob(info *types.Info, call *ast.CallExpr) ast.Expr {
+	fn := Callee(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != ParallelPath ||
+		(fn.Name() != "Map" && fn.Name() != "ForEach") || len(call.Args) < 3 {
+		return nil
+	}
+	return call.Args[len(call.Args)-1]
 }
 
 // OutlivesDispatch returns the nodes of a header handler's body that run

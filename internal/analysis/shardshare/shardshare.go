@@ -34,35 +34,28 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// ParallelPath is the sweep executor's import path.
-const ParallelPath = "golapi/internal/parallel"
-
 func run(pass *analysis.Pass) error {
-	if pass.Lookup(ParallelPath) == nil {
+	if pass.Lookup(analysis.ParallelPath) == nil {
 		return nil // package has no path to the executor: nothing to enforce
 	}
 	s := pass.NewSearch(packageWrite, nestedJobs)
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isSweepEntry(analysis.Callee(pass.Pkg.Info, call)) || len(call.Args) < 3 {
+			if !ok {
 				return true
 			}
-			if root, ok := pass.RootOf(call.Args[len(call.Args)-1]); ok {
-				s.Check(root, func(pos token.Pos, p analysis.Path) {
-					pass.Reportf(pos, "sweep job writes package-level state %s%s (jobs run concurrently on sweep workers; keep sweep points self-contained or guard the state and suppress)", p.What, p.Via())
-				})
+			if job := analysis.SweepJob(pass.Pkg.Info, call); job != nil {
+				if root, ok := pass.RootOf(job); ok {
+					s.Check(root, func(pos token.Pos, p analysis.Path) {
+						pass.Reportf(pos, "sweep job writes package-level state %s%s (jobs run concurrently on sweep workers; keep sweep points self-contained or guard the state and suppress)", p.What, p.Via())
+					})
+				}
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// isSweepEntry reports whether fn is parallel.Map or parallel.ForEach.
-func isSweepEntry(fn *types.Func) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == ParallelPath &&
-		(fn.Name() == "Map" || fn.Name() == "ForEach")
 }
 
 // packageWrite reports the writes at n to package-level variables. A
@@ -84,24 +77,22 @@ func packageWrite(n ast.Node, pkg *analysis.Package, hit func(token.Pos, string)
 			hit(n.X.Pos(), qualified(v))
 		}
 	case *ast.CallExpr:
-		return isSweepEntry(analysis.Callee(pkg.Info, n))
+		return analysis.SweepJob(pkg.Info, n) != nil
 	}
 	return false
 }
 
-// nestedJobs returns the function-literal arguments of the sweep calls in
-// body, which a search does not enter.
+// nestedJobs returns the job literals of the sweep calls in body, which a
+// search does not enter.
 func nestedJobs(body *ast.BlockStmt, pkg *analysis.Package) map[ast.Node]bool {
 	var jobs map[ast.Node]bool
 	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isSweepEntry(analysis.Callee(pkg.Info, call)) {
-			for _, arg := range call.Args {
-				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-					if jobs == nil {
-						jobs = make(map[ast.Node]bool)
-					}
-					jobs[lit] = true
+		if call, ok := n.(*ast.CallExpr); ok {
+			if lit, ok := ast.Unparen(analysis.SweepJob(pkg.Info, call)).(*ast.FuncLit); ok {
+				if jobs == nil {
+					jobs = make(map[ast.Node]bool)
 				}
+				jobs[lit] = true
 			}
 		}
 		return true

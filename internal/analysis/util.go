@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Shared helpers for the lapivet passes. They encode the small amount of
@@ -12,11 +14,18 @@ import (
 
 // Import paths the passes care about.
 const (
-	LapiPath   = "golapi/internal/lapi"
-	ExecPath   = "golapi/internal/exec"
-	FabricPath = "golapi/internal/fabric"
-	TcpnetPath = "golapi/internal/tcpnet"
+	LapiPath     = "golapi/internal/lapi"
+	ExecPath     = "golapi/internal/exec"
+	SimPath      = "golapi/internal/sim"
+	ParallelPath = "golapi/internal/parallel"
+	FabricPath   = "golapi/internal/fabric"
+	TcpnetPath   = "golapi/internal/tcpnet"
 )
+
+// InModule reports whether pkg is one of the module's own packages.
+func InModule(pkg *types.Package) bool {
+	return pkg != nil && strings.HasPrefix(pkg.Path(), "golapi/")
+}
 
 // Lookup returns the types.Package for a module import path, whether it is
 // the analyzed package itself or any (transitive) dependency the loader has
@@ -139,6 +148,35 @@ func ObjectOf(info *types.Info, expr ast.Expr) types.Object {
 		return info.Uses[e]
 	case *ast.SelectorExpr:
 		return info.Uses[e.Sel]
+	}
+	return nil
+}
+
+// ChainObj resolves an expression to the object that names it for the
+// instance-blind analyses: the deepest field of a selector chain, or a
+// package-level or local variable, through dereferences, indexing and
+// address-of. It returns nil for anything else.
+func ChainObj(info *types.Info, e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if v, ok := info.Uses[e].(*types.Var); ok {
+			return v
+		}
+		if v, ok := info.Defs[e].(*types.Var); ok {
+			return v
+		}
+	case *ast.SelectorExpr:
+		if obj := info.Uses[e.Sel]; obj != nil {
+			return obj
+		}
+	case *ast.StarExpr:
+		return ChainObj(info, e.X)
+	case *ast.IndexExpr:
+		return ChainObj(info, e.X)
+	case *ast.UnaryExpr:
+		if e.Op == token.AND {
+			return ChainObj(info, e.X)
+		}
 	}
 	return nil
 }
