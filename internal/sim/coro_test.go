@@ -5,12 +5,36 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The lifecycle of recycled coroutines: a finished process leaves its
 // coroutine idle for the next Go, its handle stays valid, a panic or an
 // unwind takes the coroutine with it, and no idle coroutine outlives the
 // engine's work.
+
+// settledGoroutines returns runtime.NumGoroutine() once it has stopped
+// falling, the baseline of a goroutine-count check: a goroutine an earlier
+// test started may still be ending when this one begins, and counting it
+// would make the baseline one too high. The count must hold for ten polls
+// a millisecond apart; the test fails if it is still falling after a
+// second.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	n, held := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m < n {
+			held = 0
+		} else if held++; held == 10 {
+			return m
+		}
+		n = m
+	}
+	t.Fatalf("goroutine count still falling after 1s: %d", n)
+	return 0
+}
 
 // finishOne spawns a process that returns at once and runs the engine to
 // now+1, leaving its coroutine idle behind a pending event at now+2.
@@ -57,7 +81,7 @@ func TestJoinFinishedProcWhoseCoroutineRunsAnother(t *testing.T) {
 }
 
 func TestPanicInRecycledCoroutineNamesTheProcess(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines(t)
 	e := NewEngine()
 	first := finishOne(t, e)
 	culprit := e.Go("culprit", func(p *Proc) {
@@ -87,7 +111,7 @@ func TestPanicInRecycledCoroutineNamesTheProcess(t *testing.T) {
 }
 
 func TestDeadlockUnwindsWithIdleCoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines(t)
 	e := NewEngine()
 	never := NewCond(e)
 	unwound := 0
@@ -127,7 +151,7 @@ func TestDeadlockUnwindsWithIdleCoroutines(t *testing.T) {
 // fires when a callback at the same instant panics: its function must
 // never run, and the coroutine must go with it.
 func TestProcessStoppedBeforeStartNeverRuns(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines(t)
 	e := NewEngine()
 	first := finishOne(t, e)
 	var never *Proc
@@ -163,7 +187,7 @@ func TestProcessStoppedBeforeStartNeverRuns(t *testing.T) {
 // goroutines it found, and so does a RunUntil window that drains the
 // queue, while one that leaves events pending may keep its idle ones.
 func TestIdleCoroutinesEndWithTheWork(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines(t)
 	e := NewEngine()
 	spawned := 0
 	e.Go("spawner", func(p *Proc) {

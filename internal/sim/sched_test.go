@@ -276,7 +276,7 @@ func TestParkedProcessHonoursDeadline(t *testing.T) {
 }
 
 func TestDeadlockLeavesNothingSuspended(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines(t)
 	e := NewEngine()
 	never := NewCond(e)
 	var unwound, lateRan bool
@@ -319,7 +319,7 @@ func TestDeadlockLeavesNothingSuspended(t *testing.T) {
 }
 
 func TestProcessPanicSurfacesOnRun(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines(t)
 	e := NewEngine()
 	e.Go("bystander", func(p *Proc) { p.WaitCond(NewCond(e)) })
 	e.Go("culprit", func(p *Proc) {
