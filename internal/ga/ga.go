@@ -179,7 +179,10 @@ type Array struct {
 }
 
 // Create collectively allocates a rows x cols global array. Every task must
-// call Create in the same order with the same dimensions.
+// call Create in the same order with the same dimensions. Arrays are never
+// destroyed, and every GA request names its array in a 16-bit header
+// field, so a world holds at most 65 536 arrays: the 65 537th Create
+// returns an error (TestCreateRefusesA17BitHandle).
 func (w *World) Create(ctx exec.Context, rows, cols int) (*Array, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("ga: Create(%d,%d): dimensions must be positive", rows, cols)

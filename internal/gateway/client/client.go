@@ -122,7 +122,10 @@ func readFull(r *bufio.Reader, buf []byte) (int, error) {
 }
 
 // CreateArray creates (or idempotently opens) a named rows×cols array of
-// float64s and returns its handle.
+// float64s and returns its handle. Each new name is one ga.World.Create on
+// every rank, and GA never destroys an array: once a gateway has created
+// 65 536 arrays, GA refuses the next one, and lapigate answers every new
+// array name with StatusBusy. Opening an existing name still succeeds.
 func (c *Conn) CreateArray(name string, rows, cols int) (uint32, proto.Status, error) {
 	return c.create(proto.KindArray, name, rows, cols)
 }
