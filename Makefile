@@ -157,6 +157,12 @@ gatesmoke:
 	$(GO) run ./cmd/lapigate -mode smoke
 
 # Code size: non-test Go lines in cmd/, internal/ and examples/, testdata
-# excluded — the figure a simplification is judged by.
+# excluded — the figure a simplification is judged by. The total comes
+# first, then one line per top-level internal/ directory, its subpackages
+# summed.
 loc:
 	@find cmd internal examples -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
+	@for d in internal/*/; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs -r cat | wc -l); \
+		printf '%7d %s\n' $$n $${d%/}; \
+	done
