@@ -53,16 +53,10 @@ func (m *Model) freshLocals(u *Unit) map[*types.Var]bool {
 	fresh := make(map[*types.Var]bool)
 	info := u.Pkg.Info
 	note := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
-			return
-		}
-		v, ok := info.Defs[id].(*types.Var)
-		if !ok {
-			return
-		}
-		if isFreshExpr(rhs) {
-			fresh[v] = true
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && isFreshExpr(rhs) {
+			if v, ok := info.Defs[id].(*types.Var); ok {
+				fresh[v] = true
+			}
 		}
 	}
 	m.inspect(u.Body, func(n ast.Node) bool {
@@ -140,20 +134,13 @@ func (m *Model) resolveFreshness() {
 				}
 				if recv := sig.Recv(); recv != nil {
 					owner[recv] = v
-					if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
-						if !m.freshExpr(u, sel.X) {
-							dirty[recv] = true
-						}
-					} else {
-						dirty[recv] = true
-					}
+					sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+					dirty[recv] = dirty[recv] || !isSel || !m.freshExpr(u, sel.X)
 				}
 				for i := 0; i < sig.Params().Len() && i < len(call.Args); i++ {
 					p := sig.Params().At(i)
 					owner[p] = v
-					if !m.freshExpr(u, call.Args[i]) {
-						dirty[p] = true
-					}
+					dirty[p] = dirty[p] || !m.freshExpr(u, call.Args[i])
 				}
 				return true
 			})
@@ -255,7 +242,7 @@ func (c *collector) leaf(leaf ast.Node, locks LockSet, rangeBind map[*ast.Assign
 			// Inline literals are attributed to this unit (they run,
 			// approximately, here), holding ⟨serialized⟩ when their
 			// signature says so.
-			if serializedLit(c.info, x) && !locks.Has(SerializedLock) {
+			if serializedFunc(c.info.TypeOf(x)) && !locks.Has(SerializedLock) {
 				c.leaf(x.Body, locks.with(SerializedLock), rangeBind)
 				return false
 			}
@@ -318,11 +305,7 @@ func (c *collector) call(call *ast.CallExpr, locks LockSet, consumed map[ast.Nod
 		// runtime lock: everything written before the call happens-before
 		// any access made holding ⟨serialized⟩ — a session reading a
 		// request, then running it under Do.
-		pos := call.Pos()
-		if c.syncPos != token.NoPos {
-			pos = c.syncPos
-		}
-		c.u.Syncs = append(c.u.Syncs, SyncOp{Obj: SerializedLock, Kind: SyncRelease, Pos: pos})
+		c.syncOn(SerializedLock, SyncRelease, call.Pos())
 		return false
 	}
 	if fn.Pkg().Path() == "sync/atomic" {
@@ -530,7 +513,11 @@ func isIntrinsicSync(t types.Type) bool {
 
 // sync records one release/acquire operation on a channel or WaitGroup.
 func (c *collector) sync(e ast.Expr, kind SyncKind, pos token.Pos) {
-	obj := analysis.ChainObj(c.info, e)
+	c.syncOn(analysis.ChainObj(c.info, e), kind, pos)
+}
+
+// syncOn records one release/acquire operation on obj, if any.
+func (c *collector) syncOn(obj types.Object, kind SyncKind, pos token.Pos) {
 	if obj == nil {
 		return
 	}

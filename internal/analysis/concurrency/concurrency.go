@@ -419,9 +419,9 @@ func (m *Model) boundUnits() []*Unit {
 }
 
 // spawn records a new goroutine class.
-func (m *Model) spawn(parent *Unit, root *Unit, pos token.Pos, kind SpawnKind, inLoop bool) *Spawn {
+func (m *Model) spawn(parent *Unit, root *Unit, pos token.Pos, kind SpawnKind, inLoop bool) {
 	if root == nil {
-		return nil // dynamic operand (e.g. a func parameter): implementation plumbing
+		return // dynamic operand (e.g. a func parameter): implementation plumbing
 	}
 	s := &Spawn{
 		Class:      ClassID(len(m.Spawns) + 1),
@@ -439,7 +439,6 @@ func (m *Model) spawn(parent *Unit, root *Unit, pos token.Pos, kind SpawnKind, i
 		s.JoinPos = pos
 	}
 	m.Spawns = append(m.Spawns, s)
-	return s
 }
 
 // inspectLoops calls visit for every node under body, in ast.Inspect
@@ -572,7 +571,6 @@ func (m *Model) scanCompositeLit(u *Unit, lit *ast.CompositeLit) {
 	if _, ok := t.Underlying().(*types.Struct); !ok {
 		return
 	}
-	hooks := isHooksType(t)
 	for _, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
@@ -588,7 +586,7 @@ func (m *Model) scanCompositeLit(u *Unit, lit *ast.CompositeLit) {
 		}
 		if _, isChan := field.Type().Underlying().(*types.Chan); isChan {
 			m.aliasChan(info, kv.Value, field)
-		} else if hooks && isFunc(field.Type()) {
+		} else if m.hooks[field] && isFunc(field.Type()) {
 			// Barrier callbacks run with every engine parked: the
 			// epoch-barrier seam, on the serialization domain.
 			if tgt := m.unitForExpr(u, kv.Value); tgt != nil {
@@ -865,14 +863,6 @@ func (m *Model) modeled(fn *types.Func) bool {
 		isPost(fn) || isRegistration(fn)
 }
 
-// isHooksType reports whether t is parallel.Hooks: its callback fields run
-// at the epoch barrier with every shard engine parked.
-func isHooksType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == analysis.ParallelPath &&
-		named.Obj().Name() == "Hooks"
-}
-
 func isFunc(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Signature)
 	return ok
@@ -881,30 +871,29 @@ func isFunc(t types.Type) bool {
 // contractualLocks returns the locks a unit holds by API contract,
 // independent of call sites: code in the exec and sim packages implements
 // the serialization domains themselves (realrt's big lock, the engine's
-// one-at-a-time coroutine switch), and any function taking an exec.Context or
-// *sim.Proc may only run on its runtime's domain.
+// one-at-a-time coroutine switch), and a function taking an exec.Context
+// or *sim.Proc may only run on its runtime's domain.
 func contractualLocks(u *Unit) LockSet {
+	var t types.Type
+	if u.Fn != nil {
+		t = u.Fn.Type()
+	} else {
+		t = u.Pkg.Info.TypeOf(u.Lit)
+	}
 	ls := LockSet{}
-	if u.Pkg.Path == analysis.ExecPath || u.Pkg.Path == analysis.SimPath || serializedSig(u.signature()) {
+	if u.Pkg.Path == analysis.ExecPath || u.Pkg.Path == analysis.SimPath || serializedFunc(t) {
 		ls.add(SerializedLock)
 	}
 	return ls
 }
 
-// serializedLit reports whether an inline function literal takes an
-// exec.Context or *sim.Proc. Like a declared function with such a
-// parameter (contractualLocks), it only ever runs on a serialized
-// activity, whatever the function that builds it holds: a workload body
-// returned by a constructor is called by the runtime, not by the
-// constructor.
-func serializedLit(info *types.Info, lit *ast.FuncLit) bool {
-	sig, _ := info.TypeOf(lit).(*types.Signature)
-	return serializedSig(sig)
-}
-
-// serializedSig reports whether sig has an exec.Context or *sim.Proc
-// parameter.
-func serializedSig(sig *types.Signature) bool {
+// serializedFunc reports whether t is a function type with an
+// exec.Context or *sim.Proc parameter. Such a function only ever runs on
+// a serialized activity, and so does such an inline literal, whatever the
+// function that builds it holds: a workload body returned by a
+// constructor is called by the runtime, not by the constructor.
+func serializedFunc(t types.Type) bool {
+	sig, _ := t.(*types.Signature)
 	if sig == nil {
 		return false
 	}
@@ -921,13 +910,4 @@ func serializedSig(sig *types.Signature) bool {
 		}
 	}
 	return false
-}
-
-func (u *Unit) signature() *types.Signature {
-	if u.Fn != nil {
-		sig, _ := u.Fn.Type().(*types.Signature)
-		return sig
-	}
-	sig, _ := u.Pkg.Info.TypeOf(u.Lit).(*types.Signature)
-	return sig
 }

@@ -372,7 +372,7 @@ func classList(u *Unit) []ClassID {
 // happens-before rule orders that pair. The second result names the racy
 // class pair (a's class first) when the first is true.
 func (m *Model) Concurrent(a, b *Access) (bool, [2]ClassID) {
-	if a.Locks.Intersects(b.Locks) {
+	if intersects(a.Locks, b.Locks) {
 		return false, [2]ClassID{}
 	}
 	// A slice's elements and its header are distinct storage: an element
@@ -405,7 +405,7 @@ func (m *Model) Concurrent(a, b *Access) (bool, [2]ClassID) {
 			// Classes confined to disjoint programs (a lapibench sweep and
 			// the lapigate runtime, say) never share a process.
 			oa, ob := m.classOrigins(a, ca), m.classOrigins(b, cb)
-			if len(oa) > 0 && len(ob) > 0 && !originsIntersect(oa, ob) {
+			if len(oa) > 0 && len(ob) > 0 && !intersects(oa, ob) {
 				continue
 			}
 			if m.ordered(a, ca, b, cb) || m.ordered(b, cb, a, ca) {
@@ -469,19 +469,6 @@ func (m *Model) comboConcurrent(a *Access, ca ClassID, b *Access, cb ClassID) bo
 		return false
 	}
 	return analysis.IsPkgLevel(a.Obj) && analysis.IsPkgLevel(b.Obj)
-}
-
-// originsIntersect reports whether two origin sets share a program root.
-func originsIntersect(a, b map[*Unit]bool) bool {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for u := range a {
-		if b[u] {
-			return true
-		}
-	}
-	return false
 }
 
 // mainOnly reports whether MainClass is the only class executing u.

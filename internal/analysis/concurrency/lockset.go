@@ -37,14 +37,13 @@ func (ls LockSet) with(o types.Object) LockSet {
 	return out
 }
 
-// Intersects reports whether two locksets share a lock.
-func (ls LockSet) Intersects(other LockSet) bool {
-	a, b := ls, other
+// intersects reports whether two sets share a member.
+func intersects[K comparable, V any](a, b map[K]V) bool {
 	if len(b) < len(a) {
 		a, b = b, a
 	}
-	for o := range a {
-		if _, ok := b[o]; ok {
+	for k := range a {
+		if _, ok := b[k]; ok {
 			return true
 		}
 	}
@@ -278,7 +277,7 @@ func (m *Model) callSiteLocks(u *Unit, entry LockSet, meet func(*Unit, LockSet))
 	var visit func(n ast.Node, s LockSet)
 	visit = func(n ast.Node, s LockSet) {
 		ast.Inspect(n, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok && !s.Has(SerializedLock) && serializedLit(u.Pkg.Info, lit) {
+			if lit, ok := n.(*ast.FuncLit); ok && !s.Has(SerializedLock) && serializedFunc(u.Pkg.Info.TypeOf(lit)) {
 				visit(lit.Body, s.with(SerializedLock))
 				return false
 			}
